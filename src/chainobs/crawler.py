@@ -7,6 +7,10 @@ repeated getaddr requests.  Every harvested endpoint is enqueued exactly
 once; breadth-first exploration ends when the frontier drains (or a safety
 cap trips, which flags the snapshot as partial).
 
+Each phase waits under its own deadline of one handshake timeout on the
+connection's clock: the whole handshake, each ping, and each getaddr round.
+Pings from the peer are answered with a pong in every phase.
+
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  Connection, timeout,
 and protocol failures are never raised out of a probe: they are encoded as
@@ -48,10 +52,6 @@ class UnresolvableSeedsError(ValueError):
 
 
 class NoPongReceivedError(Exception):
-    pass
-
-
-class _HandshakeFailed(Exception):
     pass
 
 
@@ -195,19 +195,28 @@ def bootstrap_seeds(
 # --- single-peer probe -----------------------------------------------------
 
 
-def _read_frame(conn: Connection, magic: bytes, timeout: float) -> tuple[str, bytes]:
-    deadline = conn.clock() + timeout
-    header = conn.recv_exact(wirecodec.HEADER_SIZE, timeout)
-    parsed = wirecodec.decode_message_prefix(header, magic)
-    if parsed is not None:  # zero-length payload: the header is the frame
-        return parsed[0], parsed[1]
-    (length,) = struct.unpack("<I", header[16:20])
-    remaining = deadline - conn.clock()
-    if remaining <= 0:
-        raise RecvTimeoutError("payload did not arrive in time")
-    payload = conn.recv_exact(length, remaining)
-    command, body = wirecodec.decode_message(header + payload, magic)
-    return command, body
+def _next_frame(conn: Connection, magic: bytes, deadline: float) -> tuple[str, bytes]:
+    """Next frame other than ``ping`` before ``deadline`` on ``conn.clock()``.
+
+    Pings met on the way are answered with a pong echoing their nonce.
+    """
+    while True:
+        remaining = deadline - conn.clock()
+        if remaining <= 0:
+            raise RecvTimeoutError("no frame before deadline")
+        header = conn.recv_exact(wirecodec.HEADER_SIZE, remaining)
+        frame = wirecodec.decode_message_prefix(header, magic)
+        if frame is None:  # the header announces a payload
+            (length,) = struct.unpack("<I", header[16:20])
+            remaining = deadline - conn.clock()
+            if remaining <= 0:
+                raise RecvTimeoutError("payload did not arrive in time")
+            frame = wirecodec.decode_message(header + conn.recv_exact(length, remaining), magic)
+        command, payload = frame[:2]
+        if command != "ping":
+            return command, payload
+        pong = wirecodec.encode_pong(wirecodec.decode_ping(payload))
+        conn.send(wirecodec.encode_message("pong", pong, magic))
 
 
 def _build_version(endpoint: Endpoint, config: CrawlConfig) -> bytes:
@@ -225,29 +234,19 @@ def _build_version(endpoint: Endpoint, config: CrawlConfig) -> bytes:
     return wirecodec.encode_message("version", wirecodec.encode_version(payload), config.magic)
 
 
-def _pong(conn: Connection, magic: bytes, payload: bytes) -> None:
-    nonce = wirecodec.decode_ping(payload)
-    conn.send(wirecodec.encode_message("pong", wirecodec.encode_pong(nonce), magic))
-
-
 def _handshake(conn: Connection, endpoint: Endpoint, config: CrawlConfig) -> VersionPayload:
     conn.send(_build_version(endpoint, config))
     deadline = conn.clock() + config.handshake_timeout_ms / 1000.0
     their_version: VersionPayload | None = None
     verack_seen = False
     while their_version is None or not verack_seen:
-        remaining = deadline - conn.clock()
-        if remaining <= 0:
-            raise _HandshakeFailed("handshake timed out")
-        command, payload = _read_frame(conn, config.magic, remaining)
+        command, payload = _next_frame(conn, config.magic, deadline)
         if command == "version":
             their_version = wirecodec.decode_version(payload)
             if their_version.start_height < 0:
                 log.debug("%s advertises negative start height %d", endpoint, their_version.start_height)
         elif command == "verack":
             verack_seen = True
-        elif command == "ping":
-            _pong(conn, config.magic, payload)
         # other pre-handshake chatter is ignored
     conn.send(wirecodec.encode_message("verack", b"", config.magic))
     return their_version
@@ -263,17 +262,11 @@ def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) 
         nonce = random.getrandbits(64)
         sent_at = conn.clock()
         conn.send(wirecodec.encode_message("ping", wirecodec.encode_ping(nonce), magic))
-        deadline = sent_at + timeout
         try:
             while True:
-                remaining = deadline - conn.clock()
-                if remaining <= 0:
-                    raise RecvTimeoutError("no pong before deadline")
-                command, payload = _read_frame(conn, magic, remaining)
+                command, payload = _next_frame(conn, magic, sent_at + timeout)
                 if command == "pong" and wirecodec.decode_pong(payload) == nonce:
                     break
-                if command == "ping":
-                    _pong(conn, magic, payload)
         except (TransportError, wirecodec.CodecError):
             continue
         sample = (conn.clock() - sent_at) * 1000.0
@@ -286,33 +279,24 @@ def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) 
 
 
 def _harvest(conn: Connection, config: CrawlConfig) -> tuple[list[Endpoint], int]:
-    timeout = config.handshake_timeout_ms / 1000.0
-    harvested: list[Endpoint] = []
-    seen: set[Endpoint] = set()
+    # decode_addr already yields canonical IP text, so entries become
+    # endpoints without another trip through canonical_ip
+    harvested: dict[Endpoint, None] = {}
     entries_received = 0
     for _ in range(config.getaddr_rounds):
         conn.send(wirecodec.encode_message("getaddr", b"", config.magic))
-        deadline = conn.clock() + timeout
+        deadline = conn.clock() + config.handshake_timeout_ms / 1000.0
         try:
-            while True:
-                remaining = deadline - conn.clock()
-                if remaining <= 0:
-                    raise RecvTimeoutError("no addr before deadline")
-                command, payload = _read_frame(conn, config.magic, remaining)
-                if command == "addr":
-                    entries = wirecodec.decode_addr(payload)
-                    entries_received += len(entries)
-                    for entry in entries:
-                        endpoint = Endpoint.make(entry.ip, entry.port)
-                        if endpoint not in seen:
-                            seen.add(endpoint)
-                            harvested.append(endpoint)
-                    break
-                if command == "ping":
-                    _pong(conn, config.magic, payload)
+            command, payload = _next_frame(conn, config.magic, deadline)
+            while command != "addr":
+                command, payload = _next_frame(conn, config.magic, deadline)
+            entries = wirecodec.decode_addr(payload)
         except (TransportError, wirecodec.CodecError) as exc:
             log.debug("getaddr round failed: %s", exc)
-    return harvested, entries_received
+            continue
+        entries_received += len(entries)
+        harvested.update(dict.fromkeys(Endpoint(entry.ip, entry.port) for entry in entries))
+    return list(harvested), entries_received
 
 
 def probe_peer(
@@ -349,7 +333,7 @@ def probe_peer(
             addr_count_returned=entries_received,
         )
         return record, harvested
-    except (TransportError, wirecodec.CodecError, _HandshakeFailed) as exc:
+    except (TransportError, wirecodec.CodecError) as exc:
         log.debug("%s: probe failed: %s", endpoint, exc)
         return inactive, []
     finally:

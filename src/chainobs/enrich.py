@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Iterable
 
+from .wirecodec import canonical_ip
+
 if TYPE_CHECKING:
     from .crawler import Snapshot
     from .transport import Endpoint
@@ -45,7 +47,7 @@ def classify_network(address: "str | Endpoint", tor_exits: AbstractSet[str] = fr
     """
     ip_text = address if isinstance(address, str) else address.ip
     ip = ipaddress.ip_address(ip_text)
-    if str(ip) in tor_exits:
+    if tor_exits and canonical_ip(ip_text) in tor_exits:
         return NET_TOR
     if ip.version == 6:
         if ip.ipv4_mapped is not None:
@@ -57,12 +59,12 @@ def classify_network(address: "str | Endpoint", tor_exits: AbstractSet[str] = fr
 
 
 def load_tor_exits(path: str | Path) -> frozenset[str]:
-    """Read a Tor exit list: one IP per line, ``#`` comments."""
+    """Read a Tor exit list: one IP per line, ``#`` comments; kept as canonical text."""
     exits = set()
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            exits.add(str(ipaddress.ip_address(line)))
+            exits.add(canonical_ip(line))
     return frozenset(exits)
 
 

@@ -8,7 +8,10 @@ and the crawler config digest; every following line is one peer record,
 sorted by canonical address string.  Values are percent-escaped so user
 agents may contain spaces; unknown keys are ignored on read, which is the
 forward-compatibility hook the enrichment step uses to append country/AS
-columns without breaking older readers.
+columns without breaking older readers.  A record holds each key at most
+once; a repeated key makes the record corrupt.  Writes go to a temporary
+file that is renamed over the target, so a crash never leaves a
+half-written snapshot behind.
 
 Record keys::
 
@@ -20,6 +23,7 @@ rather than trusted on read.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -80,35 +84,38 @@ def _emit(pairs: Iterable[tuple[str, str]]) -> str:
 
 def _parse_line(line: str, lineno: int) -> dict[str, str]:
     fields: dict[str, str] = {}
-    for token in line.split(" "):
+    tokens = line.split(" ")
+    for token in tokens:
         key, sep, value = token.partition(":")
         if not sep or not key:
             raise CorruptRecordError(lineno, f"token {token!r} is not key:value")
         fields[key] = _unescape(value)
+    if len(fields) != len(tokens):
+        raise CorruptRecordError(lineno, "a key appears more than once")
     return fields
 
 
-def _record_pairs(record: PeerRecord) -> list[tuple[str, str]]:
-    pairs = [
-        ("addr", record.address.ip),
-        ("port", str(record.address.port)),
-        ("net", classify_network(record.address)),
-        ("status", record.status),
-    ]
+def _record_fields(record: PeerRecord) -> dict[str, str]:
+    fields = {
+        "addr": record.address.ip,
+        "port": str(record.address.port),
+        "net": classify_network(record.address),
+        "status": record.status,
+    }
     if record.services is not None:
-        pairs.append(("services", str(record.services)))
+        fields["services"] = str(record.services)
     if record.protocol_version is not None:
-        pairs.append(("pver", str(record.protocol_version)))
+        fields["pver"] = str(record.protocol_version)
     if record.user_agent is not None:
-        pairs.append(("ua", record.user_agent))
+        fields["ua"] = record.user_agent
     if record.start_height is not None:
-        pairs.append(("height", str(record.start_height)))
+        fields["height"] = str(record.start_height)
     if record.min_rtt_ms is not None:
-        pairs.append(("minrtt", repr(record.min_rtt_ms)))
-    pairs.append(("first_seen", str(record.first_seen)))
-    pairs.append(("last_seen", str(record.last_seen)))
-    pairs.append(("addrs", str(record.addr_count_returned)))
-    return pairs
+        fields["minrtt"] = repr(record.min_rtt_ms)
+    fields["first_seen"] = str(record.first_seen)
+    fields["last_seen"] = str(record.last_seen)
+    fields["addrs"] = str(record.addr_count_returned)
+    return fields
 
 
 def write_snapshot(
@@ -116,7 +123,7 @@ def write_snapshot(
     path: str | Path,
     extra_fields: Mapping[Endpoint, Mapping[str, str]] | None = None,
 ) -> None:
-    """Write a snapshot; ``extra_fields`` appends per-record annotation keys."""
+    """Write a snapshot atomically; ``extra_fields`` adds or replaces record keys."""
     lines = [
         _emit(
             [
@@ -132,11 +139,20 @@ def write_snapshot(
         )
     ]
     for endpoint in sorted(snapshot.records, key=str):
-        pairs = _record_pairs(snapshot.records[endpoint])
+        fields = _record_fields(snapshot.records[endpoint])
         if extra_fields and endpoint in extra_fields:
-            pairs.extend(extra_fields[endpoint].items())
-        lines.append(_emit(pairs))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            fields.update(extra_fields[endpoint])
+        lines.append(_emit(fields.items()))
+    path = Path(path)
+    # the temporary name must not match *.snap.ndrec, which load_series globs
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _require(fields: Mapping[str, str], key: str, lineno: int) -> str:

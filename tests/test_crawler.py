@@ -188,6 +188,74 @@ def test_measure_min_rtt_no_pong():
         crawler.measure_min_rtt(conn, MAGIC, count=3, timeout=0.1)
 
 
+class _PingingPeer(_ScriptedConnection):
+    """Scripted peer that pings the crawler in every phase of a probe.
+
+    It pings before its version, after each pong it sends (so pings fall
+    between pongs), and before each addr, and records the pongs it gets.
+    """
+
+    def __init__(self, known):
+        super().__init__(answer=True)
+        self._known = known
+        self.pings_sent = []
+        self.pongs_received = []
+
+    def _queue(self, command, payload=b""):
+        self._pending += wirecodec.encode_message(command, payload, MAGIC)
+
+    def _ping(self):
+        nonce = 7_000 + len(self.pings_sent)
+        self.pings_sent.append(nonce)
+        self._queue("ping", wirecodec.encode_ping(nonce))
+
+    def send(self, data):
+        command, payload = wirecodec.decode_message(data, MAGIC)
+        if command == "version":
+            version = wirecodec.VersionPayload(
+                protocol_version=70015,
+                services=9,
+                timestamp=0,
+                receiver=wirecodec.NULL_ADDRESS,
+                sender=wirecodec.NULL_ADDRESS,
+                nonce=1,
+                user_agent="/pinger:0.1/",
+                start_height=1,
+            )
+            self._ping()
+            self._queue("version", wirecodec.encode_version(version))
+            self._queue("verack")
+        elif command == "ping":
+            self._queue("pong", payload)
+            self._ping()
+        elif command == "pong":
+            self.pongs_received.append(wirecodec.decode_pong(payload))
+        elif command == "getaddr":
+            self._ping()
+            entries = [wirecodec.AddrEntry(0, 1, e.ip, e.port) for e in self._known]
+            self._queue("addr", wirecodec.encode_addr(entries))
+
+
+def test_probe_answers_peer_pings_in_every_phase():
+    known = tuple(ep(f"10.2.0.{i}") for i in range(5))
+    peer = _PingingPeer(known)
+
+    class OnePeer:
+        def connect(self, endpoint, timeout):
+            return peer
+
+    cfg = config([ep("10.0.0.1")], ping_count=3, getaddr_rounds=2)
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
+    assert record.status == STATUS_ACTIVE
+    assert record.user_agent == "/pinger:0.1/"
+    assert harvested == list(known)
+    assert record.addr_count_returned == 10
+    assert record.min_rtt_ms == pytest.approx(50.0)  # 2 reads of 25 ms, no ping in between
+    # 1 before version, 1 after each of 3 pongs, 1 before each of 2 addrs
+    assert len(peer.pings_sent) == 6
+    assert peer.pongs_received == peer.pings_sent
+
+
 def test_probe_keeps_min_rtt_absent_when_pings_ignored():
     profile = SimPeerProfile(ep("10.0.0.1"))
     network = simnet.build_network(topology([profile]))

@@ -54,6 +54,24 @@ def test_load_tor_exits(tmp_path):
     assert enrich.load_tor_exits(path) == frozenset({"10.0.0.1", "2001:db8::5"})
 
 
+def test_v4_mapped_exit_entry_matches_canonical_endpoint(tmp_path):
+    path = tmp_path / "exits.txt"
+    path.write_text("::ffff:1.2.3.4\n2001:DB8:0::5\n")
+    exits = enrich.load_tor_exits(path)
+    assert exits == frozenset({"1.2.3.4", "2001:db8::5"})
+    assert enrich.classify_network(Endpoint.make("1.2.3.4"), exits) == "tor"
+    assert enrich.classify_network("::ffff:1.2.3.4", exits) == "tor"
+    assert enrich.classify_network(Endpoint.make("2001:db8::5"), exits) == "tor"
+    assert enrich.classify_network(Endpoint.make("1.2.3.5"), exits) == "ipv4"
+
+
+def test_load_tor_exits_rejects_non_addresses(tmp_path):
+    path = tmp_path / "exits.txt"
+    path.write_text("10.0.0.1\nexit.example\n")
+    with pytest.raises(ValueError):
+        enrich.load_tor_exits(path)
+
+
 # --- prefix table -----------------------------------------------------------------
 
 

@@ -65,6 +65,67 @@ def test_unknown_trailing_fields_ignored(tmp_path):
     assert store.read_snapshot(path) == snapshot
 
 
+def test_extra_field_replaces_same_named_key(tmp_path):
+    endpoint = Endpoint.make("10.0.0.1")
+    snapshot = make_snapshot([make_record("10.0.0.1")])
+    path = tmp_path / f"enriched{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(snapshot, path, extra_fields={endpoint: {"net": "tor", "country": "DE"}})
+    record_line = path.read_text().splitlines()[1]
+    keys = [token.partition(":")[0] for token in record_line.split(" ")]
+    assert keys.count("net") == 1
+    assert keys.index("net") == 2  # replaced in place, not appended
+    assert "net:tor" in record_line.split(" ")
+    assert store.read_snapshot(path) == snapshot
+
+
+def test_duplicate_key_is_corrupt(tmp_path):
+    path = tmp_path / f"dup{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1")]), path)
+    lines = path.read_text().splitlines()
+    lines[1] += " net:ipv4"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.read_snapshot(path)
+    assert err.value.line_number == 2
+
+
+class _DiskFull:
+    """File handle stub that writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing_step", ["write", "replace"])
+def test_failed_write_keeps_previous_file_and_leaves_no_stray_file(tmp_path, monkeypatch, failing_step):
+    path = tmp_path / f"atomic{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1")]), path)
+    before = path.read_bytes()
+    if failing_step == "write":
+        monkeypatch.setattr(store, "open", lambda *a, **k: _DiskFull(open(*a, **k)), raising=False)
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(store.os, "replace", refuse)
+    bigger = make_snapshot([make_record(f"10.0.1.{i}") for i in range(1, 40)], started_at=5)
+    with pytest.raises(OSError):
+        store.write_snapshot(bigger, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert [s.started_at for s in store.load_series(tmp_path)] == [make_snapshot([]).started_at]
+
+
 def test_unsupported_schema_version(tmp_path):
     path = tmp_path / f"v2{store.SNAPSHOT_SUFFIX}"
     path.write_text("schema:2 kind:header started_at:1 finished_at:2 seed_count:0 seeds: config: partial:0\n")

@@ -279,6 +279,21 @@ def test_addr_round_trip_property(entries):
     assert wc.decode_addr(wc.encode_addr(entries)) == entries
 
 
+_four = st.binary(min_size=4, max_size=4)
+_packed_ips = st.one_of(
+    st.binary(min_size=16, max_size=16),
+    _four.map(lambda b: b"\x00" * 10 + b"\xff\xff" + b),  # IPv4-mapped
+    _four.map(lambda b: b"\x00" * 12 + b),  # IPv4-compatible ::/96
+)
+
+
+@settings(max_examples=500)
+@given(_packed_ips)
+def test_unpacked_ip_text_is_already_canonical(packed):
+    text = wc.bytes16_to_ip(packed)
+    assert wc.canonical_ip(text) == text
+
+
 # --- ping/pong ----------------------------------------------------------------
 
 
