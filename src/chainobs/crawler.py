@@ -9,7 +9,10 @@ cap trips, which flags the snapshot as partial).
 
 Each phase waits under its own deadline of one handshake timeout on the
 connection's clock: the whole handshake, each ping, and each getaddr round.
-Pings from the peer are answered with a pong in every phase.
+Pings from the peer are answered with a pong in every phase.  A frame whose
+header announces more payload than its command can carry (``addr``: 1000
+entries, ``ping``/``pong``: 8 bytes, ``verack``/``getaddr``: none) is
+rejected before its payload is read.
 
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  Connection, timeout,
@@ -195,10 +198,24 @@ def bootstrap_seeds(
 # --- single-peer probe -----------------------------------------------------
 
 
+# Largest payload each fixed-format command can carry, checked before the
+# payload is buffered; version and unknown commands get MAX_PAYLOAD_SIZE.
+_MAX_PAYLOAD_BY_COMMAND = {
+    b"addr": 3 + 30 * wirecodec.MAX_ADDR_ENTRIES,
+    b"ping": 8,
+    b"pong": 8,
+    b"verack": 0,
+    b"getaddr": 0,
+}
+
+
 def _next_frame(conn: Connection, magic: bytes, deadline: float) -> tuple[str, bytes]:
     """Next frame other than ``ping`` before ``deadline`` on ``conn.clock()``.
 
-    Pings met on the way are answered with a pong echoing their nonce.
+    Pings met on the way are answered with a pong echoing their nonce.  A
+    header announcing more payload than its command can carry raises
+    :class:`~chainobs.wirecodec.OversizedPayloadError` before any of the
+    payload is read.
     """
     while True:
         remaining = deadline - conn.clock()
@@ -208,6 +225,9 @@ def _next_frame(conn: Connection, magic: bytes, deadline: float) -> tuple[str, b
         frame = wirecodec.decode_message_prefix(header, magic)
         if frame is None:  # the header announces a payload
             (length,) = struct.unpack("<I", header[16:20])
+            command = header[4:16].rstrip(b"\x00")  # validated by decode_message_prefix
+            if length > _MAX_PAYLOAD_BY_COMMAND.get(command, wirecodec.MAX_PAYLOAD_SIZE):
+                raise wirecodec.OversizedPayloadError(f"{length} byte {command.decode()} payload")
             remaining = deadline - conn.clock()
             if remaining <= 0:
                 raise RecvTimeoutError("payload did not arrive in time")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Iterable
 
-from .wirecodec import canonical_ip
+from .wirecodec import V4_MAPPED_PREFIX, bytes16_to_ip, canonical_ip, ip_to_bytes16
 
 if TYPE_CHECKING:
     from .crawler import Snapshot
@@ -33,7 +33,7 @@ NET_IPV4 = "ipv4"
 NET_IPV6 = "ipv6"
 NET_TOR = "tor"
 
-ONIONCAT_NETWORK = ipaddress.ip_network("fd87:d87e:eb43::/48")
+ONIONCAT_PREFIX = bytes.fromhex("fd87d87eeb43")  # fd87:d87e:eb43::/48, packed
 
 UNKNOWN_BUCKET = "unknown"
 TOR_BUCKET = "tor"
@@ -45,17 +45,14 @@ def classify_network(address: "str | Endpoint", tor_exits: AbstractSet[str] = fr
     Raises ValueError for strings that are not IP addresses; canonical
     endpoints never trip that.
     """
-    ip_text = address if isinstance(address, str) else address.ip
-    ip = ipaddress.ip_address(ip_text)
-    if tor_exits and canonical_ip(ip_text) in tor_exits:
+    packed = ip_to_bytes16(address if isinstance(address, str) else address.ip)
+    if tor_exits and bytes16_to_ip(packed) in tor_exits:
         return NET_TOR
-    if ip.version == 6:
-        if ip.ipv4_mapped is not None:
-            return NET_IPV4
-        if ip in ONIONCAT_NETWORK:
-            return NET_TOR
-        return NET_IPV6
-    return NET_IPV4
+    if packed.startswith(V4_MAPPED_PREFIX):
+        return NET_IPV4
+    if packed.startswith(ONIONCAT_PREFIX):
+        return NET_TOR
+    return NET_IPV6
 
 
 def load_tor_exits(path: str | Path) -> frozenset[str]:
@@ -120,15 +117,14 @@ class IpMetadataTable:
         return self._size
 
     def lookup(self, address: "str | Endpoint") -> IpMetadata | None:
-        ip_text = address if isinstance(address, str) else address.ip
-        ip = ipaddress.ip_address(ip_text)
-        if ip.version == 6 and ip.ipv4_mapped is not None:
-            ip = ip.ipv4_mapped
-        ip_int = int(ip)
-        bits = ip.max_prefixlen
-        for prefixlen in self._lengths[ip.version]:
+        packed = ip_to_bytes16(address if isinstance(address, str) else address.ip)
+        if packed.startswith(V4_MAPPED_PREFIX):
+            version, bits, ip_int = 4, 32, int.from_bytes(packed[12:], "big")
+        else:
+            version, bits, ip_int = 6, 128, int.from_bytes(packed, "big")
+        for prefixlen in self._lengths[version]:
             masked = ip_int >> (bits - prefixlen) << (bits - prefixlen) if prefixlen else 0
-            found = self._buckets[(ip.version, prefixlen)].get(masked)
+            found = self._buckets[(version, prefixlen)].get(masked)
             if found is not None:
                 return found
         return None

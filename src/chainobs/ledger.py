@@ -420,12 +420,22 @@ def write_ledger(txs: Iterable[LedgerTx], path: str | Path) -> None:
             f"{tx.txid} {tx.height} {tx.timestamp} {1 if tx.is_coinbase else 0} "
             f"{script} {_format_entries(tx.inputs)} {_format_entries(tx.outputs)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_utf8(path: str | Path) -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the fault decode; count their lines as read_ledger does
+        lineno = len((data[: exc.start] + b".").decode("utf-8").splitlines())
+        raise LedgerFormatError(lineno, "not UTF-8") from exc
 
 
 def read_ledger(path: str | Path) -> list[LedgerTx]:
     txs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -9,7 +9,8 @@ sorted by canonical address string.  Values are percent-escaped so user
 agents may contain spaces; unknown keys are ignored on read, which is the
 forward-compatibility hook the enrichment step uses to append country/AS
 columns without breaking older readers.  A record holds each key at most
-once; a repeated key makes the record corrupt.  Writes go to a temporary
+once; a repeated key makes the record corrupt, as do bytes that are not
+UTF-8 and a port outside 0-65535.  Writes go to a temporary
 file that is renamed over the target, so a crash never leaves a
 half-written snapshot behind.
 
@@ -185,8 +186,16 @@ def _parse_record(fields: Mapping[str, str], lineno: int) -> PeerRecord:
         raise CorruptRecordError(lineno, str(exc)) from exc
 
 
+def _read_utf8(path: str | Path) -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptRecordError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from exc
+
+
 def read_snapshot(path: str | Path) -> Snapshot:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_utf8(path)
     header: dict[str, str] | None = None
     records: dict[Endpoint, PeerRecord] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):

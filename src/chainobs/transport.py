@@ -6,6 +6,9 @@ timeout, close, and read a connection-local monotonic clock.  The clock is
 what makes latency measurement uniform: the TCP transport reports wall
 monotonic time, the simulated network reports virtual time, and the crawler
 never needs to know which one it got.
+
+Endpoints are keyed by canonical IP text (see :class:`Endpoint`) and a port
+in 0-65535.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .wirecodec import DEFAULT_PORT, canonical_ip
+
+MAX_PORT = 0xFFFF
 
 
 class TransportError(Exception):
@@ -38,8 +43,11 @@ class ConnectionClosedError(TransportError):
 class Endpoint:
     """Canonical (ip, port) key for one network endpoint.
 
-    IPv4-mapped IPv6 input is normalized to dotted-quad text; IPv6 keeps
-    its compressed form, which also covers OnionCat-encoded onion peers.
+    ``ip`` is canonical text as :func:`~chainobs.wirecodec.canonical_ip`
+    renders it: ``inet_ntop`` output (RFC 5952), with IPv4-mapped IPv6 as a
+    plain dotted quad and ``::/96`` in ``ipaddress``'s form.  That also
+    covers OnionCat-encoded onion peers.  ``port`` lies in 0-65535;
+    :meth:`make` and :meth:`parse` raise ValueError for anything else.
     """
 
     ip: str
@@ -52,7 +60,10 @@ class Endpoint:
 
     @classmethod
     def make(cls, ip: str, port: int = DEFAULT_PORT) -> "Endpoint":
-        return cls(canonical_ip(ip), int(port))
+        port = int(port)
+        if not 0 <= port <= MAX_PORT:
+            raise ValueError(f"port {port} outside 0-{MAX_PORT}")
+        return cls(canonical_ip(ip), port)
 
     @classmethod
     def parse(cls, text: str, default_port: int = DEFAULT_PORT) -> "Endpoint":

@@ -17,6 +17,16 @@ Everything here is a pure function over byte sequences: no sockets, no
 clocks, no shared state, safe from any number of threads.  Decoders either
 return a value or raise a :class:`CodecError` subclass; they never raise
 anything else, regardless of input bytes.
+
+``ip_to_bytes16`` and ``bytes16_to_ip`` are the one place where IP text and
+the 16-byte wire form meet.  Canonical IP text is ``inet_ntop`` output
+(RFC 5952: lowercase hex, longest zero run compressed), with v4-mapped
+addresses written as a plain dotted quad.  The standard library's
+``ipaddress`` is the fallback for the two cases libc does not handle the way
+``ipaddress`` does: addresses in ``::/96`` (IPv4-compatible), which glibc
+prints as ``::1.2.3.4`` where ``ipaddress`` prints ``::102:304``, and text
+that ``inet_pton`` rejects but ``ipaddress`` accepts, such as the scoped
+``fe80::1%eth0``.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import hashlib
 import ipaddress
 import struct
 from dataclasses import dataclass
+from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
 
 MAINNET_MAGIC = b"\xf9\xbe\xb4\xd9"
 SIMNET_MAGIC = b"\xfa\xce\xb0\x0c"
@@ -136,21 +147,39 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
 # --- IP helpers ----------------------------------------------------------
 
 
+V4_MAPPED_PREFIX = b"\x00" * 10 + b"\xff\xff"
+_V4_COMPATIBLE_PREFIX = b"\x00" * 12
+
+
 def ip_to_bytes16(ip: str) -> bytes:
-    """Pack an IPv4/IPv6 text address into the 16-byte wire form."""
-    addr = ipaddress.ip_address(ip)
-    if addr.version == 4:
-        return b"\x00" * 10 + b"\xff\xff" + addr.packed
-    return addr.packed
+    """Pack an IPv4/IPv6 text address into the 16-byte wire form.
+
+    Accepts exactly what ``ipaddress.ip_address`` accepts (scope ids are
+    dropped) and raises ValueError for anything else.
+    """
+    try:
+        if ":" in ip:
+            return inet_pton(AF_INET6, ip)
+        return V4_MAPPED_PREFIX + inet_pton(AF_INET, ip)
+    except (OSError, ValueError):
+        # inet_pton rejects scoped addresses and embedded NULs; let
+        # ipaddress decide, so both accept and reject the same text
+        addr = ipaddress.ip_address(ip)
+        if addr.version == 4:
+            return V4_MAPPED_PREFIX + addr.packed
+        return addr.packed
 
 
 def bytes16_to_ip(data: bytes) -> str:
     """Unpack a 16-byte wire address to canonical text (v4-mapped -> dotted)."""
     if len(data) != 16:
         raise TruncatedError("IP field must be 16 bytes")
-    addr = ipaddress.IPv6Address(data)
-    mapped = addr.ipv4_mapped
-    return str(mapped) if mapped is not None else str(addr)
+    head = data[:12]
+    if head == V4_MAPPED_PREFIX:
+        return inet_ntop(AF_INET, data[12:])
+    if head == _V4_COMPATIBLE_PREFIX:
+        return str(ipaddress.IPv6Address(data))  # glibc would print ::a.b.c.d
+    return inet_ntop(AF_INET6, data)
 
 
 def canonical_ip(ip: str) -> str:
@@ -230,6 +259,14 @@ def decode_message(data: bytes, magic: bytes) -> tuple[str, bytes]:
 # --- payload structures --------------------------------------------------
 
 
+# Ports ride big-endian in the last two bytes while every other field is
+# little-endian; one struct format cannot mix byte orders, so the records
+# carry the port as two raw bytes packed by _PORT.
+_NET_ADDRESS = struct.Struct("<Q16s2s")
+_ADDR_ENTRY = struct.Struct("<IQ16s2s")
+_PORT = struct.Struct(">H")
+
+
 @dataclass(frozen=True)
 class NetAddress:
     """26-byte network-address record as used inside ``version``."""
@@ -239,16 +276,14 @@ class NetAddress:
     port: int
 
     def encode(self) -> bytes:
-        return struct.pack("<Q", self.services) + ip_to_bytes16(self.ip) + struct.pack(">H", self.port)
+        return _NET_ADDRESS.pack(self.services, ip_to_bytes16(self.ip), _PORT.pack(self.port))
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["NetAddress", int]:
-        if offset + 26 > len(data):
+        if offset + _NET_ADDRESS.size > len(data):
             raise TruncatedError("network address record cut short")
-        (services,) = struct.unpack_from("<Q", data, offset)
-        ip = bytes16_to_ip(data[offset + 8 : offset + 24])
-        (port,) = struct.unpack_from(">H", data, offset + 24)
-        return cls(services, ip, port), 26
+        services, ip, port = _NET_ADDRESS.unpack_from(data, offset)
+        return cls(services, bytes16_to_ip(ip), int.from_bytes(port, "big")), _NET_ADDRESS.size
 
 
 NULL_ADDRESS = NetAddress(0, "::", 0)
@@ -264,20 +299,9 @@ class AddrEntry:
     port: int
 
     def encode(self) -> bytes:
-        return (
-            struct.pack("<IQ", self.last_seen, self.services)
-            + ip_to_bytes16(self.ip)
-            + struct.pack(">H", self.port)
+        return _ADDR_ENTRY.pack(
+            self.last_seen, self.services, ip_to_bytes16(self.ip), _PORT.pack(self.port)
         )
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> tuple["AddrEntry", int]:
-        if offset + 30 > len(data):
-            raise TruncatedError("addr entry cut short")
-        last_seen, services = struct.unpack_from("<IQ", data, offset)
-        ip = bytes16_to_ip(data[offset + 12 : offset + 28])
-        (port,) = struct.unpack_from(">H", data, offset + 28)
-        return cls(last_seen, services, ip, port), 30
 
 
 @dataclass(frozen=True)
@@ -360,21 +384,22 @@ def decode_version(data: bytes) -> VersionPayload:
 def encode_addr(entries: list[AddrEntry] | tuple[AddrEntry, ...]) -> bytes:
     if len(entries) > MAX_ADDR_ENTRIES:
         raise TooManyAddrEntriesError(str(len(entries)))
-    return encode_varint(len(entries)) + b"".join(e.encode() for e in entries)
+    return encode_varint(len(entries)) + b"".join([entry.encode() for entry in entries])
 
 
 def decode_addr(data: bytes) -> list[AddrEntry]:
     count, offset = decode_varint(data, 0)
     if count > MAX_ADDR_ENTRIES:
         raise TooManyAddrEntriesError(str(count))
-    entries = []
-    for _ in range(count):
-        entry, used = AddrEntry.decode(data, offset)
-        entries.append(entry)
-        offset += used
-    if offset != len(data):
-        raise TrailingDataError(f"{len(data) - offset} bytes after addr entries")
-    return entries
+    end = offset + count * _ADDR_ENTRY.size
+    if end > len(data):
+        raise TruncatedError("addr entry cut short")
+    if end != len(data):
+        raise TrailingDataError(f"{len(data) - end} bytes after addr entries")
+    return [
+        AddrEntry(last_seen, services, bytes16_to_ip(ip), int.from_bytes(port, "big"))
+        for last_seen, services, ip, port in _ADDR_ENTRY.iter_unpack(data[offset:end])
+    ]
 
 
 def encode_ping(nonce: int) -> bytes:

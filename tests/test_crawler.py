@@ -1,6 +1,7 @@
 """Crawler tests: seeds, single-peer probes, full crawls, transports."""
 
 import socket
+import struct
 import threading
 
 import pytest
@@ -44,6 +45,27 @@ def config(seeds, **overrides):
 def test_endpoint_parse(text, expected):
     endpoint = Endpoint.parse(text)
     assert (endpoint.ip, endpoint.port) == expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Endpoint.parse("1.2.3.4:65536"),
+        lambda: Endpoint.parse("[2001:db8::1]:70000"),
+        lambda: Endpoint.parse("1.2.3.4:-1"),
+        lambda: Endpoint.make("1.2.3.4", -1),
+        lambda: Endpoint.make("1.2.3.4", 65536),
+    ],
+    ids=["parse-65536", "parse-v6-70000", "parse-negative", "make-negative", "make-65536"],
+)
+def test_endpoint_rejects_ports_outside_16_bits(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_endpoint_accepts_port_range_bounds():
+    assert Endpoint.parse("1.2.3.4:0").port == 0
+    assert Endpoint.parse("1.2.3.4:65535").port == 65535
 
 
 def test_endpoint_str_brackets_ipv6():
@@ -254,6 +276,82 @@ def test_probe_answers_peer_pings_in_every_phase():
     # 1 before version, 1 after each of 3 pongs, 1 before each of 2 addrs
     assert len(peer.pings_sent) == 6
     assert peer.pongs_received == peer.pings_sent
+
+
+def _header(command, length):
+    return MAGIC + command.encode().ljust(12, b"\x00") + struct.pack("<I", length) + b"\x00" * 4
+
+
+class _OversizedAddrPeer(_ScriptedConnection):
+    """Handshakes and answers pings, then announces a 4 MiB addr per getaddr."""
+
+    def __init__(self):
+        super().__init__(answer=True)
+        self.requested = []
+
+    def recv_exact(self, n, timeout):
+        self.requested.append(n)
+        return super().recv_exact(n, timeout)
+
+    def send(self, data):
+        command, payload = wirecodec.decode_message(data, MAGIC)
+        if command == "version":
+            self._pending += wirecodec.encode_message(
+                "version", wirecodec.encode_version(_version_of("/big-addr:0.1/")), MAGIC
+            )
+            self._pending += wirecodec.encode_message("verack", b"", MAGIC)
+        elif command == "getaddr":
+            self._pending += _header("addr", 4 * 1024 * 1024)  # the payload never follows
+        else:
+            super().send(data)
+
+
+def _version_of(user_agent):
+    return wirecodec.VersionPayload(
+        protocol_version=70015,
+        services=1,
+        timestamp=0,
+        receiver=wirecodec.NULL_ADDRESS,
+        sender=wirecodec.NULL_ADDRESS,
+        nonce=1,
+        user_agent=user_agent,
+        start_height=1,
+    )
+
+
+def test_probe_never_buffers_an_oversized_addr_payload():
+    peer = _OversizedAddrPeer()
+
+    class OnePeer:
+        def connect(self, endpoint, timeout):
+            return peer
+
+    cfg = config([ep("10.0.0.1")], ping_count=2, getaddr_rounds=2)
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
+    assert record.status == STATUS_ACTIVE  # the failed rounds are recorded as today: no entries
+    assert harvested == [] and record.addr_count_returned == 0
+    assert max(peer.requested) <= 3 + 30 * wirecodec.MAX_ADDR_ENTRIES
+
+
+@pytest.mark.parametrize(
+    "command,limit",
+    [("addr", 30_003), ("ping", 8), ("pong", 8), ("verack", 0), ("getaddr", 0)],
+)
+def test_frame_pump_rejects_payloads_longer_than_the_command_allows(command, limit):
+    peer = _OversizedAddrPeer()
+    peer._pending = _header(command, limit + 1)
+    with pytest.raises(wirecodec.OversizedPayloadError):
+        crawler._next_frame(peer, MAGIC, deadline=1.0)
+    assert peer.requested == [wirecodec.HEADER_SIZE]
+
+
+def test_frame_pump_leaves_version_and_unknown_commands_at_the_frame_limit():
+    for command in ("version", "inv"):
+        peer = _OversizedAddrPeer()
+        peer._pending = _header(command, 40_000)
+        with pytest.raises(RecvTimeoutError):  # asked for the whole payload, which never comes
+            crawler._next_frame(peer, MAGIC, deadline=1.0)
+        assert peer.requested == [wirecodec.HEADER_SIZE, 40_000]
 
 
 def test_probe_keeps_min_rtt_absent_when_pings_ignored():

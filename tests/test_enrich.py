@@ -160,6 +160,108 @@ def test_lookup_matches_linear_scan_oracle_ipv6():
         assert table.lookup(ip) == _linear_oracle(entries, ip)
 
 
+# --- differential: packed-bytes classify/lookup against the ipaddress versions --------
+
+
+_REFERENCE_ONIONCAT = ipaddress.ip_network("fd87:d87e:eb43::/48")
+
+
+def reference_canonical_ip(text):
+    addr = ipaddress.ip_address(text)
+    if addr.version == 6:
+        addr = ipaddress.IPv6Address(addr.packed)  # drops a scope id
+        if addr.ipv4_mapped is not None:
+            addr = addr.ipv4_mapped
+    return str(addr)
+
+
+def reference_classify_network(text, tor_exits=frozenset()):
+    ip = ipaddress.ip_address(text)
+    if tor_exits and reference_canonical_ip(text) in tor_exits:
+        return enrich.NET_TOR
+    if ip.version == 6:
+        if ip.ipv4_mapped is not None:
+            return enrich.NET_IPV4
+        if ip in _REFERENCE_ONIONCAT:
+            return enrich.NET_TOR
+        return enrich.NET_IPV6
+    return enrich.NET_IPV4
+
+
+def reference_lookup(table, text):
+    ip = ipaddress.ip_address(text)
+    if ip.version == 6 and ip.ipv4_mapped is not None:
+        ip = ip.ipv4_mapped
+    ip_int = int(ip)
+    bits = ip.max_prefixlen
+    for prefixlen in table._lengths[ip.version]:
+        masked = ip_int >> (bits - prefixlen) << (bits - prefixlen) if prefixlen else 0
+        found = table._buckets[(ip.version, prefixlen)].get(masked)
+        if found is not None:
+            return found
+    return None
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError:
+        return ValueError
+
+
+def _random_address_text(rng):
+    kind = rng.randrange(9)
+    v4 = str(ipaddress.IPv4Address(rng.getrandbits(32)))
+    v6 = ipaddress.IPv6Address(rng.getrandbits(128))
+    if kind == 0:
+        return v4
+    if kind == 1:
+        return rng.choice(["::ffff:", "::FFFF:", "0:0:0:0:0:ffff:", "::"]) + v4  # mapped and ::/96
+    if kind == 2:
+        return str(v6)
+    if kind == 3:
+        return v6.exploded.upper()
+    if kind == 4:  # OnionCat, and the /48s on either side of it
+        head = rng.choice(["fd87:d87e:eb43", "fd87:d87e:eb42", "fd87:d87e:eb44", "FD87:D87E:EB43"])
+        return head + ":" + ":".join(f"{rng.getrandbits(16):x}" for _ in range(5))
+    if kind == 5:
+        return f"{v6}%{rng.choice(['eth0', '1', 'x y'])}"  # scoped
+    if kind == 6:
+        return str(ipaddress.IPv6Address(rng.getrandbits(32)))  # inside ::/96
+    if kind == 7:
+        return rng.choice([v4, str(v6)])[: rng.randint(0, 12)] + rng.choice(["", ".", ":", "%", "\x00", "g"])
+    return rng.choice(["", "not-an-ip", "1.2.3", "01.2.3.4", "::1::", "1.2.3.4\x00"])
+
+
+def _random_table(rng):
+    entries = []
+    for _ in range(rng.randint(1, 60)):
+        if rng.random() < 0.6:
+            length = rng.randint(0, 32)
+            net = ipaddress.ip_network((rng.getrandbits(32) >> (32 - length) << (32 - length), length))
+        else:
+            length = rng.randint(0, 128)
+            base = rng.choice([rng.getrandbits(128), int(_REFERENCE_ONIONCAT.network_address), 0xFFFF << 32])
+            net = ipaddress.ip_network((base >> (128 - length) << (128 - length), length))
+        entries.append((str(net), f"C{rng.randrange(9)}", rng.randrange(1, 70000), f"org{rng.randrange(9)}"))
+    return IpMetadataTable(entries)
+
+
+def test_classify_and_lookup_match_ipaddress_reference_on_random_inputs():
+    rng = random.Random(5952)
+    for _ in range(25):
+        table = _random_table(rng)
+        addresses = [_random_address_text(rng) for _ in range(400)]
+        valid = [a for a in addresses if _outcome(reference_canonical_ip, a) is not ValueError]
+        exits = frozenset(reference_canonical_ip(a) for a in rng.sample(valid, min(len(valid), 20)))
+        for text in addresses:
+            assert _outcome(enrich.classify_network, text) == _outcome(reference_classify_network, text)
+            assert _outcome(enrich.classify_network, text, exits) == _outcome(
+                reference_classify_network, text, exits
+            )
+            assert _outcome(table.lookup, text) == _outcome(reference_lookup, table, text)
+
+
 # --- share aggregation ----------------------------------------------------------------
 
 

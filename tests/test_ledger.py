@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainobs import ledger
 from chainobs.ledger import COIN, CoinJoinParams, LedgerTx, PoolTagMap
@@ -403,8 +405,69 @@ def test_ledger_file_reports_corrupt_line(tmp_path):
     assert err.value.line_number == 2
 
 
+def test_ledger_non_utf8_bytes_are_a_format_error_with_their_line_number(tmp_path):
+    path = tmp_path / "latin.ldg"
+    ledger.write_ledger(_fig10_fixture(), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"# caf\xe9 " + lines[2]
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ledger.LedgerFormatError) as err:
+        ledger.read_ledger(path)
+    assert err.value.line_number == 3
+
+
 def test_ledger_tx_validation():
     with pytest.raises(ValueError):
         tx("cb", [("A", COIN)], [("B", COIN)], coinbase=True)
     with pytest.raises(ValueError):
         tx("t", [("A", COIN)], [("B", 2 * COIN)])
+
+
+# --- fuzz: the reader raises only its declared errors ----------------------------------
+
+
+@pytest.fixture(scope="module")
+def valid_ledger_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ledger-valid") / "valid.ldg"
+    ledger.write_ledger(_fig10_fixture(), path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ledger-fuzz") / "fuzz.ldg"
+
+
+def _read_declared_errors_only(path, data):
+    path.write_bytes(data)
+    try:
+        ledger.read_ledger(path)
+    except ledger.LedgerFormatError:
+        pass
+
+
+@settings(max_examples=300)
+@given(data=st.binary(max_size=300))
+def test_ledger_reader_raises_only_declared_errors_on_arbitrary_bytes(fuzz_path, data):
+    _read_declared_errors_only(fuzz_path, data)
+
+
+@settings(max_examples=300)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 2_000), st.sampled_from(["put", "insert", "delete"]), st.binary(max_size=4)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_ledger_reader_raises_only_declared_errors_on_mutated_files(valid_ledger_bytes, fuzz_path, edits):
+    data = bytearray(valid_ledger_bytes)
+    for where, action, chunk in edits:
+        where = min(where, len(data))
+        if action == "insert":
+            data[where:where] = chunk
+        elif action == "delete":
+            del data[where : where + 1 + len(chunk)]
+        else:
+            data[where : where + len(chunk)] = chunk
+    _read_declared_errors_only(fuzz_path, bytes(data))

@@ -57,6 +57,29 @@ def test_corrupt_record_reports_line_number(tmp_path):
     assert err.value.line_number == 5
 
 
+@pytest.mark.parametrize("port", ["65536", "-1", "99999999"])
+def test_port_outside_16_bits_is_corrupt(tmp_path, port):
+    path = tmp_path / f"port{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1")]), path)
+    lines = path.read_text().splitlines()
+    lines.append(f"addr:10.0.0.2 port:{port} status:active first_seen:1 last_seen:1")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.read_snapshot(path)
+    assert err.value.line_number == 3
+
+
+def test_non_utf8_bytes_are_corrupt_with_their_line_number(tmp_path):
+    path = tmp_path / f"latin{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record(f"10.0.0.{i}") for i in range(1, 4)]), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"status:", b"ua:caf\xe9 status:")
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.read_snapshot(path)
+    assert err.value.line_number == 3
+
+
 def test_unknown_trailing_fields_ignored(tmp_path):
     snapshot = make_snapshot([make_record("10.0.0.1")])
     path = tmp_path / f"fwd{store.SNAPSHOT_SUFFIX}"
@@ -231,3 +254,68 @@ def test_diff_antisymmetry_property(a_ips, b_ips):
     )
     assert forward.joined == backward.left
     assert forward.left == backward.joined
+
+
+# --- fuzz: the reader raises only its declared errors --------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("snapshot-fuzz")
+
+
+def _valid_snapshot_bytes():
+    snapshot = make_snapshot(
+        [
+            make_record("10.0.0.1", user_agent="/Sat oshi:0.17/ caf\u00e9", min_rtt_ms=12.5),
+            make_record("2001:db8::7", status=STATUS_INACTIVE),
+            make_record("fd87:d87e:eb43::1234", port=18333, min_rtt_ms=None),
+        ],
+        seeds=[Endpoint.make("10.0.0.1")],
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"v{store.SNAPSHOT_SUFFIX}"
+        store.write_snapshot(snapshot, path)
+        return path.read_bytes()
+
+
+_VALID_SNAPSHOT = _valid_snapshot_bytes()
+_edits = st.lists(
+    st.tuples(st.integers(0, len(_VALID_SNAPSHOT)), st.sampled_from(["put", "insert", "delete"]), st.binary(max_size=4)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _mutate(data, edits):
+    out = bytearray(data)
+    for where, action, chunk in edits:
+        where = min(where, len(out))
+        if action == "insert":
+            out[where:where] = chunk
+        elif action == "delete":
+            del out[where : where + 1 + len(chunk)]
+        else:
+            out[where : where + len(chunk)] = chunk
+    return bytes(out)
+
+
+def _read_declared_errors_only(directory, data):
+    path = directory / f"f{store.SNAPSHOT_SUFFIX}"
+    path.write_bytes(data)
+    try:
+        store.read_snapshot(path)
+    except store.SnapshotStoreError:
+        pass
+
+
+@settings(max_examples=300)
+@given(data=st.binary(max_size=300))
+def test_reader_raises_only_declared_errors_on_arbitrary_bytes(fuzz_dir, data):
+    _read_declared_errors_only(fuzz_dir, data)
+
+
+@settings(max_examples=300)
+@given(edits=_edits)
+def test_reader_raises_only_declared_errors_on_mutated_files(fuzz_dir, edits):
+    _read_declared_errors_only(fuzz_dir, _mutate(_VALID_SNAPSHOT, edits))

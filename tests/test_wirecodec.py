@@ -1,10 +1,11 @@
 """Wire codec tests: framing, CompactSize, payload codecs, fuzz safety."""
 
+import ipaddress
 import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainobs import wirecodec as wc
@@ -292,6 +293,120 @@ _packed_ips = st.one_of(
 def test_unpacked_ip_text_is_already_canonical(packed):
     text = wc.bytes16_to_ip(packed)
     assert wc.canonical_ip(text) == text
+
+
+# --- IP text <-> 16-byte wire form, against the ipaddress reference ------------
+
+
+def reference_ip_to_bytes16(ip):
+    addr = ipaddress.ip_address(ip)
+    if addr.version == 4:
+        return b"\x00" * 10 + b"\xff\xff" + addr.packed
+    return addr.packed
+
+
+def reference_bytes16_to_ip(data):
+    addr = ipaddress.IPv6Address(data)
+    mapped = addr.ipv4_mapped
+    return str(mapped) if mapped is not None else str(addr)
+
+
+def _outcome(convert, value):
+    try:
+        return convert(value)
+    except ValueError:
+        return ValueError
+
+
+_octet_text = st.integers(0, 255).flatmap(
+    lambda n: st.sampled_from([str(n), "0" + str(n), "00" + str(n), f"{n:03d}"])
+)
+_v4_text = st.lists(_octet_text, min_size=3, max_size=5).map(".".join)
+_v6_text = st.one_of(
+    st.ip_addresses(v=6).map(str),
+    st.ip_addresses(v=6).map(lambda a: a.exploded),
+    st.ip_addresses(v=6).map(lambda a: str(a).upper()),
+    st.lists(st.integers(0, 0xFFFF).map("{:x}".format), min_size=1, max_size=9).map(":".join),
+)
+_ip_text_alphabet = "0123456789abcdefABCDEFx:.% \x00\n"
+_ip_text = st.one_of(
+    _v4_text,
+    _v6_text,
+    st.tuples(st.sampled_from(["::ffff:", "::", "64:ff9b::", "1:2:3:4:5:6:", "::ffff:0:"]), _v4_text).map(
+        "".join
+    ),
+    st.tuples(_v6_text, st.text(max_size=6)).map(lambda pair: f"{pair[0]}%{pair[1]}"),  # scope ids
+    st.tuples(st.one_of(_v4_text, _v6_text), st.integers(0, 40)).map(
+        lambda pair: pair[0][: pair[1]] + "\x00" + pair[0][pair[1] :]  # embedded NUL
+    ),
+    st.text(alphabet=_ip_text_alphabet, max_size=45),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=500)
+@given(_ip_text)
+@example("fe80::1%eth0")
+@example("::ffff:1.2.3.4%0")
+@example("1.2.3.4\x00")
+@example("01.2.3.4")
+@example("::1.2.3.4")
+@example("1:2:3:4:5:6:7::")
+@example("::1:2:3:4:5:6:7:8")
+def test_ip_to_bytes16_matches_ipaddress(text):
+    assert _outcome(wc.ip_to_bytes16, text) == _outcome(reference_ip_to_bytes16, text)
+
+
+def test_ip_to_bytes16_matches_ipaddress_on_mutated_addresses():
+    rng = random.Random(4291)
+    seeds = [
+        "1.2.3.4", "255.255.255.255", "::", "::1", "2001:db8::8:800:200c:417a", "::ffff:10.0.0.1",
+        "fe80::1%eth0", "1:2:3:4:5:6:7:8", "::1.2.3.4", "fd87:d87e:eb43::1", "1:2:3:4:5:6:1.2.3.4",
+    ]
+    for _ in range(20_000):
+        text = list(rng.choice(seeds))
+        for _ in range(rng.randint(1, 3)):
+            where = rng.randrange(len(text) + 1)
+            action = rng.randrange(3)
+            if action == 0:
+                text.insert(where, rng.choice(_ip_text_alphabet))
+            elif text and action == 1:
+                del text[min(where, len(text) - 1)]
+            elif text:
+                text[min(where, len(text) - 1)] = rng.choice(_ip_text_alphabet)
+        text = "".join(text)
+        assert _outcome(wc.ip_to_bytes16, text) == _outcome(reference_ip_to_bytes16, text), text
+
+
+_hextets = st.lists(
+    st.one_of(st.just(0), st.just(0), st.just(0xFFFF), st.integers(0, 0xFFFF)), min_size=8, max_size=8
+)
+_wire_ips = st.one_of(
+    st.binary(min_size=16, max_size=16),
+    _hextets.map(lambda words: struct.pack(">8H", *words)),  # zero runs of every length and place
+    _four.map(lambda b: b"\x00" * 12 + b),  # IPv4-compatible ::/96
+    _four.map(lambda b: b"\x00" * 10 + b"\xff\xff" + b),  # IPv4-mapped ::ffff:0:0/96
+    st.binary(min_size=1, max_size=4).map(lambda b: b.rjust(16, b"\x00")),  # inside ::/96 near ::
+)
+
+
+@settings(max_examples=500)
+@given(_wire_ips)
+@example(b"\x00" * 16)
+@example(b"\x00" * 15 + b"\x01")
+@example(b"\x00" * 10 + b"\xff\xff" + b"\x00" * 4)
+def test_bytes16_to_ip_matches_ipaddress(data):
+    assert wc.bytes16_to_ip(data) == reference_bytes16_to_ip(data)
+
+
+def test_bytes16_to_ip_compresses_like_ipaddress_for_every_zero_pattern():
+    # RFC 5952 ties (two zero runs of equal length) and single zero hextets
+    rng = random.Random(5952)
+    for mask in range(256):
+        for _ in range(4):
+            words = [0 if mask >> i & 1 else rng.randrange(1, 0x10000) for i in range(8)]
+            data = struct.pack(">8H", *words)
+            assert wc.bytes16_to_ip(data) == reference_bytes16_to_ip(data)
 
 
 # --- ping/pong ----------------------------------------------------------------
