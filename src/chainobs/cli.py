@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -257,7 +257,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     txs = ledger.read_ledger(args.ledger)
     partition = ledger.build_partition(txs, _coinjoin_params(args))
     balances = ledger.entity_balances(txs, partition)
-    members = partition.entities()
     nonzero = {entity: value for entity, value in balances.items() if value > 0}
     print(f"entities: {len(balances)} total, {len(nonzero)} with nonzero balance")
 

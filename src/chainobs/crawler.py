@@ -170,7 +170,7 @@ def bootstrap_seeds(
             endpoints.append(endpoint)
 
     if isinstance(source, (str, Path)) and Path(source).exists():
-        for raw in Path(source).read_text().splitlines():
+        for raw in Path(source).read_text(encoding="utf-8").splitlines():
             line = raw.split("#", 1)[0].strip()
             if line:
                 add(Endpoint.parse(line, default_port=default_port))

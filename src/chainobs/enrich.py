@@ -58,7 +58,7 @@ def classify_network(address: "str | Endpoint", tor_exits: AbstractSet[str] = fr
 def load_tor_exits(path: str | Path) -> frozenset[str]:
     """Read a Tor exit list: one IP per line, ``#`` comments; kept as canonical text."""
     exits = set()
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             exits.add(canonical_ip(line))
@@ -105,7 +105,7 @@ class IpMetadataTable:
     def from_csv(cls, *paths: str | Path) -> "IpMetadataTable":
         table = cls()
         for path in paths:
-            with open(path, newline="") as handle:
+            with open(path, newline="", encoding="utf-8") as handle:
                 for row in csv.reader(handle):
                     if not row or row[0].lstrip().startswith("#"):
                         continue

@@ -120,16 +120,16 @@ def is_coinjoin(tx: LedgerTx, params: CoinJoinParams = DEFAULT_COINJOIN_PARAMS) 
 
 
 class EntityPartition:
-    """Union-find forest over addresses with path compression and rank.
+    """Union-find forest over addresses with path compression.
 
-    ``find`` returns the internal forest root (order-dependent);
-    ``entity_of`` returns the stable entity id, the lexicographically
-    smallest member address, which is what reports and balance maps key on.
+    ``union`` links the larger root under the smaller one, so every root is
+    the lexicographically smallest address of its tree.  ``find`` therefore
+    returns the stable entity id, whatever order the unions came in; reports
+    and balance maps key on it.
     """
 
     def __init__(self) -> None:
         self._parent: dict[str, str] = {}
-        self._rank: dict[str, int] = {}
 
     def __contains__(self, address: str) -> bool:
         return address in self._parent
@@ -138,9 +138,7 @@ class EntityPartition:
         return len(self._parent)
 
     def add(self, address: str) -> None:
-        if address not in self._parent:
-            self._parent[address] = address
-            self._rank[address] = 0
+        self._parent.setdefault(address, address)
 
     def find(self, address: str) -> str:
         self.add(address)
@@ -153,40 +151,28 @@ class EntityPartition:
 
     def union(self, a: str, b: str) -> None:
         root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
-            return
-        if self._rank[root_a] < self._rank[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        if self._rank[root_a] == self._rank[root_b]:
-            self._rank[root_a] += 1
-
-    def _members_by_root(self) -> dict[str, list[str]]:
-        members: dict[str, list[str]] = defaultdict(list)
-        for address in self._parent:
-            members[self.find(address)].append(address)
-        return members
+        if root_a < root_b:
+            self._parent[root_b] = root_a
+        elif root_b < root_a:
+            self._parent[root_a] = root_b
 
     def entities(self) -> dict[str, frozenset[str]]:
         """Stable entity id -> member addresses."""
-        return {min(group): frozenset(group) for group in self._members_by_root().values()}
+        members: dict[str, list[str]] = defaultdict(list)
+        for address in self._parent:
+            members[self.find(address)].append(address)
+        return {entity: frozenset(group) for entity, group in members.items()}
 
     def stable_ids(self) -> dict[str, str]:
         """Address -> stable entity id, for every address in the partition."""
-        ids: dict[str, str] = {}
-        for group in self._members_by_root().values():
-            stable = min(group)
-            for address in group:
-                ids[address] = stable
-        return ids
+        return {address: self.find(address) for address in self._parent}
 
     def entity_of(self, address: str) -> str:
-        root = self.find(address)
-        return min(a for a in self._parent if self.find(a) == root)
+        return self.find(address)
 
     @property
     def entity_count(self) -> int:
-        return sum(1 for address, parent in self._parent.items() if self.find(address) == address)
+        return sum(1 for address, parent in self._parent.items() if address == parent)
 
 
 def build_partition(
@@ -322,7 +308,7 @@ class PoolTagMap:
         tags: dict[str, str] = {}
         addresses: dict[str, str] = {}
         section = "tags"
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
             line = raw.split("#", 1)[0].rstrip()
             if not line.strip():
                 continue

@@ -326,7 +326,7 @@ def load_topology(path: str | Path) -> SimTopology:
     peers: list[SimPeerProfile] = []
     seed_ids: tuple[Endpoint, ...] = ()
     rng_seed = 0
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -374,7 +374,7 @@ def save_topology(topology: SimTopology, path: str | Path) -> None:
             f"{peer.address} {behavior} {peer.services} {peer.start_height} "
             f"{peer.rtt_ms:g} {known}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def random_topology(

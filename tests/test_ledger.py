@@ -92,10 +92,24 @@ def test_coinjoin_transactions_do_not_merge():
     assert entities["B"] == frozenset("B")
 
 
+def _assert_every_address_maps_to_its_component_minimum(partition, components):
+    stable = partition.stable_ids()
+    for component in components:
+        smallest = min(component)
+        for address in component:
+            assert partition.find(address) == partition.entity_of(address) == stable[address] == smallest
+    assert partition.entity_count == len(components)
+
+
 def test_partition_matches_component_oracle_on_random_txs():
     txs = cospend_txs(random.Random(7), 2000)
-    partition = ledger.build_partition(txs)
-    assert set(partition.entities().values()) == components_oracle(txs)
+    shuffled = txs[:]
+    random.Random(8).shuffle(shuffled)
+    components = components_oracle(txs)
+    for order in (txs, shuffled):
+        partition = ledger.build_partition(order)
+        assert set(partition.entities().values()) == components
+        _assert_every_address_maps_to_its_component_minimum(partition, components)
 
 
 def test_partition_is_order_independent():
@@ -103,6 +117,9 @@ def test_partition_is_order_independent():
     shuffled = txs[:]
     random.Random(10).shuffle(shuffled)
     assert ledger.build_partition(txs).entities() == ledger.build_partition(shuffled).entities()
+    components = components_oracle(txs)
+    for order in (txs, shuffled):
+        _assert_every_address_maps_to_its_component_minimum(ledger.build_partition(order), components)
 
 
 def test_find_is_idempotent():
@@ -342,6 +359,14 @@ def test_tagmap_rejects_duplicates_and_bad_lines(tmp_path):
         PoolTagMap.from_file(bad)
     with pytest.raises(ValueError):
         PoolTagMap(coinbase_tags={"": "X"}, payout_addresses={})
+
+
+def test_tagmap_non_utf8_bytes_are_a_format_error_with_their_line_number(tmp_path):
+    path = tmp_path / "latin.tags"
+    path.write_bytes(b"/caf\xe9/\tCafePool\n[addresses]\n1PoolPayout\tPayoutPool\n")
+    with pytest.raises(ledger.LedgerFormatError) as err:
+        PoolTagMap.from_file(path)
+    assert err.value.line_number == 1
 
 
 # --- mining shares ------------------------------------------------------------------

@@ -178,17 +178,18 @@ _records = st.builds(
 )
 
 
-_property_dir = tempfile.mkdtemp(prefix="snapstore-prop-")
+@pytest.fixture(scope="module")
+def property_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("snapstore-prop") / f"p{store.SNAPSHOT_SUFFIX}"
 
 
 @settings(max_examples=150)
 @given(records=st.lists(_records, max_size=12), started=st.integers(min_value=0, max_value=2**32))
-def test_round_trip_identity_property(records, started):
+def test_round_trip_identity_property(property_path, records, started):
     unique = list({r.address: r for r in records}.values())
     snapshot = make_snapshot(unique, started_at=started)
-    path = Path(_property_dir) / f"p{store.SNAPSHOT_SUFFIX}"
-    store.write_snapshot(snapshot, path)
-    assert store.read_snapshot(path) == snapshot
+    store.write_snapshot(snapshot, property_path)
+    assert store.read_snapshot(property_path) == snapshot
 
 
 def test_load_series_sorted_by_start_time(tmp_path):
