@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -264,7 +265,7 @@ def top_holders(balances: Mapping[str, int], partition: EntityPartition, k: int)
     if k < 1:
         raise ValueError("k must be >= 1")
     total = sum(balances.values())
-    members = partition.entities()
+    sizes = Counter(partition.stable_ids().values())
     ranked = sorted(balances.items(), key=lambda item: (-item[1], item[0]))
     rows = []
     running = 0
@@ -273,7 +274,7 @@ def top_holders(balances: Mapping[str, int], partition: EntityPartition, k: int)
         rows.append(
             HolderRow(
                 entity=entity,
-                address_count=len(members.get(entity, (entity,))),
+                address_count=sizes.get(entity, 1),
                 balance=balance,
                 cumulative_share=running / total if total else 0.0,
             )
@@ -308,20 +309,21 @@ class PoolTagMap:
         tags: dict[str, str] = {}
         addresses: dict[str, str] = {}
         section = "tags"
-        for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            if line.strip() in ("[tags]", "[addresses]"):
-                section = line.strip()[1:-1]
-                continue
-            key, sep, pool = line.partition("\t")
-            if not sep or not key or not pool.strip():
-                raise LedgerFormatError(lineno, f"expected key<TAB>pool, got {line!r}")
-            target = tags if section == "tags" else addresses
-            if key in target:
-                raise LedgerFormatError(lineno, f"duplicate entry {key!r}")
-            target[key] = pool.strip()
+        with _naming_file(path):
+            for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
+                line = raw.split("#", 1)[0].rstrip()
+                if not line.strip():
+                    continue
+                if line.strip() in ("[tags]", "[addresses]"):
+                    section = line.strip()[1:-1]
+                    continue
+                key, sep, pool = line.partition("\t")
+                if not sep or not key or not pool.strip():
+                    raise LedgerFormatError(lineno, f"expected key<TAB>pool, got {line!r}")
+                target = tags if section == "tags" else addresses
+                if key in target:
+                    raise LedgerFormatError(lineno, f"duplicate entry {key!r}")
+                target[key] = pool.strip()
         return cls(coinbase_tags=tags, payout_addresses=addresses)
 
 
@@ -419,9 +421,24 @@ def _read_utf8(path: str | Path) -> str:
         raise LedgerFormatError(lineno, "not UTF-8") from exc
 
 
+@contextmanager
+def _naming_file(path: str | Path) -> Iterator[None]:
+    """Put ``path`` in the message of a LedgerFormatError raised inside."""
+    try:
+        yield
+    except LedgerFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def read_ledger(path: str | Path) -> list[LedgerTx]:
+    with _naming_file(path):
+        return _parse_ledger(_read_utf8(path))
+
+
+def _parse_ledger(text: str) -> list[LedgerTx]:
     txs = []
-    for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -417,10 +417,10 @@ def random_topology(
     rng.shuffle(behaviors)
 
     peers = []
-    for address, behavior in zip(addresses, behaviors):
-        others = [a for a in addresses if a != address]
-        k = min(len(others), rng.randint(min_known, max_known))
-        known = tuple(rng.sample(others, k))
+    for i, (address, behavior) in enumerate(zip(addresses, behaviors)):
+        # sample among the size - 1 other peers: index j >= i stands for peer j + 1
+        k = min(size - 1, rng.randint(min_known, max_known))
+        known = tuple(addresses[j + (j >= i)] for j in rng.sample(range(size - 1), k))
         peers.append(
             SimPeerProfile(
                 address=address,

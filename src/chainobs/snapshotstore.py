@@ -5,14 +5,17 @@ Snapshots are stored as newline-delimited self-describing records
 of space-separated ``key:value`` pairs.  The first line is a header record
 (``kind:header``) carrying schema version, crawl timestamps, the seed list,
 and the crawler config digest; every following line is one peer record,
-sorted by canonical address string.  Values are percent-escaped so user
-agents may contain spaces; unknown keys are ignored on read, which is the
-forward-compatibility hook the enrichment step uses to append country/AS
-columns without breaking older readers.  A record holds each key at most
-once; a repeated key makes the record corrupt, as do bytes that are not
-UTF-8 and a port outside 0-65535.  Writes go to a temporary
-file that is renamed over the target, so a crash never leaves a
-half-written snapshot behind.
+sorted by canonical address string.  A value holding a space, ``%``, a
+control character or non-ASCII text is percent-escaped, so user agents may
+contain spaces; any other value is written verbatim, since escaping would
+not change it.
+Unknown keys are ignored on read, which is the forward-compatibility hook
+the enrichment step uses to append country/AS columns without breaking older
+readers.  A record holds each key at most once; a repeated key makes the
+record corrupt, as do bytes that are not UTF-8 and a port outside 0-65535,
+and the error names the file and the line.  Writes go to a temporary file
+that is renamed over the target, so a crash never leaves a half-written
+snapshot behind.
 
 Record keys::
 
@@ -25,6 +28,7 @@ rather than trusted on read.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -69,14 +73,15 @@ class SnapshotDiff:
 # character itself; controls and non-ASCII are percent-encoded, which keeps
 # one record per physical line no matter what a peer put in its user agent.
 _VALUE_SAFE = "".join(chr(c) for c in range(0x21, 0x7F) if chr(c) != "%")
+# Finds a character outside _VALUE_SAFE.  Almost every value (ints, IP text,
+# status words, digests) has none, and quote() would return it unchanged.
+_needs_escape = re.compile(r"[^\x21-\x24\x26-\x7e]").search
 
 
 def _escape(value: str) -> str:
+    if _needs_escape(value) is None:
+        return value
     return quote(value, safe=_VALUE_SAFE)
-
-
-def _unescape(value: str) -> str:
-    return unquote(value)
 
 
 def _emit(pairs: Iterable[tuple[str, str]]) -> str:
@@ -86,11 +91,13 @@ def _emit(pairs: Iterable[tuple[str, str]]) -> str:
 def _parse_line(line: str, lineno: int) -> dict[str, str]:
     fields: dict[str, str] = {}
     tokens = line.split(" ")
+    # unquote() returns %-free text unchanged, so only an escaped line needs it
+    escaped = "%" in line
     for token in tokens:
         key, sep, value = token.partition(":")
         if not sep or not key:
             raise CorruptRecordError(lineno, f"token {token!r} is not key:value")
-        fields[key] = _unescape(value)
+        fields[key] = unquote(value) if escaped else value
     if len(fields) != len(tokens):
         raise CorruptRecordError(lineno, "a key appears more than once")
     return fields
@@ -195,7 +202,15 @@ def _read_utf8(path: str | Path) -> str:
 
 
 def read_snapshot(path: str | Path) -> Snapshot:
-    text = _read_utf8(path)
+    try:
+        return _parse_snapshot(_read_utf8(path))
+    except SnapshotStoreError as exc:
+        # a series holds dozens of files: the message names the bad one
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _parse_snapshot(text: str) -> Snapshot:
     header: dict[str, str] | None = None
     records: dict[Endpoint, PeerRecord] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):

@@ -189,6 +189,15 @@ def test_timeline_subcommand(tmp_path):
     assert size_rows[2] == ["2800", "1", "0", "1", "2"]
 
 
+def test_timeline_names_the_corrupt_snapshot_file(tmp_path, capsys):
+    directory = _write_snapshot_series(tmp_path)
+    bad = directory / f"2800{snapshotstore.SNAPSHOT_SUFFIX}"
+    bad.write_text(bad.read_text().replace("port:8333", "port:83x3", 1))
+    code = cli.main(["timeline", "--snapshots", str(directory), "--out", str(tmp_path / "churn.csv")])
+    assert code == 2
+    assert bad.name in capsys.readouterr().err
+
+
 def test_bni_subcommand(tmp_path):
     directory = _write_snapshot_series(tmp_path)
     out = tmp_path / "bni.csv"

@@ -300,6 +300,20 @@ def test_top_holders_order_is_scale_invariant():
     assert [r.entity for r in ledger.top_holders(scaled, partition, k=100)] == order
 
 
+def test_top_holders_address_counts_match_entity_members():
+    for seed in range(4):
+        txs, _ = zero_fee_ledger(random.Random(seed), 300)
+        partition = ledger.build_partition(txs)
+        members = partition.entities()
+        balances = ledger.entity_balances(txs, partition)
+        balances["not-in-partition"] = 1  # an entity the partition never saw counts one address
+        rows = ledger.top_holders(balances, partition, k=len(balances))
+        assert len(rows) == len(balances)
+        for row in rows:
+            assert row.address_count == len(members.get(row.entity, (row.entity,)))
+        assert max(row.address_count for row in rows) > 1
+
+
 # --- miner attribution ----------------------------------------------------------------
 
 
@@ -367,6 +381,15 @@ def test_tagmap_non_utf8_bytes_are_a_format_error_with_their_line_number(tmp_pat
     with pytest.raises(ledger.LedgerFormatError) as err:
         PoolTagMap.from_file(path)
     assert err.value.line_number == 1
+
+
+def test_tagmap_format_error_names_the_file(tmp_path):
+    path = tmp_path / "pools.tags"
+    path.write_text("[tags]\n/slush/\tSlushPool\nno-tab-here\n")
+    with pytest.raises(ledger.LedgerFormatError) as err:
+        PoolTagMap.from_file(path)
+    assert err.value.line_number == 3
+    assert str(path) in str(err.value)
 
 
 # --- mining shares ------------------------------------------------------------------
@@ -439,6 +462,16 @@ def test_ledger_non_utf8_bytes_are_a_format_error_with_their_line_number(tmp_pat
     with pytest.raises(ledger.LedgerFormatError) as err:
         ledger.read_ledger(path)
     assert err.value.line_number == 3
+
+
+def test_ledger_format_error_names_the_file(tmp_path):
+    path = tmp_path / "chain.ldg"
+    ledger.write_ledger(_fig10_fixture(), path)
+    path.write_text(path.read_text().replace("t1 1 ", "t1 one "))
+    with pytest.raises(ledger.LedgerFormatError) as err:
+        ledger.read_ledger(path)
+    assert err.value.line_number == 2
+    assert str(path) in str(err.value)
 
 
 def test_ledger_tx_validation():

@@ -1,6 +1,8 @@
 """Simulated network tests: behaviors, determinism, oracles, topology files."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainobs import simnet, wirecodec
 from chainobs.simnet import SimPeerProfile, SimTopology
@@ -219,6 +221,26 @@ def test_gossip_does_not_traverse_silent_peers():
     c = SimPeerProfile(ep("10.0.0.3"))
     topo = topology([a, b, c], seeds=(a.address,))
     assert simnet.discovered_set(topo) == {a.address, b.address}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=300),
+    rng_seed=st.integers(min_value=0, max_value=2**32),
+    min_known=st.integers(min_value=0, max_value=50),
+    extra_known=st.integers(min_value=0, max_value=30),
+)
+def test_random_topology_gossip_caches_are_samples_of_the_other_peers(size, rng_seed, min_known, extra_known):
+    max_known = min_known + extra_known
+    topo = simnet.random_topology(size, rng_seed, min_known=min_known, max_known=max_known)
+    addresses = {p.address for p in topo.peers}
+    assert len(addresses) == size
+    for peer in topo.peers:
+        known = peer.known_peers
+        assert peer.address not in known
+        assert len(set(known)) == len(known)
+        assert set(known) <= addresses
+        assert min(size - 1, min_known) <= len(known) <= min(size - 1, max_known)
 
 
 # --- topology files ------------------------------------------------------------

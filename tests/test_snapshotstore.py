@@ -2,6 +2,7 @@
 
 import tempfile
 from pathlib import Path
+from urllib.parse import quote, unquote
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,20 @@ def test_failed_write_keeps_previous_file_and_leaves_no_stray_file(tmp_path, mon
     assert [s.started_at for s in store.load_series(tmp_path)] == [make_snapshot([]).started_at]
 
 
+def test_corrupt_file_in_a_series_is_named(tmp_path):
+    for start in (100, 200, 300):
+        store.write_snapshot(
+            make_snapshot([make_record("10.0.0.1")], started_at=start),
+            tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}",
+        )
+    bad = tmp_path / f"200{store.SNAPSHOT_SUFFIX}"
+    bad.write_text(bad.read_text().replace("port:8333", "port:83x3"))
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.load_series(tmp_path)
+    assert err.value.line_number == 2
+    assert str(bad) in str(err.value)
+
+
 def test_unsupported_schema_version(tmp_path):
     path = tmp_path / f"v2{store.SNAPSHOT_SUFFIX}"
     path.write_text("schema:2 kind:header started_at:1 finished_at:2 seed_count:0 seeds: config: partial:0\n")
@@ -190,6 +205,86 @@ def test_round_trip_identity_property(property_path, records, started):
     snapshot = make_snapshot(unique, started_at=started)
     store.write_snapshot(snapshot, property_path)
     assert store.read_snapshot(property_path) == snapshot
+
+
+# --- the escaping fast paths against plain quote/unquote on every value ----------------
+
+# lone surrogates included: quote() cannot encode them and must still be the one to raise
+_values = st.one_of(
+    st.text(),
+    st.text(alphabet=st.characters(exclude_categories=())),
+    st.text(alphabet=" %:~!#\x00\x1f\x7f\x80\xe9\u7bc0\ud800aF09"),
+)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _quote_every_value(value):
+    return quote(value, safe=store._VALUE_SAFE)
+
+
+@settings(max_examples=400)
+@given(value=_values)
+def test_escape_matches_quote(value):
+    assert _outcome(store._escape, value) == _outcome(_quote_every_value, value)
+
+
+def _parse_line_unquoting_every_value(line, lineno):
+    fields = {}
+    tokens = line.split(" ")
+    for token in tokens:
+        key, sep, value = token.partition(":")
+        if not sep or not key:
+            raise store.CorruptRecordError(lineno, f"token {token!r} is not key:value")
+        fields[key] = unquote(value)
+    if len(fields) != len(tokens):
+        raise store.CorruptRecordError(lineno, "a key appears more than once")
+    return fields
+
+
+def _pairs(values):
+    return st.lists(st.tuples(st.sampled_from(["addr", "ua", "port", "x"]), values), min_size=1, max_size=5)
+
+
+_lines = st.one_of(
+    _values,
+    _pairs(_values).map(lambda pairs: " ".join(f"{k}:{v}" for k, v in pairs)),
+    _pairs(st.text()).map(lambda pairs: " ".join(f"{k}:{_quote_every_value(v)}" for k, v in pairs)),
+)
+
+
+@settings(max_examples=400)
+@given(line=_lines)
+def test_parse_line_matches_unquoting_every_value(line):
+    assert _outcome(store._parse_line, line, 7) == _outcome(_parse_line_unquoting_every_value, line, 7)
+
+
+def test_write_is_byte_identical_to_quoting_every_value(tmp_path, monkeypatch):
+    snapshot = make_snapshot(
+        [
+            make_record("10.0.0.1", user_agent="/Satoshi:0.21.0/ (linux; 100% up)"),
+            make_record("10.0.0.2", user_agent="%41%zz\t\x00\x7f"),
+            make_record("10.0.0.3", user_agent="/btcwire:0.5.0/caf\u00e9 \u7bc0\u9ede\U0001f600/"),
+            make_record("10.0.0.4", user_agent=""),
+            make_record("10.0.0.5", user_agent="/100%/"),
+            make_record("2001:db8::7", status=STATUS_INACTIVE),
+        ],
+        seeds=[Endpoint.make("10.0.0.1"), Endpoint.make("2001:db8::7", 18333)],
+        digest="d1g 100%",
+    )
+    extra = {Endpoint.make("10.0.0.1"): {"country": "C\u00f4te d'Ivoire", "asn": "64500"}}
+    fast = tmp_path / f"fast{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(snapshot, fast, extra_fields=extra)
+    monkeypatch.setattr(store, "_escape", _quote_every_value)
+    reference = tmp_path / f"reference{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(snapshot, reference, extra_fields=extra)
+    assert fast.read_bytes() == reference.read_bytes()
+    assert store.read_snapshot(fast) == snapshot
 
 
 def test_load_series_sorted_by_start_time(tmp_path):
