@@ -18,6 +18,7 @@ from .ledger import (
     build_partition,
     entity_balances,
     gini,
+    holder_share,
     is_coinjoin,
     lorenz_points,
     mining_shares,
@@ -65,6 +66,7 @@ __all__ = [
     "entity_balances",
     "flapping_events",
     "gini",
+    "holder_share",
     "is_coinjoin",
     "lorenz_points",
     "mean_connection_time",

@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,6 +26,8 @@ log = logging.getLogger(__name__)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+
+HEADLINE_WEALTH_SHARE = 0.85  # the paper: about 4.5% of entities hold 85% of the coins
 
 _DATA_ERRORS = (
     snapshotstore.SnapshotStoreError,
@@ -242,9 +245,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     txs = ledger.read_ledger(args.ledger)
     partition = ledger.build_partition(txs, _coinjoin_params(args))
     balances = ledger.entity_balances(txs, partition)
-    members = partition.entities()
+    sizes = Counter(partition.stable_ids().values())
     rows = [
-        [entity, len(members[entity]), balances[entity]]
+        [entity, sizes[entity], balances[entity]]
         for entity in sorted(balances, key=lambda e: (-balances[e], e))
     ]
     _write_csv(args.out, ["entity", "addresses", "balance_sat"], rows)
@@ -268,6 +271,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if nonzero:
         values = list(nonzero.values())
         print(f"gini (nonzero-balance entities): {ledger.gini(values):.6f}")
+        share = ledger.holder_share(values, HEADLINE_WEALTH_SHARE)
+        print(f"richest {share:.1%} of nonzero-balance entities hold >= {HEADLINE_WEALTH_SHARE:.0%} of coins")
         if args.lorenz_out:
             points = ledger.lorenz_points(values)
             _write_csv(

@@ -20,17 +20,22 @@ addresses, else "Unknown".
 Ledger input format: one transaction per line of whitespace-separated
 columns ``txid height timestamp coinbase_flag script_hex inputs outputs``
 where inputs/outputs are ``addr:value`` pairs joined by ``;`` and ``-``
-stands for an empty column.  Input entries carry resolved previous-output
-addresses and values; no UTXO resolution happens here.
+stands for an empty column; values are non-negative decimal integers.
+Input entries carry resolved previous-output addresses and values; no UTXO
+resolution happens here.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -68,7 +73,7 @@ class AllZeroDistributionError(LedgerError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerTx:
     """One transaction with inputs resolved to (address, satoshi) pairs."""
 
@@ -84,9 +89,8 @@ class LedgerTx:
         if self.is_coinbase:
             if self.inputs:
                 raise ValueError(f"{self.txid}: coinbase with inputs")
-        else:
-            if self.fee < 0:
-                raise ValueError(f"{self.txid}: outputs exceed inputs")
+        elif sum(value for _, value in self.outputs) > sum(value for _, value in self.inputs):
+            raise ValueError(f"{self.txid}: outputs exceed inputs")
 
     @property
     def input_total(self) -> int:
@@ -127,10 +131,17 @@ class EntityPartition:
     the lexicographically smallest address of its tree.  ``find`` therefore
     returns the stable entity id, whatever order the unions came in; reports
     and balance maps key on it.
+
+    The forest is *flat* when every address points straight at its root;
+    the parent map is then the address -> entity id map itself.  It is flat
+    when new, stays flat while addresses are added, and is flattened by the
+    first ``entities``/``stable_ids`` (or balance or holder report) after a
+    change.  Only a ``union`` that links two roots clears the flag.
     """
 
     def __init__(self) -> None:
         self._parent: dict[str, str] = {}
+        self._flat = True
 
     def __contains__(self, address: str) -> bool:
         return address in self._parent
@@ -154,19 +165,31 @@ class EntityPartition:
         root_a, root_b = self.find(a), self.find(b)
         if root_a < root_b:
             self._parent[root_b] = root_a
+            self._flat = False
         elif root_b < root_a:
             self._parent[root_a] = root_b
+            self._flat = False
+
+    def _flattened(self) -> dict[str, str]:
+        """The parent map, every path compressed: address -> entity id."""
+        if not self._flat:
+            parent, find = self._parent, self.find
+            for address, up in parent.items():
+                if parent[up] != up:
+                    parent[address] = find(up)
+            self._flat = True
+        return self._parent
 
     def entities(self) -> dict[str, frozenset[str]]:
         """Stable entity id -> member addresses."""
         members: dict[str, list[str]] = defaultdict(list)
-        for address in self._parent:
-            members[self.find(address)].append(address)
+        for address, entity in self._flattened().items():
+            members[entity].append(address)
         return {entity: frozenset(group) for entity, group in members.items()}
 
     def stable_ids(self) -> dict[str, str]:
         """Address -> stable entity id, for every address in the partition."""
-        return {address: self.find(address) for address in self._parent}
+        return dict(self._flattened())
 
     def entity_of(self, address: str) -> str:
         return self.find(address)
@@ -185,18 +208,20 @@ def build_partition(
     addresses that never co-spend remain singleton entities.
     """
     partition = EntityPartition()
+    add = partition._parent.setdefault  # a new address is its own root: the forest stays flat
+    union = partition.union
     for tx in txs:
         for address, _ in tx.outputs:
-            partition.add(address)
+            add(address, address)
         if tx.is_coinbase:
             continue
         for address, _ in tx.inputs:
-            partition.add(address)
+            add(address, address)
         if is_coinjoin(tx, params):
             continue
         first = tx.inputs[0][0]
         for address, _ in tx.inputs[1:]:
-            partition.union(first, address)
+            union(first, address)
     return partition
 
 
@@ -207,8 +232,8 @@ def entity_balances(txs: Iterable[LedgerTx], partition: EntityPartition) -> dict
     the offending entity, since it can only come from inconsistent input
     data.
     """
-    stable = partition.stable_ids()
-    balances: dict[str, int] = {entity: 0 for entity in set(stable.values())}
+    stable = partition._flattened()
+    balances: dict[str, int] = dict.fromkeys(stable.values(), 0)
     for tx in txs:
         for address, value in tx.outputs:
             balances[stable[address]] += value
@@ -252,6 +277,26 @@ def lorenz_points(balances: Sequence[int] | np.ndarray) -> list[tuple[float, flo
     return points
 
 
+def holder_share(balances: Iterable[int], wealth_share: float) -> float:
+    """Smallest share of nonzero-balance entities, richest first, holding at
+    least ``wealth_share`` of all coins (the paper: 4.5% hold about 85%).
+
+    The comparison is exact: integer satoshi against the exact value of
+    ``wealth_share``, so no rounding moves the cut by one entity.  Raises
+    EmptyDistributionError when no balance is nonzero.
+    """
+    if not 0 < wealth_share <= 1:
+        raise ValueError("wealth_share must be in (0, 1]")
+    values = sorted((value for value in balances if value), reverse=True)
+    if not values:
+        raise EmptyDistributionError("no nonzero balances")
+    if values[-1] < 0:
+        raise ValueError("balances must be nonnegative")
+    num, den = wealth_share.as_integer_ratio()
+    needed = -(-num * sum(values) // den)  # ceil(wealth_share * total)
+    return (bisect_left(list(accumulate(values)), needed) + 1) / len(values)
+
+
 @dataclass(frozen=True)
 class HolderRow:
     entity: str
@@ -265,11 +310,10 @@ def top_holders(balances: Mapping[str, int], partition: EntityPartition, k: int)
     if k < 1:
         raise ValueError("k must be >= 1")
     total = sum(balances.values())
-    sizes = Counter(partition.stable_ids().values())
-    ranked = sorted(balances.items(), key=lambda item: (-item[1], item[0]))
+    sizes = Counter(partition._flattened().values())
     rows = []
     running = 0
-    for entity, balance in ranked[:k]:
+    for entity, balance in heapq.nsmallest(k, balances.items(), key=lambda item: (-item[1], item[0])):
         running += balance
         rows.append(
             HolderRow(
@@ -293,7 +337,9 @@ class PoolTagMap:
     """Known coinbase signature tags and payout addresses per mining pool.
 
     File format: ``[tags]`` and ``[addresses]`` sections of tab-separated
-    ``key<TAB>pool`` lines; ``#`` comments allowed.
+    ``key<TAB>pool`` lines; ``#`` comments allowed.  The tags are encoded
+    and put in matching order once, on first use, so the maps must not
+    change after that.
     """
 
     coinbase_tags: Mapping[str, str]
@@ -303,6 +349,12 @@ class PoolTagMap:
         for tag in self.coinbase_tags:
             if not tag:
                 raise ValueError("empty coinbase tag")
+
+    @cached_property
+    def _tags_by_preference(self) -> tuple[tuple[bytes, str], ...]:
+        """(tag bytes, pool), longest tag first, ties in tag order; built on first use."""
+        ordered = sorted(self.coinbase_tags, key=lambda tag: (-len(tag), tag))
+        return tuple((tag.encode("utf-8", "replace"), self.coinbase_tags[tag]) for tag in ordered)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PoolTagMap":
@@ -336,10 +388,9 @@ def attribute_miner(
     matching tag wins, ties broken lexicographically.  Payout addresses are
     only consulted when no tag matches.
     """
-    matches = [tag for tag in tagmap.coinbase_tags if tag.encode("utf-8", "replace") in coinbase_script]
-    if matches:
-        best = sorted(matches, key=lambda tag: (-len(tag), tag))[0]
-        return tagmap.coinbase_tags[best]
+    for tag, pool in tagmap._tags_by_preference:
+        if tag in coinbase_script:
+            return pool
     for address in output_addresses:
         pool = tagmap.payout_addresses.get(address)
         if pool is not None:
@@ -393,6 +444,8 @@ def _parse_entries(column: str, lineno: int) -> tuple[tuple[str, int], ...]:
         address, sep, value = token.rpartition(":")
         if not sep or not address:
             raise LedgerFormatError(lineno, f"bad addr:value pair {token!r}")
+        if not (value.isascii() and value.isdigit()):
+            raise LedgerFormatError(lineno, f"value is not a non-negative decimal in {token!r}")
         try:
             entries.append((address, int(value)))
         except ValueError as exc:
@@ -438,11 +491,12 @@ def read_ledger(path: str | Path) -> list[LedgerTx]:
 
 def _parse_ledger(text: str) -> list[LedgerTx]:
     txs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 7:
             raise LedgerFormatError(lineno, f"expected 7 columns, got {len(fields)}")
         try:

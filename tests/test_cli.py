@@ -2,12 +2,13 @@
 
 import csv
 import itertools
+import random
 
 import pytest
 
 from chainobs import cli, ledger, simnet, snapshotstore
 from chainobs.ledger import COIN, LedgerTx
-from helpers import BASE_TS, make_record, make_snapshot
+from helpers import BASE_TS, concentrated_ledger, make_record, make_snapshot, zero_fee_ledger
 
 
 @pytest.fixture
@@ -225,6 +226,41 @@ def test_cluster_subcommand(tmp_path):
     assert len(rows) == 2
 
 
+def _entities_csv_reference(ledger_path, out):
+    """entities.csv with each entity's size taken from its member set."""
+    txs = ledger.read_ledger(ledger_path)
+    partition = ledger.build_partition(txs)
+    balances = ledger.entity_balances(txs, partition)
+    members = partition.entities()
+    with open(out, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["entity", "addresses", "balance_sat"])
+        for entity in sorted(balances, key=lambda e: (-balances[e], e)):
+            writer.writerow([entity, len(members[entity]), balances[entity]])
+
+
+def test_cluster_csv_matches_member_set_reference(tmp_path):
+    paths = [fig10_ledger(tmp_path)]
+    for seed in range(3):
+        txs, _ = zero_fee_ledger(random.Random(seed), 400)
+        paths.append(tmp_path / f"random{seed}.ldg")
+        ledger.write_ledger(txs, paths[-1])
+    for path in paths:
+        out, reference = tmp_path / "entities.csv", tmp_path / "reference.csv"
+        assert cli.main(["cluster", "--ledger", str(path), "--out", str(out)]) == 0
+        _entities_csv_reference(path, reference)
+        assert out.read_bytes() == reference.read_bytes()
+    assert max(int(row[1]) for row in read_csv(out)[1:]) > 1
+
+
+def test_report_states_the_headline_concentration(tmp_path, capsys):
+    txs, _, _, _ = concentrated_ledger()
+    path = tmp_path / "concentrated.ldg"
+    ledger.write_ledger(txs, path)
+    assert cli.main(["report", "--ledger", str(path)]) == 0
+    assert "richest 4.5% of nonzero-balance entities hold >= 85% of coins" in capsys.readouterr().out
+
+
 def test_report_subcommand_fig10_fixture(tmp_path, capsys):
     path = fig10_ledger(tmp_path)
     tags = tmp_path / "pools.tags"
@@ -245,6 +281,7 @@ def test_report_subcommand_fig10_fixture(tmp_path, capsys):
     assert "entities: 1 total, 1 with nonzero balance" in out
     assert "A  4  5000000000  1.000000" in out
     assert "gini" in out
+    assert "richest 100.0% of nonzero-balance entities hold >= 85% of coins" in out
     assert "SlushPool 100.0%" in out
     assert read_csv(lorenz)[0] == ["population_share", "wealth_share"]
     shares_rows = read_csv(pool_shares)

@@ -2,6 +2,8 @@
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from chainobs import ledger
 from chainobs.ledger import COIN, CoinJoinParams, LedgerTx, PoolTagMap
-from helpers import BASE_TS, components_oracle, cospend_txs, zero_fee_ledger
+from helpers import BASE_TS, components_oracle, concentrated_ledger, cospend_txs, zero_fee_ledger
 
 
 def tx(txid, inputs, outputs, *, coinbase=False, ts=BASE_TS, height=0, script=b""):
@@ -127,6 +129,35 @@ def test_find_is_idempotent():
     root = partition.find("B")
     assert partition.find(root) == root
     assert partition.find("B") == root
+
+
+def _cluster_into(partition, txs):
+    """What build_partition does, on an existing partition."""
+    for t in txs:
+        for address, _ in t.outputs:
+            partition.add(address)
+        if t.is_coinbase:
+            continue
+        for address, _ in t.inputs:
+            partition.add(address)
+        if not ledger.is_coinjoin(t):
+            for address, _ in t.inputs[1:]:
+                partition.union(t.inputs[0][0], address)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walks_interleaved_with_unions_match_component_oracle(seed):
+    rng = random.Random(seed)
+    txs = cospend_txs(rng, 1200)
+    cuts = sorted(rng.sample(range(1, len(txs)), 4))
+    partition = ledger.build_partition(txs[: cuts[0]])
+    for start, end in zip(cuts, cuts[1:] + [len(txs)]):
+        partition.stable_ids()  # flattens the forest; the unions below must undo that
+        _cluster_into(partition, txs[start:end])
+        components = components_oracle(txs[:end])
+        assert set(partition.entities().values()) == components
+        _assert_every_address_maps_to_its_component_minimum(partition, components)
+        assert len(partition) == sum(len(c) for c in components)
 
 
 # --- balances ---------------------------------------------------------------------
@@ -314,6 +345,81 @@ def test_top_holders_address_counts_match_entity_members():
         assert max(row.address_count for row in rows) > 1
 
 
+def _top_holders_reference(balances, partition, k):
+    """top_holders as a full sort over every entity's member set."""
+    total = sum(balances.values())
+    members = partition.entities()
+    rows, running = [], 0
+    for entity, balance in sorted(balances.items(), key=lambda item: (-item[1], item[0]))[:k]:
+        running += balance
+        share = running / total if total else 0.0
+        rows.append(ledger.HolderRow(entity, len(members.get(entity, (entity,))), balance, share))
+    return rows
+
+
+def test_top_holders_matches_a_full_sort_with_many_equal_balances():
+    rng = random.Random(31)
+    for trial in range(40):
+        txs = cospend_txs(rng, rng.randint(1, 300))
+        partition = ledger.build_partition(txs)
+        entities = list(partition.entities())
+        balances = {entity: rng.choice([0, 0, 1, 2, 2, 5, 10**8]) for entity in entities}
+        rng.shuffle(entities)
+        balances = {entity: balances[entity] for entity in entities}  # insertion order is no tie-break
+        if trial % 5 == 0:
+            balances = dict.fromkeys(balances, 0)
+        for k in (1, 2, 7, len(balances), len(balances) + 3):
+            assert ledger.top_holders(balances, partition, k) == _top_holders_reference(balances, partition, k)
+
+
+# --- concentration headline ----------------------------------------------------------
+
+
+def _holder_share_reference(balances, wealth_share):
+    values = sorted((b for b in balances if b > 0), reverse=True)
+    total = sum(values)
+    for count in range(1, len(values) + 1):
+        if Fraction(sum(values[:count]), total) >= Fraction(wealth_share):
+            return Fraction(count, len(values))
+    raise AssertionError("unreachable: all holders hold everything")
+
+
+def test_holder_share_of_the_concentration_fixture_is_exactly_the_papers_figure():
+    txs, entity_count, top_count, _ = concentrated_ledger()
+    balances = ledger.entity_balances(txs, ledger.build_partition(txs))
+    assert ledger.holder_share(balances.values(), 0.85) == 0.045 == top_count / entity_count
+
+
+def test_holder_share_matches_exact_fraction_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        balances = [rng.choice([0, 1, 3, 3, rng.randint(0, 10**15)]) for _ in range(rng.randint(1, 60))]
+        if not any(balances):
+            balances.append(1)
+        for wealth_share in (1e-9, 0.5, 0.85, 0.9, 1.0, rng.random() or 1.0):
+            got = ledger.holder_share(balances, wealth_share)
+            assert got == float(_holder_share_reference(balances, wealth_share))
+
+
+def test_holder_share_counts_the_entity_that_reaches_the_mark():
+    assert ledger.holder_share([85, 15], 0.85) == 0.5
+    assert ledger.holder_share([85, 10, 5, 0, 0], 0.85) == pytest.approx(1 / 3)
+    assert ledger.holder_share([84, 16], 0.85) == 1.0
+    assert ledger.holder_share([50, 50], 1) == 1.0
+
+
+def test_holder_share_errors():
+    with pytest.raises(ledger.EmptyDistributionError):
+        ledger.holder_share([], 0.85)
+    with pytest.raises(ledger.EmptyDistributionError):
+        ledger.holder_share([0, 0], 0.85)
+    with pytest.raises(ValueError):
+        ledger.holder_share([5, -1], 0.85)
+    for bad in (0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            ledger.holder_share([1, 2], bad)
+
+
 # --- miner attribution ----------------------------------------------------------------
 
 
@@ -345,6 +451,45 @@ def test_attribute_payout_address_fallback():
 def test_attribute_tag_takes_priority_over_address():
     script = b"/slush/"
     assert ledger.attribute_miner(script, ["1PoolPayout"], _tagmap()) == "SlushPool"
+
+
+def _attribute_miner_reference(coinbase_script, output_addresses, tagmap):
+    """Collect every matching tag, then sort them by (-len, tag)."""
+    matches = [tag for tag in tagmap.coinbase_tags if tag.encode("utf-8", "replace") in coinbase_script]
+    if matches:
+        return tagmap.coinbase_tags[sorted(matches, key=lambda tag: (-len(tag), tag))[0]]
+    for address in output_addresses:
+        if address in tagmap.payout_addresses:
+            return tagmap.payout_addresses[address]
+    return ledger.UNKNOWN_MINER
+
+
+# prefixes, overlaps, equal lengths, non-ASCII and a lone surrogate (encoded as "?")
+_TAG_TEXT = st.text(st.sampled_from(["/", "a", "b", "é", "\ud800", "?"]), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_attribute_miner_matches_sorting_every_match(data):
+    tags = data.draw(st.dictionaries(_TAG_TEXT, st.sampled_from(["P1", "P2", "P3", "P4"]), max_size=12))
+    tagmap = PoolTagMap(coinbase_tags=tags, payout_addresses={"1Pay": "PayPool"})
+    pieces = st.one_of(
+        st.sampled_from(sorted(tags) or ["/"]).map(lambda tag: tag.encode("utf-8", "replace")),
+        st.binary(max_size=3),
+    )
+    for _ in range(5):
+        script = b"".join(data.draw(st.lists(pieces, max_size=5)))
+        outputs = data.draw(st.lists(st.sampled_from(["1Pay", "1Other"]), max_size=2))
+        assert ledger.attribute_miner(script, outputs, tagmap) == _attribute_miner_reference(script, outputs, tagmap)
+
+
+def test_attribute_miner_breaks_equal_length_ties_by_tag():
+    tagmap = PoolTagMap(coinbase_tags={"/b/": "B", "/a/": "A", "/a/b/": "AB"}, payout_addresses={})
+    assert ledger.attribute_miner(b"/b/ /a/", [], tagmap) == "A"
+    assert ledger.attribute_miner(b"/b/ /a/b/", [], tagmap) == "AB"
+    surrogate = PoolTagMap(coinbase_tags={"\ud800": "S", "x": "X"}, payout_addresses={})
+    assert ledger.attribute_miner(b"?x", [], surrogate) == "X"  # "x" < "\ud800"
+    assert ledger.attribute_miner(b"?", [], surrogate) == "S"
 
 
 def test_tagmap_file_parsing(tmp_path):
@@ -472,6 +617,30 @@ def test_ledger_format_error_names_the_file(tmp_path):
         ledger.read_ledger(path)
     assert err.value.line_number == 2
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "column",
+    ["a:-5", "b:1_000", "c:+7", "d: 8", "e:8 ", "f:", "g:0x10", "h:1.5", "i:\u0661\u0662", "j:\u00b2", "k:1;l:-1"],
+)
+def test_entry_values_must_be_non_negative_decimal_integers(column):
+    with pytest.raises(ledger.LedgerFormatError) as err:
+        ledger._parse_entries(column, 4)
+    assert err.value.line_number == 4
+
+
+def test_entry_values_accept_plain_decimal_digits():
+    assert ledger._parse_entries("a:0;b:007;c:12;d:e:5", 1) == (("a", 0), ("b", 7), ("c", 12), ("d:e", 5))
+
+
+def test_negative_coinbase_output_is_a_format_error_on_its_line(tmp_path):
+    path = tmp_path / "negative.ldg"
+    ledger.write_ledger(_fig10_fixture(), path)
+    path.write_text(path.read_text().replace("A:1000000000;", "A:-500;", 1))
+    with pytest.raises(ledger.LedgerFormatError) as err:
+        ledger.read_ledger(path)
+    assert err.value.line_number == 1
+    assert "A:-500" in str(err.value)
 
 
 def test_ledger_tx_validation():
