@@ -2,11 +2,14 @@
 
 The simulated network speaks the real wire protocol over virtual time, so
 the full crawl below finishes in well under a second without sleeping.
+The demo exits with status 1 if the crawl disagrees with the oracle or the
+snapshot file does not round-trip.
 
 Run: python3 demos/02_simnet_crawl.py
 """
 
 import collections
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -38,10 +41,13 @@ print(f"active: {snapshot.active_count}, inactive: {snapshot.total_count - snaps
 print(f"peak simultaneous connections: {network.peak_connections}\n")
 
 print("== Checking against the breadth-first oracle ==")
-oracle_active = simnet.reachable_set(topo)
-oracle_discovered = simnet.discovered_set(topo)
-print(f"active set matches oracle:     {snapshot.active_addresses() == oracle_active}")
-print(f"discovered set matches oracle: {set(snapshot.records) == oracle_discovered}\n")
+checks = {
+    "active set matches oracle": snapshot.active_addresses() == simnet.reachable_set(topo),
+    "discovered set matches oracle": set(snapshot.records) == simnet.discovered_set(topo),
+}
+for name, ok in checks.items():
+    print(f"{name + ':':31}{ok}")
+print()
 
 print("== What one active record looks like ==")
 record = max(snapshot.active_records(), key=lambda r: r.addr_count_returned)
@@ -52,16 +58,20 @@ print(f"min RTT:        {record.min_rtt_ms:.1f} ms over {config.ping_count} ping
 print(f"addrs returned: {record.addr_count_returned} across {config.getaddr_rounds} getaddr rounds\n")
 
 print("== Persisting and diffing snapshots ==")
-workdir = Path(tempfile.mkdtemp(prefix="chainobs-demo-"))
-first_path = workdir / f"first{snapshotstore.SNAPSHOT_SUFFIX}"
-snapshotstore.write_snapshot(snapshot, first_path)
-print(f"wrote {first_path}")
+with tempfile.TemporaryDirectory(prefix="chainobs-demo-") as workdir:
+    first_path = Path(workdir) / f"first{snapshotstore.SNAPSHOT_SUFFIX}"
+    snapshotstore.write_snapshot(snapshot, first_path)
+    print(f"wrote {first_path.name} in a temporary directory")
 
-# Second crawl with a different rng seed: gossip samples differ, but with
-# full caches (<1000 known peers each) discovery converges to the same sets.
-second = crawler.crawl(config, simnet.build_network(simnet.SimTopology(topo.peers, topo.seed_ids, rng_seed=7)))
-churn = snapshotstore.diff(snapshot, second)
-print(f"diff vs re-crawl: joined={len(churn.joined)} left={len(churn.left)} stayed={len(churn.stayed)}")
+    # Second crawl with a different rng seed: gossip samples differ, but with
+    # full caches (<1000 known peers each) discovery converges to the same sets.
+    second = crawler.crawl(config, simnet.build_network(simnet.SimTopology(topo.peers, topo.seed_ids, rng_seed=7)))
+    churn = snapshotstore.diff(snapshot, second)
+    print(f"diff vs re-crawl: joined={len(churn.joined)} left={len(churn.left)} stayed={len(churn.stayed)}")
 
-reloaded = snapshotstore.read_snapshot(first_path)
-print(f"snapshot file round-trips: {reloaded == snapshot}")
+    checks["snapshot file round-trips"] = snapshotstore.read_snapshot(first_path) == snapshot
+    print(f"snapshot file round-trips: {checks['snapshot file round-trips']}")
+
+failed = [name for name, ok in checks.items() if not ok]
+if failed:
+    sys.exit(f"FAILED: {', '.join(failed)}")

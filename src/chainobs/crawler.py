@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import wirecodec
-from .transport import Connection, Endpoint, RecvTimeoutError, Transport, TransportError
+from .transport import Connection, Endpoint, RecvTimeoutError, Transport, TransportError, _content_lines
 from .wirecodec import DEFAULT_PORT, MAINNET_MAGIC, VersionPayload
 
 log = logging.getLogger(__name__)
@@ -170,10 +170,11 @@ def bootstrap_seeds(
             endpoints.append(endpoint)
 
     if isinstance(source, (str, Path)) and Path(source).exists():
-        for raw in Path(source).read_text(encoding="utf-8").splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
+        for lineno, line in _content_lines(source):
+            try:
                 add(Endpoint.parse(line, default_port=default_port))
+            except ValueError as exc:
+                raise ValueError(f"{source}: line {lineno}: {exc}") from exc
     else:
         names = [source] if isinstance(source, (str, Path)) else list(source)
         if not names:

@@ -15,12 +15,14 @@ counter records how often the sources differed.
 from __future__ import annotations
 
 import csv
+import io
 import ipaddress
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Iterable
 
+from .transport import _content_lines, _read_text
 from .wirecodec import V4_MAPPED_PREFIX, bytes16_to_ip, canonical_ip, ip_to_bytes16
 
 if TYPE_CHECKING:
@@ -58,10 +60,11 @@ def classify_network(address: "str | Endpoint", tor_exits: AbstractSet[str] = fr
 def load_tor_exits(path: str | Path) -> frozenset[str]:
     """Read a Tor exit list: one IP per line, ``#`` comments; kept as canonical text."""
     exits = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
+    for lineno, line in _content_lines(path):
+        try:
             exits.add(canonical_ip(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return frozenset(exits)
 
 
@@ -105,12 +108,15 @@ class IpMetadataTable:
     def from_csv(cls, *paths: str | Path) -> "IpMetadataTable":
         table = cls()
         for path in paths:
-            with open(path, newline="", encoding="utf-8") as handle:
-                for row in csv.reader(handle):
-                    if not row or row[0].lstrip().startswith("#"):
-                        continue
+            rows = csv.reader(io.StringIO(_read_text(path), newline=""))
+            for row in rows:
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                try:
                     prefix, country, asn, org = (field.strip() for field in row[:4])
                     table.add(prefix, country, int(asn), org)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
         return table
 
     def __len__(self) -> int:

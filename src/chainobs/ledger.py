@@ -20,9 +20,10 @@ addresses, else "Unknown".
 Ledger input format: one transaction per line of whitespace-separated
 columns ``txid height timestamp coinbase_flag script_hex inputs outputs``
 where inputs/outputs are ``addr:value`` pairs joined by ``;`` and ``-``
-stands for an empty column; values are non-negative decimal integers.
-Input entries carry resolved previous-output addresses and values; no UTXO
-resolution happens here.
+stands for an empty column; height, timestamp and values are non-negative
+decimal integers, and coinbase_flag is ``0`` or ``1``.  Input entries carry
+resolved previous-output addresses and values; no UTXO resolution happens
+here.
 """
 
 from __future__ import annotations
@@ -446,10 +447,7 @@ def _parse_entries(column: str, lineno: int) -> tuple[tuple[str, int], ...]:
             raise LedgerFormatError(lineno, f"bad addr:value pair {token!r}")
         if not (value.isascii() and value.isdigit()):
             raise LedgerFormatError(lineno, f"value is not a non-negative decimal in {token!r}")
-        try:
-            entries.append((address, int(value)))
-        except ValueError as exc:
-            raise LedgerFormatError(lineno, f"bad value in {token!r}") from exc
+        entries.append((address, int(value)))
     return tuple(entries)
 
 
@@ -499,14 +497,21 @@ def _parse_ledger(text: str) -> list[LedgerTx]:
             continue
         if len(fields) != 7:
             raise LedgerFormatError(lineno, f"expected 7 columns, got {len(fields)}")
+        height, timestamp, flag = fields[1], fields[2], fields[3]
+        if not (height.isascii() and height.isdigit() and timestamp.isascii() and timestamp.isdigit()):
+            raise LedgerFormatError(
+                lineno, f"height {height!r} or timestamp {timestamp!r} is not a non-negative decimal"
+            )
+        if flag not in ("0", "1"):
+            raise LedgerFormatError(lineno, f"coinbase flag is not 0 or 1: {flag!r}")
         try:
             script = b"" if fields[4] == "-" else bytes.fromhex(fields[4])
             txs.append(
                 LedgerTx(
                     txid=fields[0],
-                    height=int(fields[1]),
-                    timestamp=int(fields[2]),
-                    is_coinbase=fields[3] == "1",
+                    height=int(height),
+                    timestamp=int(timestamp),
+                    is_coinbase=flag == "1",
                     inputs=_parse_entries(fields[5], lineno),
                     outputs=_parse_entries(fields[6], lineno),
                     coinbase_script=script,

@@ -12,8 +12,9 @@ selects connection dynamics:
 
 Time is virtual: responses carry arrival stamps on a per-connection clock,
 so latency and timeout behavior are exact and tests never sleep.
-``topology.rng_seed`` fully determines gossip sampling; two networks built
-from equal topologies answer getaddr with byte-identical addr messages.
+A connection builds its peer's gossip entries once, on the first getaddr,
+and each getaddr samples them with the peer's RNG, so ``topology.rng_seed``
+fully determines gossip: equal topologies give byte-identical addr messages.
 
 Topology file format (one peer per line, ``#`` starts a comment)::
 
@@ -32,10 +33,11 @@ import random
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import wirecodec
-from .transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError
+from .transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, _content_lines
 from .wirecodec import AddrEntry, NetAddress, VersionPayload
 
 BEHAVIORS = ("normal", "unreachable", "silent", "slow", "stale", "empty-addr")
@@ -105,13 +107,9 @@ class SimTopology:
     def profile(self, endpoint: Endpoint) -> SimPeerProfile | None:
         return self._by_address.get(endpoint)
 
-    @property
+    @cached_property
     def _by_address(self) -> dict[Endpoint, SimPeerProfile]:
-        cached = self.__dict__.get("_by_address_cache")
-        if cached is None:
-            cached = {p.address: p for p in self.peers}
-            self.__dict__["_by_address_cache"] = cached
-        return cached
+        return {p.address: p for p in self.peers}
 
 
 def _peer_rng(rng_seed: int, address: Endpoint) -> random.Random:
@@ -125,6 +123,10 @@ class _SimConnection:
     def __init__(self, network: "SimNetwork", profile: SimPeerProfile):
         self._network = network
         self._profile = profile
+        slow_ms = profile.slow_delay_ms if profile.behavior == "slow" else 0.0
+        self._latency_s = (profile.rtt_ms + slow_ms) / 1000.0
+        # built on the first getaddr; an empty-addr peer has nothing to gossip
+        self._gossip: list[AddrEntry] | None = [] if profile.behavior == "empty-addr" else None
         self._now = 0.0
         self._incoming = bytearray()
         self._readable = bytearray()
@@ -140,21 +142,13 @@ class _SimConnection:
         if self._profile.behavior == "silent" or self._broken:
             return
         self._incoming += data
-        while True:
-            try:
-                frame = wirecodec.decode_message_prefix(bytes(self._incoming), self._network.magic)
-            except wirecodec.CodecError:
-                self._broken = True
-                return
-            if frame is None:
-                return
-            command, payload, consumed = frame
-            del self._incoming[:consumed]
-            try:
+        try:
+            while frame := wirecodec.decode_message_prefix(self._incoming, self._network.magic):
+                command, payload, consumed = frame
+                del self._incoming[:consumed]
                 self._respond(command, payload)
-            except wirecodec.CodecError:
-                self._broken = True  # malformed payload: peer hangs up
-                return
+        except wirecodec.CodecError:
+            self._broken = True  # bad frame or malformed payload: peer hangs up
 
     def recv_exact(self, n: int, timeout: float) -> bytes:
         if self._closed:
@@ -183,14 +177,8 @@ class _SimConnection:
 
     # -- peer side ------------------------------------------------------
 
-    def _latency_s(self) -> float:
-        delay_ms = self._profile.rtt_ms
-        if self._profile.behavior == "slow":
-            delay_ms += self._profile.slow_delay_ms
-        return delay_ms / 1000.0
-
     def _schedule(self, data: bytes) -> None:
-        self._arrivals.append((self._now + self._latency_s(), data))
+        self._arrivals.append((self._now + self._latency_s, data))
 
     def _respond(self, command: str, payload: bytes) -> None:
         profile = self._profile
@@ -214,7 +202,9 @@ class _SimConnection:
             nonce = wirecodec.decode_ping(payload)
             self._schedule(wirecodec.encode_message("pong", wirecodec.encode_pong(nonce), magic))
         elif command == "getaddr":
-            entries = self._network._sample_gossip(profile)
+            if self._gossip is None:
+                self._gossip = self._network._gossip_entries(profile)
+            entries = self._network._sample_gossip(profile.address, self._gossip)
             self._schedule(wirecodec.encode_message("addr", wirecodec.encode_addr(entries), magic))
         # verack and anything else: nothing to say back
 
@@ -236,12 +226,11 @@ class SimNetwork:
         self._rngs = {p.address: _peer_rng(topology.rng_seed, p.address) for p in topology.peers}
 
     def connect(self, endpoint: Endpoint, timeout: float) -> _SimConnection:
+        profile = self.topology.profile(endpoint)
         with self._lock:
             self.connects_attempted += 1
-        profile = self.topology.profile(endpoint)
-        if profile is None or profile.behavior == "unreachable":
-            raise ConnectError(f"{endpoint}: connection refused")
-        with self._lock:
+            if profile is None or profile.behavior == "unreachable":
+                raise ConnectError(f"{endpoint}: connection refused")
             self.open_connections += 1
             self.peak_connections = max(self.peak_connections, self.open_connections)
         return _SimConnection(self, profile)
@@ -254,18 +243,18 @@ class SimNetwork:
         with self._lock:
             return self._rngs[address].getrandbits(64)
 
-    def _sample_gossip(self, profile: SimPeerProfile) -> list[AddrEntry]:
-        if profile.behavior == "empty-addr":
-            return []
-        count = min(wirecodec.MAX_ADDR_ENTRIES, len(profile.known_peers))
-        with self._lock:
-            sample = self._rngs[profile.address].sample(profile.known_peers, count)
+    def _gossip_entries(self, profile: SimPeerProfile) -> list[AddrEntry]:
         entries = []
-        for endpoint in sample:
+        for endpoint in profile.known_peers:
             known = self.topology.profile(endpoint)
             services = known.services if known is not None else 0
             entries.append(AddrEntry(BASE_TIME, services, endpoint.ip, endpoint.port))
         return entries
+
+    def _sample_gossip(self, address: Endpoint, entries: list[AddrEntry]) -> list[AddrEntry]:
+        count = min(wirecodec.MAX_ADDR_ENTRIES, len(entries))
+        with self._lock:
+            return self._rngs[address].sample(entries, count)
 
 
 def build_network(topology: SimTopology, magic: bytes = wirecodec.SIMNET_MAGIC) -> SimNetwork:
@@ -276,8 +265,8 @@ def build_network(topology: SimTopology, magic: bytes = wirecodec.SIMNET_MAGIC) 
 # --- oracles --------------------------------------------------------------
 
 
-def _traverse(topology: SimTopology) -> set[Endpoint]:
-    """Endpoints a seed-rooted gossip walk can ever hear about."""
+def discovered_set(topology: SimTopology) -> set[Endpoint]:
+    """Every endpoint reachable by transitive gossip from the seeds."""
     visited = set(topology.seed_ids)
     queue = deque(topology.seed_ids)
     while queue:
@@ -291,11 +280,6 @@ def _traverse(topology: SimTopology) -> set[Endpoint]:
     return visited
 
 
-def discovered_set(topology: SimTopology) -> set[Endpoint]:
-    """Every endpoint reachable by transitive gossip from the seeds."""
-    return _traverse(topology)
-
-
 def reachable_set(topology: SimTopology) -> set[Endpoint]:
     """Gossip-reachable endpoints that also accept and complete a handshake.
 
@@ -304,7 +288,7 @@ def reachable_set(topology: SimTopology) -> set[Endpoint]:
     """
     return {
         endpoint
-        for endpoint in _traverse(topology)
+        for endpoint in discovered_set(topology)
         if (profile := topology.profile(endpoint)) is not None
         and profile.behavior in _CONNECTABLE
     }
@@ -326,37 +310,37 @@ def load_topology(path: str | Path) -> SimTopology:
     peers: list[SimPeerProfile] = []
     seed_ids: tuple[Endpoint, ...] = ()
     rng_seed = 0
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("@"):
-            directive, _, value = line.partition(" ")
-            if directive == "@rng_seed":
-                rng_seed = int(value)
-            elif directive == "@seeds":
-                seed_ids = tuple(Endpoint.parse(t) for t in value.split(",") if t.strip())
-            else:
-                raise ValueError(f"line {lineno}: unknown directive {directive!r}")
-            continue
-        fields = line.split()
-        if len(fields) != 6:
-            raise ValueError(f"line {lineno}: expected 6 fields, got {len(fields)}")
-        behavior, slow_delay = _parse_behavior(fields[1])
-        known = ()
-        if fields[5] != "-":
-            known = tuple(Endpoint.parse(t) for t in fields[5].split(",") if t.strip())
-        peers.append(
-            SimPeerProfile(
-                address=Endpoint.parse(fields[0]),
-                behavior=behavior,
-                services=int(fields[2]),
-                start_height=int(fields[3]),
-                rtt_ms=float(fields[4]),
-                known_peers=known,
-                slow_delay_ms=slow_delay,
+    for lineno, line in _content_lines(path):
+        try:
+            if line.startswith("@"):
+                directive, _, value = line.partition(" ")
+                if directive == "@rng_seed":
+                    rng_seed = int(value)
+                elif directive == "@seeds":
+                    seed_ids = tuple(Endpoint.parse(t) for t in value.split(",") if t.strip())
+                else:
+                    raise ValueError(f"unknown directive {directive!r}")
+                continue
+            fields = line.split()
+            if len(fields) != 6:
+                raise ValueError(f"expected 6 fields, got {len(fields)}")
+            behavior, slow_delay = _parse_behavior(fields[1])
+            known = ()
+            if fields[5] != "-":
+                known = tuple(Endpoint.parse(t) for t in fields[5].split(",") if t.strip())
+            peers.append(
+                SimPeerProfile(
+                    address=Endpoint.parse(fields[0]),
+                    behavior=behavior,
+                    services=int(fields[2]),
+                    start_height=int(fields[3]),
+                    rtt_ms=float(fields[4]),
+                    known_peers=known,
+                    slow_delay_ms=slow_delay,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     if not seed_ids and peers:
         seed_ids = (peers[0].address,)
     return SimTopology(peers=tuple(peers), seed_ids=seed_ids, rng_seed=rng_seed)

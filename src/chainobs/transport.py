@@ -8,7 +8,9 @@ monotonic time, the simulated network reports virtual time, and the crawler
 never needs to know which one it got.
 
 Endpoints are keyed by canonical IP text (see :class:`Endpoint`) and a port
-in 0-65535.
+in 0-65535.  The readers of seed, topology and Tor exit files and of prefix
+tables decode their files here, so each reports a byte that is not UTF-8
+with the file and the line.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import socket
 import time
 from dataclasses import dataclass
-from typing import Protocol
+from pathlib import Path
+from typing import Iterator, Protocol
 
 from .wirecodec import DEFAULT_PORT, canonical_ip
 
@@ -82,6 +85,26 @@ class Endpoint:
             return cls.make(host, int(port_text))
         # zero colons: bare IPv4; two or more: bare IPv6 without a port
         return cls.make(text, default_port)
+
+
+def _read_text(path: str | Path) -> str:
+    """Decode a UTF-8 file; other bytes raise a ValueError naming the file and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the fault decode; count their lines as splitlines() does
+        lineno = len((data[: exc.start] + b".").decode("utf-8").splitlines())
+        raise ValueError(f"{path}: line {lineno}: not UTF-8") from exc
+
+
+def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` for each line of a UTF-8 file that holds
+    more than a ``#`` comment; the text has its comment and outer space removed."""
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 class Connection(Protocol):

@@ -90,6 +90,19 @@ def test_seed_file_empty_rejected(tmp_path):
         crawler.bootstrap_seeds(seeds)
 
 
+@pytest.mark.parametrize(
+    "content, line",
+    [(b"10.0.0.1\n10.0.0.2:99999\n", 2), (b"10.0.0.1\n\n[2001:db8::1\n", 3), (b"\xff\n", 1)],
+    ids=["port-range", "bracket", "not-utf8"],
+)
+def test_seed_file_errors_name_the_file_and_the_line(tmp_path, content, line):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        crawler.bootstrap_seeds(seeds)
+    assert str(err.value).startswith(f"{seeds}: line {line}: ")
+
+
 def test_seed_dns_resolution_collects_all_records():
     table = {"seed.example": ["10.0.0.1", "2001:db8::1"], "dead.example": OSError("nx")}
 

@@ -72,6 +72,19 @@ def test_load_tor_exits_rejects_non_addresses(tmp_path):
         enrich.load_tor_exits(path)
 
 
+@pytest.mark.parametrize(
+    "content, line",
+    [(b"10.0.0.1\n\nexit.example\n", 3), (b"10.0.0.1\n# caf\xe9\n10.0.0.2\n", 2)],
+    ids=["not-an-address", "not-utf8"],
+)
+def test_exit_list_errors_name_the_file_and_the_line(tmp_path, content, line):
+    path = tmp_path / "exits.txt"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        enrich.load_tor_exits(path)
+    assert str(err.value).startswith(f"{path}: line {line}: ")
+
+
 # --- prefix table -----------------------------------------------------------------
 
 
@@ -107,6 +120,23 @@ def test_csv_loading_and_first_listed_priority(tmp_path):
     assert table.disagreements == 1
     assert table.lookup("192.168.1.1").org == "Gamma, Inc"
     assert len(table) == 2
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"# prefix,country,asn,org\n10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE\n", 3),
+        (b'10.0.0.0/8,US,64500,"Alpha\nBeta"\n10.1.0.0/16,DE,AS1,Gamma\n', 3),
+        (b"10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE,64501,Caf\xe9\n", 2),
+    ],
+    ids=["short-row", "bad-asn-after-quoted-newline", "not-utf8"],
+)
+def test_prefix_csv_errors_name_the_file_and_the_line(tmp_path, content, line):
+    path = tmp_path / "prefixes.csv"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        IpMetadataTable.from_csv(path)
+    assert str(err.value).startswith(f"{path}: line {line}: ")
 
 
 def _linear_oracle(entries, ip):

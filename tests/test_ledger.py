@@ -633,6 +633,40 @@ def test_entry_values_accept_plain_decimal_digits():
     assert ledger._parse_entries("a:0;b:007;c:12;d:e:5", 1) == (("a", 0), ("b", 7), ("c", 12), ("d:e", 5))
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "t1 -7 +1_600 2 00 a:5;b:5 c:5",
+        "t1 -7 1600 0 - a:5;b:5 c:10",
+        "t1 +7 1600 0 - a:5;b:5 c:10",
+        "t1 1_0 1600 0 - a:5;b:5 c:10",
+        "t1 7.0 1600 0 - a:5;b:5 c:10",
+        "t1 \u0667 1600 0 - a:5;b:5 c:10",
+        "t1 7 -1600 0 - a:5;b:5 c:10",
+        "t1 7 1e3 0 - a:5;b:5 c:10",
+        "t1 7 0x10 0 - a:5;b:5 c:10",
+        "t1 7 \u00b2 0 - a:5;b:5 c:10",
+        "t1 7 1600 2 - a:5;b:5 c:10",
+        "t1 7 1600 yes - a:5;b:5 c:10",
+        "t1 7 1600 00 - a:5;b:5 c:10",
+        "t1 7 1600 01 - a:5;b:5 c:10",
+        "t1 7 1600 - - a:5;b:5 c:10",
+    ],
+)
+def test_height_timestamp_and_coinbase_flag_columns_are_checked(line):
+    with pytest.raises(ledger.LedgerFormatError) as err:
+        ledger._parse_ledger(f"cb 0 0 1 - - a:5;b:5\n{line}\n")
+    assert err.value.line_number == 2
+
+
+def test_height_timestamp_and_coinbase_flag_columns_accept_decimals_and_0_or_1():
+    txs = ledger._parse_ledger("cb 0 1600 1 00ff - a:5;b:5\nt1 007 01601 0 - a:5;b:5 c:10\n")
+    assert [(t.height, t.timestamp, t.is_coinbase, t.coinbase_script) for t in txs] == [
+        (0, 1600, True, b"\x00\xff"),
+        (7, 1601, False, b""),
+    ]
+
+
 def test_negative_coinbase_output_is_a_format_error_on_its_line(tmp_path):
     path = tmp_path / "negative.ldg"
     ledger.write_ledger(_fig10_fixture(), path)

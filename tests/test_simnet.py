@@ -1,12 +1,14 @@
 """Simulated network tests: behaviors, determinism, oracles, topology files."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainobs import simnet, wirecodec
 from chainobs.simnet import SimPeerProfile, SimTopology
-from chainobs.transport import ConnectError, Endpoint, RecvTimeoutError
+from chainobs.transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError
 
 MAGIC = wirecodec.SIMNET_MAGIC
 
@@ -169,6 +171,128 @@ def test_different_rng_seed_changes_sampling_order():
     assert first_payload(1) != first_payload(2)
 
 
+# --- framing -------------------------------------------------------------------
+
+
+def ping_frame(nonce):
+    return wirecodec.encode_message("ping", wirecodec.encode_ping(nonce), MAGIC)
+
+
+def connected_peer():
+    profile = SimPeerProfile(ep("10.0.0.1"), known_peers=(ep("10.0.0.2"),))
+    network = simnet.build_network(topology([profile]))
+    return network.connect(profile.address, timeout=1.0)
+
+
+def test_frame_fed_one_byte_per_send_is_answered_once_complete():
+    conn = connected_peer()
+    handshake(conn)
+    frame = ping_frame(0xC0FFEE)
+    for i in range(len(frame) - 1):
+        conn.send(frame[i : i + 1])
+    with pytest.raises(RecvTimeoutError):
+        conn.recv_exact(1, timeout=1.0)  # nothing until the last byte arrives
+    conn.send(frame[-1:])
+    command, payload = read_frame(conn)
+    assert (command, wirecodec.decode_pong(payload)) == ("pong", 0xC0FFEE)
+
+
+def test_two_frames_in_one_send_are_both_answered_in_order():
+    conn = connected_peer()
+    handshake(conn)
+    conn.send(ping_frame(1) + wirecodec.encode_message("getaddr", b"", MAGIC))
+    command, payload = read_frame(conn)
+    assert (command, wirecodec.decode_pong(payload)) == ("pong", 1)
+    command, payload = read_frame(conn)
+    assert command == "addr"
+    assert [(e.ip, e.port) for e in wirecodec.decode_addr(payload)] == [("10.0.0.2", 8333)]
+
+
+def _bad_magic(frame):
+    return b"\xde\xad\xbe\xef" + frame[4:]
+
+
+def _bad_checksum(frame):
+    return frame[:20] + bytes(b ^ 0xFF for b in frame[20:24]) + frame[24:]
+
+
+def _bad_payload(frame):
+    # a well-framed ping whose payload is one byte short
+    return wirecodec.encode_message("ping", b"\x00" * 7, MAGIC)
+
+
+@pytest.mark.parametrize("spoil", [_bad_magic, _bad_checksum, _bad_payload])
+def test_peer_answers_a_good_frame_then_hangs_up_on_a_bad_one(spoil):
+    conn = connected_peer()
+    handshake(conn)
+    conn.send(ping_frame(5))
+    command, payload = read_frame(conn)
+    assert (command, wirecodec.decode_pong(payload)) == ("pong", 5)
+    conn.send(spoil(ping_frame(6)))
+    with pytest.raises(ConnectionClosedError):
+        conn.recv_exact(1, timeout=1.0)
+    conn.send(ping_frame(7))  # a peer that hung up ignores what follows
+    with pytest.raises(ConnectionClosedError):
+        conn.recv_exact(1, timeout=1.0)
+
+
+# --- gossip: differential against the per-call sampler it replaced ----------------
+
+
+def reference_addr_payload(topo, profile, rng):
+    """The old simulated peer's getaddr answer: sample endpoints, then build entries."""
+    if profile.behavior == "empty-addr":
+        return wirecodec.encode_addr([])
+    count = min(wirecodec.MAX_ADDR_ENTRIES, len(profile.known_peers))
+    entries = []
+    for endpoint in rng.sample(profile.known_peers, count):
+        known = topo.profile(endpoint)
+        services = known.services if known is not None else 0
+        entries.append(wirecodec.AddrEntry(simnet.BASE_TIME, services, endpoint.ip, endpoint.port))
+    return wirecodec.encode_addr(entries)
+
+
+def gossip_topology(seed):
+    """Members of every behavior; known peers mix members with outsiders
+    (services 0 on the wire), and some peers know more than the 1000-entry cap."""
+    rng = random.Random(seed)
+    members = [ep(f"10.0.{i // 256}.{i % 256}") for i in range(40)]
+    outsiders = [ep(f"172.16.{i // 256}.{i % 256}", 8333 + i % 3) for i in range(1400)]
+    profiles = []
+    for i, address in enumerate(members):
+        behavior = simnet.BEHAVIORS[i % len(simnet.BEHAVIORS)]
+        size = rng.choice((0, 1, 7, 200, 1000, 1001, 1350))
+        pool = [m for m in members if m != address] + outsiders
+        profiles.append(
+            SimPeerProfile(
+                address,
+                behavior=behavior,
+                services=rng.choice((1, 9, 1033, 2**63 + 5)),
+                known_peers=tuple(rng.sample(pool, size)),
+            )
+        )
+    return topology(profiles, rng_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_addr_payloads_match_the_per_call_reference(seed):
+    topo = gossip_topology(seed)
+    network = simnet.build_network(topo)
+    checked = set()
+    for profile in topo.peers:
+        if profile.behavior in ("unreachable", "silent"):
+            continue
+        conn = network.connect(profile.address, timeout=1.0)
+        handshake(conn)
+        rng = simnet._peer_rng(topo.rng_seed, profile.address)
+        rng.getrandbits(64)  # the version nonce the handshake drew
+        for _ in range(3):
+            assert getaddr_payload(conn) == reference_addr_payload(topo, profile, rng)
+        conn.close()
+        checked.add(profile.behavior)
+    assert checked == {"normal", "slow", "stale", "empty-addr"}
+
+
 def test_duplicate_address_rejected():
     with pytest.raises(simnet.DuplicateAddressError):
         topology([SimPeerProfile(ep("10.0.0.1")), SimPeerProfile(ep("10.0.0.1"))])
@@ -287,6 +411,23 @@ def test_topology_file_rejects_unknown_behavior(tmp_path):
     path.write_text("10.0.0.1:8333 bogus 0 0 0 -\n")
     with pytest.raises(ValueError):
         simnet.load_topology(path)
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"10.0.0.1:8333 normal 9 600000 25 -\n10.0.0.2:8333 normal x 0 0 -\n", 2),
+        (b"# caf\xe9\n10.0.0.1:8333 normal 9 600000 25 -\n", 1),
+        (b"@rng_seed 1\n\n@bogus 2\n", 3),
+    ],
+    ids=["services", "not-utf8", "directive"],
+)
+def test_topology_file_errors_name_the_file_and_the_line(tmp_path, content, line):
+    path = tmp_path / "bad.topo"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        simnet.load_topology(path)
+    assert str(err.value).startswith(f"{path}: line {line}: ")
 
 
 def test_topology_file_rejects_wrong_column_count(tmp_path):
