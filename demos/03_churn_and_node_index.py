@@ -9,7 +9,7 @@ Run: python3 demos/03_churn_and_node_index.py
 import dataclasses
 
 from chainobs import crawler, metrics, simnet
-from chainobs.enrich import IpMetadataTable
+from chainobs.enrich import IpMetadataTable, annotate
 
 INTERVAL = 1800  # seconds between snapshots
 
@@ -60,7 +60,7 @@ table = IpMetadataTable(
 latest = snapshots[-1]
 asn_by_address = {}
 for record in latest.active_records():
-    meta = table.lookup(record.address)
+    meta = annotate(record.address, table)[1]
     asn_by_address[record.address] = meta.asn if meta else None
 stats = metrics.SnapshotStats(latest, asn_by_address)
 

@@ -131,12 +131,10 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
 
     extras: dict[Endpoint, dict[str, str]] = {}
     for endpoint in snapshot.records:
-        net = enrich.classify_network(endpoint, tor_exits)
+        net, meta = enrich.annotate(endpoint, table, tor_exits)
         fields = {"net": net}
-        if net != enrich.NET_TOR:
-            meta = table.lookup(endpoint)
-            if meta is not None:
-                fields.update(country=meta.country, asn=str(meta.asn), org=meta.org)
+        if meta is not None:
+            fields.update(country=meta.country, asn=str(meta.asn), org=meta.org)
         extras[endpoint] = fields
     snapshotstore.write_snapshot(snapshot, args.out, extra_fields=extras)
 
@@ -205,11 +203,8 @@ def _cmd_bni(args: argparse.Namespace) -> int:
     if args.table:
         table = enrich.IpMetadataTable.from_csv(*args.table)
         for record in latest.active_records():
-            if enrich.classify_network(record.address, tor_exits) == enrich.NET_TOR:
-                asn_by_address[record.address] = None
-            else:
-                meta = table.lookup(record.address)
-                asn_by_address[record.address] = meta.asn if meta else None
+            meta = enrich.annotate(record.address, table, tor_exits)[1]
+            asn_by_address[record.address] = meta.asn if meta else None
     stats = metrics.SnapshotStats(latest, asn_by_address)
 
     rows = []

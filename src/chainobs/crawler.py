@@ -282,8 +282,8 @@ def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) 
     for _ in range(max(1, count)):
         nonce = random.getrandbits(64)
         sent_at = conn.clock()
-        conn.send(wirecodec.encode_message("ping", wirecodec.encode_ping(nonce), magic))
         try:
+            conn.send(wirecodec.encode_message("ping", wirecodec.encode_ping(nonce), magic))
             while True:
                 command, payload = _next_frame(conn, magic, sent_at + timeout)
                 if command == "pong" and wirecodec.decode_pong(payload) == nonce:
@@ -305,9 +305,9 @@ def _harvest(conn: Connection, config: CrawlConfig) -> tuple[list[Endpoint], int
     harvested: dict[Endpoint, None] = {}
     entries_received = 0
     for _ in range(config.getaddr_rounds):
-        conn.send(wirecodec.encode_message("getaddr", b"", config.magic))
         deadline = conn.clock() + config.handshake_timeout_ms / 1000.0
         try:
+            conn.send(wirecodec.encode_message("getaddr", b"", config.magic))
             command, payload = _next_frame(conn, config.magic, deadline)
             while command != "addr":
                 command, payload = _next_frame(conn, config.magic, deadline)

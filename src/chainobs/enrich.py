@@ -136,6 +136,15 @@ class IpMetadataTable:
         return None
 
 
+def annotate(
+    address: "str | Endpoint", table: IpMetadataTable, tor_exits: AbstractSet[str] = frozenset()
+) -> tuple[str, IpMetadata | None]:
+    """Network class of ``address`` and its prefix metadata; a tor-class
+    address is not geolocated, so its metadata is None."""
+    net = classify_network(address, tor_exits)
+    return net, None if net == NET_TOR else table.lookup(address)
+
+
 @dataclass(frozen=True)
 class ShareReport:
     """Per-country and per-organization shares of active nodes.
@@ -160,10 +169,10 @@ def aggregate_shares(
     org_counts: dict[str, int] = {}
     active = snapshot.active_records()
     for record in active:
-        if classify_network(record.address, tor_exits) == NET_TOR:
+        net, meta = annotate(record.address, table, tor_exits)
+        if net == NET_TOR:
             country, org = TOR_BUCKET, TOR_BUCKET
         else:
-            meta = table.lookup(record.address)
             country = meta.country if meta else UNKNOWN_BUCKET
             org = meta.org if meta else UNKNOWN_BUCKET
         country_counts[country] = country_counts.get(country, 0) + 1

@@ -32,15 +32,16 @@ import heapq
 import logging
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .transport import _naming_file, _read_text
 
 log = logging.getLogger(__name__)
 
@@ -362,8 +363,8 @@ class PoolTagMap:
         tags: dict[str, str] = {}
         addresses: dict[str, str] = {}
         section = "tags"
-        with _naming_file(path):
-            for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
+        with _naming_file(path, LedgerFormatError):
+            for lineno, raw in enumerate(_read_text(path, LedgerFormatError).split("\n"), start=1):
                 line = raw.split("#", 1)[0].rstrip()
                 if not line.strip():
                     continue
@@ -462,34 +463,14 @@ def write_ledger(txs: Iterable[LedgerTx], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_utf8(path: str | Path) -> str:
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bytes before the fault decode; count their lines as read_ledger does
-        lineno = len((data[: exc.start] + b".").decode("utf-8").splitlines())
-        raise LedgerFormatError(lineno, "not UTF-8") from exc
-
-
-@contextmanager
-def _naming_file(path: str | Path) -> Iterator[None]:
-    """Put ``path`` in the message of a LedgerFormatError raised inside."""
-    try:
-        yield
-    except LedgerFormatError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-
-
 def read_ledger(path: str | Path) -> list[LedgerTx]:
-    with _naming_file(path):
-        return _parse_ledger(_read_utf8(path))
+    with _naming_file(path, LedgerFormatError):
+        return _parse_ledger(_read_text(path, LedgerFormatError))
 
 
 def _parse_ledger(text: str) -> list[LedgerTx]:
     txs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         fields = line.split()

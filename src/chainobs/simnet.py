@@ -155,9 +155,10 @@ class _SimConnection:
             raise ConnectionClosedError("connection is closed")
         deadline = self._now + timeout
         while len(self._readable) < n:
-            if self._broken:
-                raise ConnectionClosedError("peer dropped the connection")
             if not self._arrivals or self._arrivals[0][0] > deadline:
+                # what the peer sent before hanging up arrives first, as over TCP
+                if self._broken:
+                    raise ConnectionClosedError("peer dropped the connection")
                 self._now = deadline
                 raise RecvTimeoutError(f"needed {n} bytes, got {len(self._readable)}")
             arrival, data = self._arrivals.popleft()
@@ -310,6 +311,7 @@ def load_topology(path: str | Path) -> SimTopology:
     peers: list[SimPeerProfile] = []
     seed_ids: tuple[Endpoint, ...] = ()
     rng_seed = 0
+    line_of: dict[Endpoint, int] = {}
     for lineno, line in _content_lines(path):
         try:
             if line.startswith("@"):
@@ -341,6 +343,10 @@ def load_topology(path: str | Path) -> SimTopology:
             )
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        address = peers[-1].address
+        if address in line_of:
+            raise DuplicateAddressError(f"{path}: line {lineno}: {address} repeats line {line_of[address]}")
+        line_of[address] = lineno
     if not seed_ids and peers:
         seed_ids = (peers[0].address,)
     return SimTopology(peers=tuple(peers), seed_ids=seed_ids, rng_seed=rng_seed)

@@ -21,8 +21,8 @@ Record keys::
 
     addr port net status services pver ua height minrtt first_seen last_seen addrs
 
-``net`` is derived from the address on write (ipv4/ipv6/tor) and recomputed
-rather than trusted on read.
+``net`` is derived from the address on write (ipv4/ipv6/tor) and ignored
+on read.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from urllib.parse import quote, unquote
 
 from .crawler import PeerRecord, Snapshot, STATUS_ACTIVE, STATUS_INACTIVE
 from .enrich import classify_network
-from .transport import Endpoint
+from .transport import Endpoint, _naming_file, _read_text
 
 SCHEMA_VERSION = 1
 SNAPSHOT_SUFFIX = ".snap.ndrec"
@@ -193,21 +193,10 @@ def _parse_record(fields: Mapping[str, str], lineno: int) -> PeerRecord:
         raise CorruptRecordError(lineno, str(exc)) from exc
 
 
-def _read_utf8(path: str | Path) -> str:
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptRecordError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from exc
-
-
 def read_snapshot(path: str | Path) -> Snapshot:
-    try:
-        return _parse_snapshot(_read_utf8(path))
-    except SnapshotStoreError as exc:
-        # a series holds dozens of files: the message names the bad one
-        exc.args = (f"{path}: {exc}",)
-        raise
+    # a series holds dozens of files: the message names the bad one
+    with _naming_file(path, SnapshotStoreError):
+        return _parse_snapshot(_read_text(path, CorruptRecordError))
 
 
 def _parse_snapshot(text: str) -> Snapshot:

@@ -8,18 +8,19 @@ monotonic time, the simulated network reports virtual time, and the crawler
 never needs to know which one it got.
 
 Endpoints are keyed by canonical IP text (see :class:`Endpoint`) and a port
-in 0-65535.  The readers of seed, topology and Tor exit files and of prefix
-tables decode their files here, so each reports a byte that is not UTF-8
-with the file and the line.
+in 0-65535.  Every reader of an input file decodes it here, so a byte that
+is not UTF-8 is reported with the file and the line, and a line ends only at
+a newline byte, as in ``grep -n`` (prefix tables keep ``csv``'s line rule).
 """
 
 from __future__ import annotations
 
 import socket
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Callable, Iterator, Protocol
 
 from .wirecodec import DEFAULT_PORT, canonical_ip
 
@@ -87,21 +88,33 @@ class Endpoint:
         return cls.make(text, default_port)
 
 
-def _read_text(path: str | Path) -> str:
-    """Decode a UTF-8 file; other bytes raise a ValueError naming the file and the line."""
+def _read_text(path: str | Path, error: Callable[[int, str], Exception] | None = None) -> str:
+    """Decode a UTF-8 file.  A byte that is not UTF-8 raises ``error(line, "not UTF-8")``,
+    or without ``error`` a ValueError naming the file and the line."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bytes before the fault decode; count their lines as splitlines() does
-        lineno = len((data[: exc.start] + b".").decode("utf-8").splitlines())
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        if error is not None:
+            raise error(lineno, "not UTF-8") from exc
         raise ValueError(f"{path}: line {lineno}: not UTF-8") from exc
+
+
+@contextmanager
+def _naming_file(path: str | Path, errors: type[Exception]) -> Iterator[None]:
+    """Put ``path`` in front of the message of any ``errors`` raised inside."""
+    try:
+        yield
+    except errors as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, text)`` for each line of a UTF-8 file that holds
     more than a ``#`` comment; the text has its comment and outer space removed."""
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

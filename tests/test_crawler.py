@@ -92,8 +92,13 @@ def test_seed_file_empty_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "content, line",
-    [(b"10.0.0.1\n10.0.0.2:99999\n", 2), (b"10.0.0.1\n\n[2001:db8::1\n", 3), (b"\xff\n", 1)],
-    ids=["port-range", "bracket", "not-utf8"],
+    [
+        (b"10.0.0.1\n10.0.0.2:99999\n", 2),
+        (b"10.0.0.1\n\n[2001:db8::1\n", 3),
+        (b"\xff\n", 1),
+        (b"10.0.0.1\x0c10.0.0.2\n\xff\n", 2),  # a line ends at \n only, as in grep -n
+    ],
+    ids=["port-range", "bracket", "not-utf8", "form-feed"],
 )
 def test_seed_file_errors_name_the_file_and_the_line(tmp_path, content, line):
     seeds = tmp_path / "seeds.txt"
@@ -387,6 +392,46 @@ def test_probe_keeps_min_rtt_absent_when_pings_ignored():
     record, _ = crawler.probe_peer(profile.address, config([profile.address]), NoPongNetwork())
     assert record.status == STATUS_ACTIVE
     assert record.min_rtt_ms is None
+
+
+def sends_fail_from(network, command):
+    """A transport over ``network`` whose connections raise ConnectionClosedError
+    on the first send of ``command`` and on every send after it."""
+
+    class FailingSends:
+        def connect(self, endpoint, timeout):
+            conn = network.connect(endpoint, timeout)
+            original = conn.send
+            failing = False
+
+            def send(data):
+                nonlocal failing
+                failing = failing or wirecodec.decode_message(data, MAGIC)[0] == command
+                if failing:
+                    raise ConnectionClosedError("broken pipe")
+                original(data)
+
+            conn.send = send
+            return conn
+
+    return FailingSends()
+
+
+@pytest.mark.parametrize(
+    "command, status, min_rtt_ms",
+    [("verack", STATUS_INACTIVE, None), ("ping", STATUS_ACTIVE, None), ("getaddr", STATUS_ACTIVE, 20.0)],
+    ids=["verack", "ping", "getaddr"],
+)
+def test_send_failures_after_the_handshake_leave_the_peer_active(command, status, min_rtt_ms):
+    profile = SimPeerProfile(ep("10.0.0.1"), rtt_ms=20.0, known_peers=(ep("10.0.0.2"),))
+    network = simnet.build_network(topology([profile]))
+    record, harvested = crawler.probe_peer(
+        profile.address, config([profile.address]), sends_fail_from(network, command)
+    )
+    assert record.status == status
+    assert record.min_rtt_ms == pytest.approx(min_rtt_ms)
+    assert record.addr_count_returned == 0
+    assert harvested == []
 
 
 # --- full crawls -------------------------------------------------------------------

@@ -304,6 +304,15 @@ def _table():
     )
 
 
+def test_annotate_looks_up_every_address_but_tor_class_ones():
+    table = _table()
+    exits = frozenset({"10.0.0.9"})
+    assert enrich.annotate("10.0.0.1", table, exits) == ("ipv4", table.lookup("10.0.0.1"))
+    assert enrich.annotate("192.168.0.1", table, exits) == ("ipv4", None)
+    assert enrich.annotate("10.0.0.9", table, exits) == ("tor", None)  # covered, but an exit
+    assert enrich.annotate(Endpoint.make("fd87:d87e:eb43::1"), table) == ("tor", None)
+
+
 def test_share_counting_with_unknown_bucket():
     snapshot = make_snapshot(
         [

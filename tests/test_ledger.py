@@ -609,6 +609,16 @@ def test_ledger_non_utf8_bytes_are_a_format_error_with_their_line_number(tmp_pat
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("read", [ledger.read_ledger, PoolTagMap.from_file], ids=["ledger", "tagmap"])
+def test_only_a_newline_ends_a_line(tmp_path, read):
+    path = tmp_path / "feed.txt"
+    path.write_bytes(b"# a\x0cb\n\xff\n")  # grep -n puts the bad byte on line 2
+    with pytest.raises(ledger.LedgerFormatError) as err:
+        read(path)
+    assert err.value.line_number == 2
+    assert str(err.value) == f"{path}: line 2: not UTF-8"
+
+
 def test_ledger_format_error_names_the_file(tmp_path):
     path = tmp_path / "chain.ldg"
     ledger.write_ledger(_fig10_fixture(), path)

@@ -228,10 +228,13 @@ def test_peer_answers_a_good_frame_then_hangs_up_on_a_bad_one(spoil):
     conn.send(ping_frame(5))
     command, payload = read_frame(conn)
     assert (command, wirecodec.decode_pong(payload)) == ("pong", 5)
-    conn.send(spoil(ping_frame(6)))
+    # the pong to a ping sent together with the bad frame arrives before the hang-up
+    conn.send(ping_frame(6) + spoil(ping_frame(7)))
+    command, payload = read_frame(conn)
+    assert (command, wirecodec.decode_pong(payload)) == ("pong", 6)
     with pytest.raises(ConnectionClosedError):
         conn.recv_exact(1, timeout=1.0)
-    conn.send(ping_frame(7))  # a peer that hung up ignores what follows
+    conn.send(ping_frame(8))  # a peer that hung up ignores what follows
     with pytest.raises(ConnectionClosedError):
         conn.recv_exact(1, timeout=1.0)
 
@@ -414,20 +417,29 @@ def test_topology_file_rejects_unknown_behavior(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content, line",
+    "content, line, reason",
     [
-        (b"10.0.0.1:8333 normal 9 600000 25 -\n10.0.0.2:8333 normal x 0 0 -\n", 2),
-        (b"# caf\xe9\n10.0.0.1:8333 normal 9 600000 25 -\n", 1),
-        (b"@rng_seed 1\n\n@bogus 2\n", 3),
+        (
+            b"10.0.0.1:8333 normal 9 600000 25 -\n10.0.0.2:8333 normal x 0 0 -\n",
+            2,
+            "invalid literal for int() with base 10: 'x'",
+        ),
+        (b"# caf\xe9\n10.0.0.1:8333 normal 9 600000 25 -\n", 1, "not UTF-8"),
+        (b"@rng_seed 1\n\n@bogus 2\n", 3, "unknown directive '@bogus'"),
+        (
+            b"10.0.0.1:8333 normal 9 0 0 -\n10.0.0.2:8333 normal 9 0 0 -\n10.0.0.1:8333 slow 9 0 0 -\n",
+            3,
+            "10.0.0.1:8333 repeats line 1",
+        ),
     ],
-    ids=["services", "not-utf8", "directive"],
+    ids=["services", "not-utf8", "directive", "repeat"],
 )
-def test_topology_file_errors_name_the_file_and_the_line(tmp_path, content, line):
+def test_topology_file_errors_name_the_file_and_the_line(tmp_path, content, line, reason):
     path = tmp_path / "bad.topo"
     path.write_bytes(content)
     with pytest.raises(ValueError) as err:
         simnet.load_topology(path)
-    assert str(err.value).startswith(f"{path}: line {line}: ")
+    assert str(err.value) == f"{path}: line {line}: {reason}"
 
 
 def test_topology_file_rejects_wrong_column_count(tmp_path):

@@ -167,8 +167,9 @@ def test_corrupt_file_in_a_series_is_named(tmp_path):
 def test_unsupported_schema_version(tmp_path):
     path = tmp_path / f"v2{store.SNAPSHOT_SUFFIX}"
     path.write_text("schema:2 kind:header started_at:1 finished_at:2 seed_count:0 seeds: config: partial:0\n")
-    with pytest.raises(store.SchemaVersionUnsupportedError):
+    with pytest.raises(store.SchemaVersionUnsupportedError) as err:
         store.read_snapshot(path)
+    assert str(err.value) == f"{path}: schema '2'"
 
 
 def test_missing_header_is_corrupt(tmp_path):
