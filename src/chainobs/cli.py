@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import logging
 import os
 import sys
 import time
+import typing
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,37 +59,26 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _load_seeds(source: str) -> list[Endpoint]:
-    """A path to a seed file, or comma-separated DNS names."""
-    if Path(source).exists():
-        return crawler.bootstrap_seeds(Path(source))
-    return crawler.bootstrap_seeds([name for name in source.split(",") if name.strip()])
+# The CrawlConfig fields a user sets: each is a flag with the field's type and default.
+_CRAWL_SETTINGS = (
+    "max_inflight", "connect_timeout_ms", "handshake_timeout_ms", "getaddr_rounds", "ping_count", "max_frontier"
+)
 
 
 def _crawl_config(args: argparse.Namespace, seeds: list[Endpoint], magic: bytes) -> crawler.CrawlConfig:
-    return crawler.CrawlConfig(
-        seeds=tuple(seeds),
-        max_inflight=args.max_inflight,
-        connect_timeout_ms=args.connect_timeout_ms,
-        handshake_timeout_ms=args.handshake_timeout_ms,
-        getaddr_rounds=args.getaddr_rounds,
-        ping_count=args.ping_count,
-        max_frontier=args.max_frontier,
-        magic=magic,
-    )
+    settings = {name: getattr(args, name) for name in _CRAWL_SETTINGS}
+    return crawler.CrawlConfig(seeds=tuple(seeds), magic=magic, **settings)
 
 
 def _add_crawl_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-inflight", type=int, default=512)
-    parser.add_argument("--connect-timeout-ms", type=float, default=5000.0)
-    parser.add_argument("--handshake-timeout-ms", type=float, default=5000.0)
-    parser.add_argument("--getaddr-rounds", type=int, default=3)
-    parser.add_argument("--ping-count", type=int, default=5)
-    parser.add_argument("--max-frontier", type=int, default=1_000_000)
+    types = typing.get_type_hints(crawler.CrawlConfig)
+    defaults = {field.name: field.default for field in dataclasses.fields(crawler.CrawlConfig)}
+    for name in _CRAWL_SETTINGS:
+        parser.add_argument(f"--{name.replace('_', '-')}", type=types[name], default=defaults[name])
 
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
-    seeds = _load_seeds(args.seeds)
+    seeds = crawler.bootstrap_seeds(args.seeds)
     if args.simnet:
         topology = simnet.load_topology(args.simnet)
         transport = simnet.build_network(topology)
@@ -232,8 +223,9 @@ def _coinjoin_params(args: argparse.Namespace) -> ledger.CoinJoinParams:
 
 
 def _add_coinjoin_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--coinjoin-min-inputs", type=int, default=2)
-    parser.add_argument("--coinjoin-equal-outputs", type=int, default=3)
+    defaults = ledger.DEFAULT_COINJOIN_PARAMS
+    parser.add_argument("--coinjoin-min-inputs", type=int, default=defaults.min_inputs)
+    parser.add_argument("--coinjoin-equal-outputs", type=int, default=defaults.equal_output_count)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -297,7 +289,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_sim(args: argparse.Namespace) -> int:
     topology = simnet.load_topology(args.topology)
-    seeds = _load_seeds(args.seeds) if args.seeds else list(topology.seed_ids)
+    seeds = crawler.bootstrap_seeds(args.seeds) if args.seeds else list(topology.seed_ids)
     if not seeds:
         raise ValueError("topology has no @seeds directive and --seeds was not given")
     network = simnet.build_network(topology)

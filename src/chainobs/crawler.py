@@ -11,8 +11,9 @@ Each phase waits under its own deadline of one handshake timeout on the
 connection's clock: the whole handshake, each ping, and each getaddr round.
 Pings from the peer are answered with a pong in every phase.  A frame whose
 header announces more payload than its command can carry (``addr``: 1000
-entries, ``ping``/``pong``: 8 bytes, ``verack``/``getaddr``: none) is
-rejected before its payload is read.
+entries, ``version``: 1 KiB, ``ping``/``pong``: 8 bytes,
+``verack``/``getaddr``: none) is rejected before its payload is read; any
+other command may announce up to the 4 MiB frame limit.
 
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  Connection, timeout,
@@ -30,7 +31,7 @@ import struct
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -99,20 +100,17 @@ class CrawlConfig:
             raise EmptySeedSetError("crawl needs at least one seed")
 
     def digest(self) -> str:
-        text = "|".join(
-            [
-                ",".join(str(s) for s in self.seeds),
-                str(self.max_inflight),
-                str(self.connect_timeout_ms),
-                str(self.handshake_timeout_ms),
-                str(self.getaddr_rounds),
-                str(self.ping_count),
-                str(self.max_frontier),
-                self.magic.hex(),
-                self.user_agent,
-            ]
-        )
+        """Hash of every field in declaration order: tuples comma-joined, bytes as hex."""
+        text = "|".join(_digest_text(getattr(self, field.name)) for field in fields(self))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _digest_text(value: object) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    if isinstance(value, bytes):
+        return value.hex()
+    return str(value)
 
 
 @dataclass
@@ -157,10 +155,10 @@ def bootstrap_seeds(
 ) -> list[Endpoint]:
     """Resolve a seed source into a deduplicated endpoint list.
 
-    A path (or path string pointing at an existing file) is read as one
-    ``ip[:port]`` per line with ``#`` comments; any other sequence of strings
-    is treated as DNS names whose A/AAAA records all become seeds on the
-    default port.
+    A path (or path string) naming an existing file is read as one
+    ``ip[:port]`` per line with ``#`` comments.  Any other string or path is
+    comma-separated DNS names, any other sequence is DNS names, and blank
+    names are skipped; every A/AAAA record of a name is a seed on the default port.
     """
     resolver = resolver or _default_resolver
     endpoints: list[Endpoint] = []
@@ -176,7 +174,8 @@ def bootstrap_seeds(
             except ValueError as exc:
                 raise ValueError(f"{source}: line {lineno}: {exc}") from exc
     else:
-        names = [source] if isinstance(source, (str, Path)) else list(source)
+        names = str(source).split(",") if isinstance(source, (str, Path)) else source
+        names = [name for name in names if name.strip()]
         if not names:
             raise EmptySeedSetError("no seed names given")
         failures = 0
@@ -199,10 +198,11 @@ def bootstrap_seeds(
 # --- single-peer probe -----------------------------------------------------
 
 
-# Largest payload each fixed-format command can carry, checked before the
-# payload is buffered; version and unknown commands get MAX_PAYLOAD_SIZE.
+# Largest payload each known command can carry, checked before the payload
+# is buffered; unknown commands get MAX_PAYLOAD_SIZE.
 _MAX_PAYLOAD_BY_COMMAND = {
     b"addr": 3 + 30 * wirecodec.MAX_ADDR_ENTRIES,
+    b"version": wirecodec.MAX_VERSION_PAYLOAD_SIZE,
     b"ping": 8,
     b"pong": 8,
     b"verack": 0,

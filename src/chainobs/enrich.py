@@ -15,7 +15,6 @@ counter records how often the sources differed.
 from __future__ import annotations
 
 import csv
-import io
 import ipaddress
 import logging
 from dataclasses import dataclass
@@ -108,15 +107,16 @@ class IpMetadataTable:
     def from_csv(cls, *paths: str | Path) -> "IpMetadataTable":
         table = cls()
         for path in paths:
-            rows = csv.reader(io.StringIO(_read_text(path), newline=""))
-            for row in rows:
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                try:
+            # fed one line at a time, csv numbers lines as _content_lines does
+            rows = csv.reader(_read_text(path).split("\n"))
+            try:
+                for row in rows:
+                    if not row or row[0].lstrip().startswith("#"):
+                        continue
                     prefix, country, asn, org = (field.strip() for field in row[:4])
                     table.add(prefix, country, int(asn), org)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
+            except (ValueError, csv.Error) as exc:
+                raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
         return table
 
     def __len__(self) -> int:

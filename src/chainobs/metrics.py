@@ -35,10 +35,10 @@ from typing import Mapping, Sequence
 from .crawler import Snapshot
 from .enrich import NET_IPV4, NET_IPV6, NET_TOR, classify_network
 from .transport import Endpoint
+from .wirecodec import DEFAULT_PORT
 
 log = logging.getLogger(__name__)
 
-DEFAULT_PORT = 8333
 DEFAULT_HEIGHT_TOLERANCE = 144
 DEFAULT_EXCURSION_THRESHOLD = 0.5  # tau: fractional rise over the moving average
 DEFAULT_EWMA_ALPHA = 0.3

@@ -187,9 +187,7 @@ def _parse_record(fields: Mapping[str, str], lineno: int) -> PeerRecord:
             min_rtt_ms=float(fields["minrtt"]) if "minrtt" in fields else None,
             addr_count_returned=int(fields.get("addrs", "0")),
         )
-    except CorruptRecordError:
-        raise
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CorruptRecordError(lineno, str(exc)) from exc
 
 
@@ -202,7 +200,8 @@ def read_snapshot(path: str | Path) -> Snapshot:
 def _parse_snapshot(text: str) -> Snapshot:
     header: dict[str, str] | None = None
     records: dict[Endpoint, PeerRecord] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    # a written value never holds a raw \r, so \r\n can only be a CRLF line end
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip():
             continue
         fields = _parse_line(line, lineno)

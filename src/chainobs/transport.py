@@ -10,7 +10,7 @@ never needs to know which one it got.
 Endpoints are keyed by canonical IP text (see :class:`Endpoint`) and a port
 in 0-65535.  Every reader of an input file decodes it here, so a byte that
 is not UTF-8 is reported with the file and the line, and a line ends only at
-a newline byte, as in ``grep -n`` (prefix tables keep ``csv``'s line rule).
+a newline byte, as in ``grep -n``.
 """
 
 from __future__ import annotations

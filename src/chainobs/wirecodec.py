@@ -45,6 +45,8 @@ MAX_PAYLOAD_SIZE = 4 * 1024 * 1024
 MAX_COMMAND_SIZE = 12
 MAX_ADDR_ENTRIES = 1000
 MAX_USER_AGENT_BYTES = 256
+# decode_version reads at most 344 bytes; the rest is room for fields newer peers append
+MAX_VERSION_PAYLOAD_SIZE = 1024
 
 # Modal protocol version on the measured network; what we speak when probing.
 PROTOCOL_VERSION = 70015

@@ -1,13 +1,17 @@
 """End-to-end subcommand tests against simulated inputs."""
 
+import argparse
 import csv
+import dataclasses
 import itertools
 import random
+import typing
 
 import pytest
 
 from chainobs import cli, ledger, simnet, snapshotstore
-from chainobs.ledger import COIN, LedgerTx
+from chainobs.crawler import CrawlConfig
+from chainobs.ledger import COIN, DEFAULT_COINJOIN_PARAMS, LedgerTx
 from helpers import BASE_TS, concentrated_ledger, make_record, make_snapshot, zero_fee_ledger
 
 
@@ -98,6 +102,44 @@ def test_unknown_flag_exits_one(capsys):
         cli.main(["crawl", "--seeds", "x", "--out", "y", "--bogus"])
     assert err.value.code == 1
     assert "usage" in capsys.readouterr().err
+
+
+def _parsed(argv):
+    """The parsed namespace of ``argv`` and the type of each option of its subcommand."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return args, {action.dest: action.type for action in subparsers.choices[argv[0]]._actions}
+
+
+@pytest.mark.parametrize(
+    "argv", [["crawl", "--seeds", "s", "--out", "o"], ["sim", "--topology", "t"]], ids=["crawl", "sim"]
+)
+def test_crawl_flags_default_to_the_crawl_config_fields(argv):
+    args, types = _parsed(argv)
+    hints = typing.get_type_hints(CrawlConfig)
+    defaults = {field.name: field.default for field in dataclasses.fields(CrawlConfig)}
+    for name in (
+        "max_inflight",
+        "connect_timeout_ms",
+        "handshake_timeout_ms",
+        "getaddr_rounds",
+        "ping_count",
+        "max_frontier",
+    ):
+        assert getattr(args, name) == defaults[name]
+        assert types[name] is hints[name]
+    assert not hasattr(args, "magic") and not hasattr(args, "user_agent")
+
+
+@pytest.mark.parametrize(
+    "argv", [["cluster", "--ledger", "l", "--out", "o"], ["report", "--ledger", "l"]], ids=["cluster", "report"]
+)
+def test_coinjoin_flags_default_to_the_default_params(argv):
+    args, types = _parsed(argv)
+    assert args.coinjoin_min_inputs == DEFAULT_COINJOIN_PARAMS.min_inputs
+    assert args.coinjoin_equal_outputs == DEFAULT_COINJOIN_PARAMS.equal_output_count
+    assert types["coinjoin_min_inputs"] is types["coinjoin_equal_outputs"] is int
 
 
 def test_missing_subcommand_exits_one():

@@ -3,6 +3,8 @@
 import socket
 import struct
 import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -119,6 +121,18 @@ def test_seed_dns_resolution_collects_all_records():
 
     endpoints = crawler.bootstrap_seeds(["seed.example", "dead.example"], resolver=resolver)
     assert endpoints == [ep("10.0.0.1"), ep("2001:db8::1")]
+
+
+def test_seed_name_list_skips_blank_names():
+    resolved = []
+
+    def resolver(name):
+        resolved.append(name)
+        return [f"10.0.0.{len(resolved)}"]
+
+    endpoints = crawler.bootstrap_seeds("a.example, ,b.example", resolver=resolver)
+    assert resolved == ["a.example", "b.example"]
+    assert endpoints == [ep("10.0.0.1"), ep("10.0.0.2")]
 
 
 def test_seed_dns_all_unresolvable():
@@ -353,7 +367,7 @@ def test_probe_never_buffers_an_oversized_addr_payload():
 
 @pytest.mark.parametrize(
     "command,limit",
-    [("addr", 30_003), ("ping", 8), ("pong", 8), ("verack", 0), ("getaddr", 0)],
+    [("addr", 30_003), ("version", 1024), ("ping", 8), ("pong", 8), ("verack", 0), ("getaddr", 0)],
 )
 def test_frame_pump_rejects_payloads_longer_than_the_command_allows(command, limit):
     peer = _OversizedAddrPeer()
@@ -363,13 +377,41 @@ def test_frame_pump_rejects_payloads_longer_than_the_command_allows(command, lim
     assert peer.requested == [wirecodec.HEADER_SIZE]
 
 
-def test_frame_pump_leaves_version_and_unknown_commands_at_the_frame_limit():
-    for command in ("version", "inv"):
-        peer = _OversizedAddrPeer()
-        peer._pending = _header(command, 40_000)
-        with pytest.raises(RecvTimeoutError):  # asked for the whole payload, which never comes
-            crawler._next_frame(peer, MAGIC, deadline=1.0)
-        assert peer.requested == [wirecodec.HEADER_SIZE, 40_000]
+def test_frame_pump_leaves_unknown_commands_at_the_frame_limit():
+    peer = _OversizedAddrPeer()
+    peer._pending = _header("inv", 40_000)
+    with pytest.raises(RecvTimeoutError):  # asked for the whole payload, which never comes
+        crawler._next_frame(peer, MAGIC, deadline=1.0)
+    assert peer.requested == [wirecodec.HEADER_SIZE, 40_000]
+
+
+class _ChattyPeer(_PingingPeer):
+    """Scripted peer that sends ``chatter`` ahead of each addr."""
+
+    def __init__(self, known, chatter):
+        super().__init__(known)
+        self._chatter = chatter
+
+    def send(self, data):
+        if wirecodec.decode_message(data, MAGIC)[0] == "getaddr":
+            self._queue(*self._chatter)
+        super().send(data)
+
+
+@pytest.mark.parametrize("chatter", [("inv", b"\x00"), ("sendheaders", b"")], ids=["inv", "sendheaders"])
+def test_harvest_skips_frames_that_arrive_ahead_of_the_addr(chatter):
+    known = tuple(ep(f"10.3.0.{i}") for i in range(4))
+    peer = _ChattyPeer(known, chatter)
+
+    class OnePeer:
+        def connect(self, endpoint, timeout):
+            return peer
+
+    cfg = config([ep("10.0.0.1")], ping_count=1, getaddr_rounds=2)
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
+    assert record.status == STATUS_ACTIVE
+    assert harvested == list(known)
+    assert record.addr_count_returned == 8
 
 
 def test_probe_keeps_min_rtt_absent_when_pings_ignored():
@@ -509,6 +551,26 @@ def test_crawl_config_validation():
         CrawlConfig(seeds=(ep("10.0.0.1"),), connect_timeout_ms=0)
 
 
+def test_config_digest_is_stable():
+    # snapshot headers carry these digests: a crawl series stays comparable
+    # only while the same settings hash to the same value
+    assert CrawlConfig(seeds=(ep("10.0.0.1"),)).digest() == "d538e99f438e1002"
+    assert (
+        CrawlConfig(
+            seeds=(ep("2001:db8::1", 18333), ep("10.0.0.2", 1)),
+            max_inflight=3,
+            connect_timeout_ms=1.5,
+            handshake_timeout_ms=250.0,
+            getaddr_rounds=0,
+            ping_count=1,
+            max_frontier=7,
+            magic=b"\xfa\xce\xb0\x0c",
+            user_agent="/x y:1/",
+        ).digest()
+        == "438cb429126461f1"
+    )
+
+
 # --- TCP transport ------------------------------------------------------------------
 
 
@@ -590,3 +652,75 @@ def test_tcp_connect_refused_maps_to_transport_error():
     sock.close()  # nothing listens here now
     with pytest.raises(crawler.TransportError):
         TcpTransport().connect(ep("127.0.0.1", port), timeout=0.5)
+
+
+@contextmanager
+def _listener(*handlers):
+    """Loopback listener whose thread hands its n-th accepted connection to ``handlers[n]``."""
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(len(handlers))
+    server.settimeout(5)
+
+    def serve():
+        for handler in handlers:
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(5)
+                handler(conn)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield ep("127.0.0.1", server.getsockname()[1])
+    finally:
+        thread.join(timeout=10)
+        server.close()
+    assert not thread.is_alive()
+
+
+def test_tcp_recv_from_a_silent_peer_times_out():
+    with _listener(lambda conn: conn.recv(1)) as endpoint:  # silent until we hang up
+        conn = TcpTransport().connect(endpoint, timeout=2.0)
+        try:
+            with pytest.raises(RecvTimeoutError):
+                conn.recv_exact(1, 0.0)
+            started = time.monotonic()
+            with pytest.raises(RecvTimeoutError):
+                conn.recv_exact(wirecodec.HEADER_SIZE, 0.2)
+            assert 0.15 <= time.monotonic() - started < 2.0
+        finally:
+            conn.close()
+
+
+def _half_a_header(conn):
+    conn.sendall(wirecodec.MAINNET_MAGIC + b"ver")
+
+
+def test_tcp_peer_that_hangs_up_mid_header():
+    with _listener(_half_a_header, _half_a_header) as endpoint:
+        conn = TcpTransport().connect(endpoint, timeout=2.0)
+        try:
+            with pytest.raises(ConnectionClosedError):
+                conn.recv_exact(wirecodec.HEADER_SIZE, 2.0)
+        finally:
+            conn.close()
+        cfg = CrawlConfig(seeds=(endpoint,), connect_timeout_ms=2000.0, handshake_timeout_ms=2000.0)
+        record, harvested = crawler.probe_peer(endpoint, cfg, TcpTransport())
+    assert record.status == STATUS_INACTIVE and harvested == []
+
+
+def _reset(conn):
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close sends RST
+
+
+def test_tcp_recv_and_send_after_a_reset_fail_as_closed():
+    with _listener(_reset) as endpoint:
+        conn = TcpTransport().connect(endpoint, timeout=2.0)
+        try:
+            with pytest.raises(ConnectionClosedError):
+                conn.recv_exact(wirecodec.HEADER_SIZE, 2.0)
+            with pytest.raises(ConnectionClosedError):
+                conn.send(b"\x00" * 64)
+        finally:
+            conn.close()

@@ -128,8 +128,9 @@ def test_csv_loading_and_first_listed_priority(tmp_path):
         (b"# prefix,country,asn,org\n10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE\n", 3),
         (b'10.0.0.0/8,US,64500,"Alpha\nBeta"\n10.1.0.0/16,DE,AS1,Gamma\n', 3),
         (b"10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE,64501,Caf\xe9\n", 2),
+        (b"10.0.0.0/8,US,1,A\r20.0.0.0/8,DE,x,B\n", 1),  # a line ends at \n only, as in grep -n
     ],
-    ids=["short-row", "bad-asn-after-quoted-newline", "not-utf8"],
+    ids=["short-row", "bad-asn-after-quoted-newline", "not-utf8", "lone-cr"],
 )
 def test_prefix_csv_errors_name_the_file_and_the_line(tmp_path, content, line):
     path = tmp_path / "prefixes.csv"
@@ -137,6 +138,14 @@ def test_prefix_csv_errors_name_the_file_and_the_line(tmp_path, content, line):
     with pytest.raises(ValueError) as err:
         IpMetadataTable.from_csv(path)
     assert str(err.value).startswith(f"{path}: line {line}: ")
+
+
+def test_prefix_csv_with_crlf_endings_loads(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b'# prefix,country,asn,org\r\n10.0.0.0/8,US,64500,"Alpha, Inc"\r\n20.0.0.0/8,DE,64501,Beta\r\n')
+    table = IpMetadataTable.from_csv(path)
+    assert table.lookup("10.1.1.1") == enrich.IpMetadata("US", 64500, "Alpha, Inc")
+    assert table.lookup("20.1.1.1") == enrich.IpMetadata("DE", 64501, "Beta")
 
 
 def _linear_oracle(entries, ip):

@@ -28,6 +28,20 @@ def test_round_trip_identity_small_snapshot(tmp_path):
     assert store.read_snapshot(path) == snapshot
 
 
+def test_crlf_copy_reads_back_equal(tmp_path):
+    snapshot = make_snapshot(
+        [make_record("10.0.0.1", user_agent="/a b:1/"), make_record("10.0.0.2", status=STATUS_INACTIVE)],
+        seeds=[Endpoint.make("10.0.0.1")],
+    )
+    snapshot.partial = True
+    path = tmp_path / f"crlf{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(snapshot, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    loaded = store.read_snapshot(path)
+    assert loaded.partial
+    assert loaded == snapshot
+
+
 def test_records_are_sorted_by_address(tmp_path):
     snapshot = make_snapshot([make_record("10.0.0.9"), make_record("10.0.0.1"), make_record("9.1.1.1")])
     path = tmp_path / f"s{store.SNAPSHOT_SUFFIX}"
