@@ -108,14 +108,20 @@ class IpMetadataTable:
         table = cls()
         for path in paths:
             # fed one line at a time, csv numbers lines as _content_lines does
-            rows = csv.reader(_read_text(path).split("\n"))
+            lines = _read_text(path).split("\n")
+            rows = csv.reader(lines)
             try:
                 for row in rows:
                     if not row or row[0].lstrip().startswith("#"):
                         continue
                     prefix, country, asn, org = (field.strip() for field in row[:4])
                     table.add(prefix, country, int(asn), org)
-            except (ValueError, csv.Error) as exc:
+            except csv.Error as exc:
+                # csv's own text for a lone \r asks the caller to open the file another way
+                lone_cr = "\r" in lines[rows.line_num - 1].rstrip("\r")
+                reason = "carriage return inside a row" if lone_cr else exc
+                raise ValueError(f"{path}: line {rows.line_num}: {reason}") from exc
+            except ValueError as exc:
                 raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
         return table
 

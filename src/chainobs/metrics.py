@@ -117,7 +117,11 @@ class TimelineSeries:
     ``rtt_series[endpoint]`` holds one entry per *active* slot of the
     endpoint's timeline (None when that snapshot recorded no RTT).
     ``imputed_slots`` lists grid slots no snapshot covered; those slots are
-    inactive for every node.
+    inactive for every node.  ``timelines`` and ``rtt_series`` hold every
+    endpoint of every snapshot, in the order of first appearance: snapshots
+    by start time, records within a snapshot in their stored order.  An
+    endpoint seen only in a snapshot that lost its grid slot to a later one
+    is inactive throughout.
     """
 
     interval_seconds: int
@@ -148,38 +152,39 @@ def build_timelines(snapshots: Sequence[Snapshot], interval_seconds: int | None 
     ordered = sorted(snapshots, key=lambda s: s.started_at)
     if interval_seconds is None:
         interval_seconds = infer_interval(ordered) if len(ordered) > 1 else 1
+    elif interval_seconds <= 0:
+        raise ValueError(f"grid interval must be positive, not {interval_seconds}")
     t0 = ordered[0].started_at
     span = ordered[-1].started_at - t0
     slot_count = int(round(span / interval_seconds)) + 1
-    by_slot: dict[int, Snapshot] = {}
-    for snapshot in ordered:
-        slot = int(round((snapshot.started_at - t0) / interval_seconds))
-        if slot in by_slot:
+    slots = [int(round((snapshot.started_at - t0) / interval_seconds)) for snapshot in ordered]
+    kept: dict[int, int] = {}  # grid slot -> index in ordered of the snapshot that fills it
+    for index, slot in enumerate(slots):
+        if slot in kept:
             log.warning("two snapshots map to grid slot %d; keeping the later one", slot)
-        by_slot[slot] = snapshot
+        kept[slot] = index
 
-    imputed = tuple(i for i in range(slot_count) if i not in by_slot)
+    imputed = tuple(i for i in range(slot_count) if i not in kept)
     if imputed:
         log.warning("%d of %d grid slots have no snapshot; imputed as inactive", len(imputed), slot_count)
 
-    addresses: set[Endpoint] = set()
-    for snapshot in ordered:
-        addresses.update(snapshot.records)
+    # one pass over the records, in slot order: activity row and active-slot RTTs per endpoint
+    rows: dict[Endpoint, tuple[list[bool], list[float | None]]] = {}
+    for index, (snapshot, slot) in enumerate(zip(ordered, slots)):
+        on_grid = kept[slot] == index
+        for address, record in snapshot.records.items():
+            row = rows.get(address)
+            if row is None:
+                row = rows[address] = ([False] * slot_count, [])
+            if on_grid and record.is_active:
+                row[0][slot] = True
+                row[1].append(record.min_rtt_ms)
 
-    timelines: dict[Endpoint, ActivityTimeline] = {}
-    rtt_series: dict[Endpoint, tuple[float | None, ...]] = {}
-    for address in addresses:
-        activity = []
-        rtts: list[float | None] = []
-        for slot in range(slot_count):
-            snapshot = by_slot.get(slot)
-            record = snapshot.records.get(address) if snapshot else None
-            active = record is not None and record.is_active
-            activity.append(active)
-            if active:
-                rtts.append(record.min_rtt_ms)
-        timelines[address] = ActivityTimeline(address, interval_seconds, tuple(activity))
-        rtt_series[address] = tuple(rtts)
+    timelines = {
+        address: ActivityTimeline(address, interval_seconds, tuple(activity))
+        for address, (activity, _) in rows.items()
+    }
+    rtt_series = {address: tuple(rtts) for address, (_, rtts) in rows.items()}
 
     slot_times = tuple(t0 + i * interval_seconds for i in range(slot_count))
     return TimelineSeries(

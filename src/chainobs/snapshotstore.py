@@ -17,6 +17,11 @@ and the error names the file and the line.  Writes go to a temporary file
 that is renamed over the target, so a crash never leaves a half-written
 snapshot behind.
 
+A series read by :func:`load_series` shares one :class:`Endpoint` per
+address: the ``addr`` and ``port`` text of a record is canonicalised the
+first time the series meets it, and every later record with the same text
+holds the same object.  The table lives only as long as the call.
+
 Record keys::
 
     addr port net status services pver ua height minrtt first_seen last_seen addrs
@@ -91,13 +96,12 @@ def _emit(pairs: Iterable[tuple[str, str]]) -> str:
 def _parse_line(line: str, lineno: int) -> dict[str, str]:
     fields: dict[str, str] = {}
     tokens = line.split(" ")
-    # unquote() returns %-free text unchanged, so only an escaped line needs it
-    escaped = "%" in line
     for token in tokens:
         key, sep, value = token.partition(":")
         if not sep or not key:
             raise CorruptRecordError(lineno, f"token {token!r} is not key:value")
-        fields[key] = unquote(value) if escaped else value
+        # unquote() returns %-free text unchanged, so only an escaped value needs it
+        fields[key] = unquote(value) if "%" in value else value
     if len(fields) != len(tokens):
         raise CorruptRecordError(lineno, "a key appears more than once")
     return fields
@@ -169,9 +173,15 @@ def _require(fields: Mapping[str, str], key: str, lineno: int) -> str:
     return fields[key]
 
 
-def _parse_record(fields: Mapping[str, str], lineno: int) -> PeerRecord:
+def _parse_record(
+    fields: Mapping[str, str], lineno: int, endpoints: dict[tuple[str, str], Endpoint]
+) -> PeerRecord:
     try:
-        endpoint = Endpoint.make(_require(fields, "addr", lineno), int(_require(fields, "port", lineno)))
+        key = (_require(fields, "addr", lineno), _require(fields, "port", lineno))
+        endpoint = endpoints.get(key)
+        if endpoint is None:
+            # a bad address or port raises here, so the table holds only valid endpoints
+            endpoint = endpoints[key] = Endpoint.make(key[0], int(key[1]))
         status = _require(fields, "status", lineno)
         if status not in (STATUS_ACTIVE, STATUS_INACTIVE):
             raise CorruptRecordError(lineno, f"unknown status {status!r}")
@@ -191,13 +201,15 @@ def _parse_record(fields: Mapping[str, str], lineno: int) -> PeerRecord:
         raise CorruptRecordError(lineno, str(exc)) from exc
 
 
-def read_snapshot(path: str | Path) -> Snapshot:
+def read_snapshot(path: str | Path, *, _endpoints: dict[tuple[str, str], Endpoint] | None = None) -> Snapshot:
+    # _endpoints: the (addr, port) text -> Endpoint table that load_series shares across its files
+    endpoints = {} if _endpoints is None else _endpoints
     # a series holds dozens of files: the message names the bad one
     with _naming_file(path, SnapshotStoreError):
-        return _parse_snapshot(_read_text(path, CorruptRecordError))
+        return _parse_snapshot(_read_text(path, CorruptRecordError), endpoints)
 
 
-def _parse_snapshot(text: str) -> Snapshot:
+def _parse_snapshot(text: str, endpoints: dict[tuple[str, str], Endpoint]) -> Snapshot:
     header: dict[str, str] | None = None
     records: dict[Endpoint, PeerRecord] = {}
     # a written value never holds a raw \r, so \r\n can only be a CRLF line end
@@ -213,7 +225,7 @@ def _parse_snapshot(text: str) -> Snapshot:
                 raise SchemaVersionUnsupportedError(f"schema {schema!r}")
             header = fields
             continue
-        record = _parse_record(fields, lineno)
+        record = _parse_record(fields, lineno, endpoints)
         records[record.address] = record
     if header is None:
         raise CorruptRecordError(1, "empty snapshot file")
@@ -238,7 +250,9 @@ def _parse_snapshot(text: str) -> Snapshot:
 def load_series(directory: str | Path) -> list[Snapshot]:
     """Read every ``*.snap.ndrec`` under ``directory``, sorted by start time."""
     paths = sorted(Path(directory).glob(f"*{SNAPSHOT_SUFFIX}"))
-    snapshots = [read_snapshot(p) for p in paths]
+    # one table for the whole call: each address is canonicalised once per series
+    endpoints: dict[tuple[str, str], Endpoint] = {}
+    snapshots = [read_snapshot(p, _endpoints=endpoints) for p in paths]
     snapshots.sort(key=lambda s: s.started_at)
     return snapshots
 

@@ -29,3 +29,8 @@ def test_traced_tiny_run_is_correct_and_reports_every_layer(tmp_path, workload):
     assert result["correct"] and result["failed"] == 0
     assert digest != "inconsistent"
     assert PER_LAYER <= set(result["metrics"])
+    if workload == "census":
+        # load_series reads through the traced read_snapshot and builds each Endpoint once per series
+        value = {name: metric["value"] for name, metric in result["metrics"].items()}
+        assert value["snapshotstore.records_read"] > 0
+        assert value["transport.endpoint_make.calls"] < value["snapshotstore.records_read"]

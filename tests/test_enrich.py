@@ -123,29 +123,35 @@ def test_csv_loading_and_first_listed_priority(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content, line",
+    "content, line, reason",
     [
-        (b"# prefix,country,asn,org\n10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE\n", 3),
-        (b'10.0.0.0/8,US,64500,"Alpha\nBeta"\n10.1.0.0/16,DE,AS1,Gamma\n', 3),
-        (b"10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE,64501,Caf\xe9\n", 2),
-        (b"10.0.0.0/8,US,1,A\r20.0.0.0/8,DE,x,B\n", 1),  # a line ends at \n only, as in grep -n
+        (b"# prefix,country,asn,org\n10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE\n", 3, "not enough values"),
+        (b'10.0.0.0/8,US,64500,"Alpha\nBeta"\n10.1.0.0/16,DE,AS1,Gamma\n', 3, "invalid literal"),
+        (b"10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE,64501,Caf\xe9\n", 2, "not UTF-8"),
+        # a line ends at \n only, as in grep -n
+        (b"10.0.0.0/8,US,1,A\r20.0.0.0/8,DE,x,B\n", 1, "carriage return inside a row"),
+        (b'# crlf\r\n10.0.0.0/8,US,1,"A"\rB\r\n', 2, "carriage return inside a row"),
     ],
-    ids=["short-row", "bad-asn-after-quoted-newline", "not-utf8", "lone-cr"],
+    ids=["short-row", "bad-asn-after-quoted-newline", "not-utf8", "lone-cr", "lone-cr-after-quote-in-crlf-file"],
 )
-def test_prefix_csv_errors_name_the_file_and_the_line(tmp_path, content, line):
+def test_prefix_csv_errors_name_the_file_and_the_line(tmp_path, content, line, reason):
     path = tmp_path / "prefixes.csv"
     path.write_bytes(content)
     with pytest.raises(ValueError) as err:
         IpMetadataTable.from_csv(path)
-    assert str(err.value).startswith(f"{path}: line {line}: ")
+    assert str(err.value).startswith(f"{path}: line {line}: {reason}")
 
 
 def test_prefix_csv_with_crlf_endings_loads(tmp_path):
     path = tmp_path / "crlf.csv"
-    path.write_bytes(b'# prefix,country,asn,org\r\n10.0.0.0/8,US,64500,"Alpha, Inc"\r\n20.0.0.0/8,DE,64501,Beta\r\n')
+    path.write_bytes(
+        b'# prefix,country,asn,org\r\n10.0.0.0/8,US,64500,"Alpha, Inc"\r\n20.0.0.0/8,DE,64501,Beta\r\n'
+        b'30.0.0.0/8,FR,64502,"Gamma\rDelta"\r\n'  # a quoted carriage return is data
+    )
     table = IpMetadataTable.from_csv(path)
     assert table.lookup("10.1.1.1") == enrich.IpMetadata("US", 64500, "Alpha, Inc")
     assert table.lookup("20.1.1.1") == enrich.IpMetadata("DE", 64501, "Beta")
+    assert table.lookup("30.1.1.1") == enrich.IpMetadata("FR", 64502, "Gamma\rDelta")
 
 
 def _linear_oracle(entries, ip):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chainobs import metrics
-from chainobs.crawler import STATUS_INACTIVE
+from chainobs.crawler import STATUS_ACTIVE, STATUS_INACTIVE
 from chainobs.metrics import SnapshotStats
 from chainobs.transport import Endpoint
 from helpers import make_record, make_snapshot, timeline
@@ -380,6 +380,111 @@ def test_build_timelines_infers_interval():
 def test_build_timelines_rejects_empty_input():
     with pytest.raises(ValueError):
         metrics.build_timelines([])
+
+
+@pytest.mark.parametrize("interval", [0, -600])
+def test_build_timelines_rejects_a_grid_interval_of_zero_or_less(interval):
+    with pytest.raises(ValueError, match="grid interval must be positive"):
+        metrics.build_timelines(_series_snapshots(), interval_seconds=interval)
+
+
+def test_build_timelines_keys_follow_first_appearance():
+    a, b, c, d = (Endpoint.make(f"10.0.0.{i}") for i in (1, 2, 3, 4))
+    s1 = make_snapshot([make_record("10.0.0.2"), make_record("10.0.0.1")], started_at=1000)
+    displaced = make_snapshot([make_record("10.0.0.4"), make_record("10.0.0.1")], started_at=1590)
+    s2 = make_snapshot([make_record("10.0.0.3"), make_record("10.0.0.1")], started_at=1600)
+    series = metrics.build_timelines([s2, displaced, s1], interval_seconds=600)
+    assert list(series.timelines) == list(series.rtt_series) == [b, a, d, c]
+    # d lost its only snapshot's grid slot to s2
+    assert series.timelines[d].activity == (False, False)
+    assert series.rtt_series[d] == ()
+
+
+def _build_timelines_per_address(snapshots, interval_seconds=None):
+    """The reference: build_timelines as it was, one lookup per address and grid slot."""
+    ordered = sorted(snapshots, key=lambda s: s.started_at)
+    if interval_seconds is None:
+        interval_seconds = metrics.infer_interval(ordered) if len(ordered) > 1 else 1
+    t0 = ordered[0].started_at
+    span = ordered[-1].started_at - t0
+    slot_count = int(round(span / interval_seconds)) + 1
+    by_slot = {}
+    for snapshot in ordered:
+        by_slot[int(round((snapshot.started_at - t0) / interval_seconds))] = snapshot
+    imputed = tuple(i for i in range(slot_count) if i not in by_slot)
+    addresses = set()
+    for snapshot in ordered:
+        addresses.update(snapshot.records)
+    timelines = {}
+    rtt_series = {}
+    for address in addresses:
+        activity = []
+        rtts = []
+        for slot in range(slot_count):
+            snapshot = by_slot.get(slot)
+            record = snapshot.records.get(address) if snapshot else None
+            active = record is not None and record.is_active
+            activity.append(active)
+            if active:
+                rtts.append(record.min_rtt_ms)
+        timelines[address] = metrics.ActivityTimeline(address, interval_seconds, tuple(activity))
+        rtt_series[address] = tuple(rtts)
+    slot_times = tuple(t0 + i * interval_seconds for i in range(slot_count))
+    return metrics.TimelineSeries(interval_seconds, slot_times, timelines, rtt_series, imputed)
+
+
+def _random_series(rng):
+    """A series with missing slots, inactive records, None RTTs, and slots filled twice,
+    where the displaced snapshot may hold an address no other snapshot has."""
+    interval = rng.choice([60, 600, 1800])
+    pool = [f"10.0.{i // 256}.{i % 256}" for i in range(rng.randint(1, 30))] + ["2001:db8::1", "fd87:d87e:eb43::9"]
+    snapshots = []
+    ghosts = 0
+
+    def snapshot_at(started_at, extra=()):
+        records = [
+            make_record(
+                ip,
+                port=rng.choice([8333, 18333]),
+                status=rng.choice([STATUS_ACTIVE, STATUS_ACTIVE, STATUS_INACTIVE]),
+                min_rtt_ms=rng.choice([None, round(rng.uniform(1, 300), 3)]),
+            )
+            for ip in rng.sample(pool, rng.randint(0, len(pool)))
+        ]
+        return make_snapshot(records + list(extra), started_at=started_at)
+
+    slot_count = rng.randint(1, 12)
+    for slot in range(slot_count):
+        start = 10_000 + slot * interval
+        if 0 < slot < slot_count - 1 and rng.random() < 0.2:
+            continue  # a missing snapshot
+        if rng.random() < 0.25:
+            ghosts += 1
+            ghost = make_record(f"192.0.2.{ghosts}", min_rtt_ms=rng.choice([None, 5.0]))
+            # the displaced snapshot starts at or just before the one that keeps the slot
+            snapshots.append(snapshot_at(start - rng.choice([0, interval // 4]), [ghost]))
+        snapshots.append(snapshot_at(start))
+        if rng.random() < 0.1:
+            snapshots.append(snapshots[-1])  # the same snapshot twice
+    rng.shuffle(snapshots)
+    # a lone slot filled twice has no gap to infer the interval from
+    return snapshots, interval if slot_count == 1 else rng.choice([None, interval])
+
+
+def test_build_timelines_matches_the_per_address_loop_on_random_series():
+    rng = random.Random(1010)
+    displaced_only = 0
+    for _ in range(300):
+        snapshots, interval = _random_series(rng)
+        series = metrics.build_timelines(snapshots, interval)
+        reference = _build_timelines_per_address(snapshots, interval)
+        assert series.timelines == reference.timelines
+        assert series.rtt_series == reference.rtt_series
+        assert series.slot_times == reference.slot_times
+        assert series.imputed_slots == reference.imputed_slots
+        assert series.interval_seconds == reference.interval_seconds
+        displaced_only += sum(1 for a in series.timelines if a.ip.startswith("192.0.2."))
+    assert displaced_only > 50  # the generator really made the displaced-snapshot case
 
 
 def test_version_rank_modal_lookup_helper():

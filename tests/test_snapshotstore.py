@@ -171,11 +171,14 @@ def test_corrupt_file_in_a_series_is_named(tmp_path):
             tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}",
         )
     bad = tmp_path / f"200{store.SNAPSHOT_SUFFIX}"
-    bad.write_text(bad.read_text().replace("port:8333", "port:83x3"))
-    with pytest.raises(store.CorruptRecordError) as err:
-        store.load_series(tmp_path)
-    assert err.value.line_number == 2
-    assert str(bad) in str(err.value)
+    good = bad.read_text()
+    # 10.0.0.1:8333 is already in load_series' endpoint table from the file for 100
+    for port in ("83x3", "65536"):
+        bad.write_text(good.replace("port:8333", f"port:{port}"))
+        with pytest.raises(store.CorruptRecordError) as err:
+            store.load_series(tmp_path)
+        assert err.value.line_number == 2
+        assert str(err.value).startswith(f"{bad}: line 2: ")
 
 
 def test_unsupported_schema_version(tmp_path):
@@ -300,6 +303,24 @@ def test_write_is_byte_identical_to_quoting_every_value(tmp_path, monkeypatch):
     store.write_snapshot(snapshot, reference, extra_fields=extra)
     assert fast.read_bytes() == reference.read_bytes()
     assert store.read_snapshot(fast) == snapshot
+
+
+def test_load_series_shares_one_endpoint_per_address(tmp_path):
+    for start, records in [
+        (300, [make_record("10.0.0.1"), make_record("2001:db8::7", port=18333), make_record("10.0.0.3")]),
+        (100, [make_record("10.0.0.1"), make_record("2001:db8::7", port=18333, status=STATUS_INACTIVE)]),
+        (200, [make_record("10.0.0.1", port=18333), make_record("10.0.0.3", status=STATUS_INACTIVE)]),
+    ]:
+        store.write_snapshot(make_snapshot(records, started_at=start), tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}")
+    series = store.load_series(tmp_path)
+    shared = {}
+    for snapshot in series:
+        for key, record in snapshot.records.items():
+            assert record.address is key
+            assert shared.setdefault(key, key) is key
+    assert len(shared) == 4  # 10.0.0.1 on two ports, 2001:db8::7, 10.0.0.3
+    alone = [store.read_snapshot(tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}") for start in (100, 200, 300)]
+    assert series == alone
 
 
 def test_load_series_sorted_by_start_time(tmp_path):
@@ -430,3 +451,23 @@ def test_reader_raises_only_declared_errors_on_arbitrary_bytes(fuzz_dir, data):
 @given(edits=_edits)
 def test_reader_raises_only_declared_errors_on_mutated_files(fuzz_dir, edits):
     _read_declared_errors_only(fuzz_dir, _mutate(_VALID_SNAPSHOT, edits))
+
+
+@pytest.fixture(scope="module")
+def series_fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("series-fuzz")
+    (directory / f"a{store.SNAPSHOT_SUFFIX}").write_bytes(_VALID_SNAPSHOT)
+    return directory
+
+
+@settings(max_examples=200)
+@given(edits=_edits)
+def test_series_reader_raises_only_declared_errors_on_a_mutated_copy(series_fuzz_dir, edits):
+    # the good file fills load_series' endpoint table before the mutated copy is read
+    (series_fuzz_dir / f"m{store.SNAPSHOT_SUFFIX}").write_bytes(_mutate(_VALID_SNAPSHOT, edits))
+    try:
+        series = store.load_series(series_fuzz_dir)
+    except store.SnapshotStoreError:
+        return
+    alone = [store.read_snapshot(p) for p in sorted(series_fuzz_dir.glob(f"*{store.SNAPSHOT_SUFFIX}"))]
+    assert series == sorted(alone, key=lambda s: s.started_at)
