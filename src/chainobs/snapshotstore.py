@@ -13,14 +13,24 @@ Unknown keys are ignored on read, which is the forward-compatibility hook
 the enrichment step uses to append country/AS columns without breaking older
 readers.  A record holds each key at most once; a repeated key makes the
 record corrupt, as do bytes that are not UTF-8 and a port outside 0-65535,
-and the error names the file and the line.  Writes go to a temporary file
-that is renamed over the target, so a crash never leaves a half-written
-snapshot behind.
+and the error names the file and the line.  A snapshot holds each endpoint
+once: a second record for it, in any spelling of the address, is corrupt
+and names the line of the first.  In the header, ``partial`` is ``0`` or
+``1`` and ``seed_count`` equals the number of seeds; either key may be
+missing.  Writes go to a temporary file that is renamed over the target, so
+a crash never leaves a half-written snapshot behind.
 
-A series read by :func:`load_series` shares one :class:`Endpoint` per
-address: the ``addr`` and ``port`` text of a record is canonicalised the
-first time the series meets it, and every later record with the same text
-holds the same object.  The table lives only as long as the call.
+A record line in the shape :func:`write_snapshot` emits (its keys in the
+order below, integers in ASCII digits, no escape in ``addr`` or
+``minrtt``) is read by one precompiled pattern.  Any other line, such as an
+enriched or hand-edited record, goes through the general ``key:value``
+tokenizer, with the same result or the same error.
+
+A series read by :func:`load_series` parses each shared value once: the
+``addr`` and ``port`` text of a record becomes one :class:`Endpoint`, each
+``ua`` text one unescaped string, and each header seed list one tuple, and
+every later record or header with the same text holds the same object.
+The table lives only as long as the call.
 
 Record keys::
 
@@ -34,7 +44,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 from urllib.parse import quote, unquote
@@ -173,15 +183,33 @@ def _require(fields: Mapping[str, str], key: str, lineno: int) -> str:
     return fields[key]
 
 
+@dataclass
+class _SeriesTable:
+    """Values a series shares across its files, each parsed once per series.
+
+    ``endpoints``: ``(addr, port)`` text -> Endpoint; ``user_agents``: written
+    ``ua`` text -> its unescaped text; ``seeds``: header ``seeds`` text -> the
+    seed tuple.  A value that fails to parse raises before it is stored.
+    """
+
+    endpoints: dict[tuple[str, str], Endpoint] = field(default_factory=dict)
+    user_agents: dict[str, str] = field(default_factory=dict)
+    seeds: dict[str, tuple[Endpoint, ...]] = field(default_factory=dict)
+
+
+def _endpoint(addr: str, port: str, endpoints: dict[tuple[str, str], Endpoint]) -> Endpoint:
+    endpoint = endpoints.get((addr, port))
+    if endpoint is None:
+        # a bad address or port raises here, so the table holds only valid endpoints
+        endpoint = endpoints[addr, port] = Endpoint.make(addr, int(port))
+    return endpoint
+
+
 def _parse_record(
     fields: Mapping[str, str], lineno: int, endpoints: dict[tuple[str, str], Endpoint]
 ) -> PeerRecord:
     try:
-        key = (_require(fields, "addr", lineno), _require(fields, "port", lineno))
-        endpoint = endpoints.get(key)
-        if endpoint is None:
-            # a bad address or port raises here, so the table holds only valid endpoints
-            endpoint = endpoints[key] = Endpoint.make(key[0], int(key[1]))
+        endpoint = _endpoint(_require(fields, "addr", lineno), _require(fields, "port", lineno), endpoints)
         status = _require(fields, "status", lineno)
         if status not in (STATUS_ACTIVE, STATUS_INACTIVE):
             raise CorruptRecordError(lineno, f"unknown status {status!r}")
@@ -201,47 +229,105 @@ def _parse_record(
         raise CorruptRecordError(lineno, str(exc)) from exc
 
 
-def read_snapshot(path: str | Path, *, _endpoints: dict[tuple[str, str], Endpoint] | None = None) -> Snapshot:
-    # _endpoints: the (addr, port) text -> Endpoint table that load_series shares across its files
-    endpoints = {} if _endpoints is None else _endpoints
+# A record line exactly as _record_fields and _emit write it: keys in that
+# order, a known status, integers in ASCII digits, no escape in addr, port or
+# minrtt.  On such a line _parse_line would keep every value but ua verbatim,
+# so the line skips it and _parse_record; any other line goes through both.
+_INT = "(-?[0-9]+)"
+_WRITTEN_RECORD = re.compile(
+    rf"addr:([^ %]*) port:([0-9]+) net:[^ ]* status:({STATUS_ACTIVE}|{STATUS_INACTIVE})"
+    rf"(?: services:{_INT})?(?: pver:{_INT})?(?: ua:([^ ]*))?(?: height:{_INT})?(?: minrtt:([^ %]*))?"
+    rf" first_seen:{_INT} last_seen:{_INT} addrs:{_INT}"
+)
+
+
+def _parse_written_record(line: str, lineno: int, table: _SeriesTable) -> PeerRecord | None:
+    """The record of a line in the written shape, or None for any other line."""
+    match = _WRITTEN_RECORD.fullmatch(line)
+    if match is None:
+        return None
+    addr, port, status, services, pver, ua, height, minrtt, first_seen, last_seen, addrs = match.groups()
+    if ua is not None:
+        user_agents = table.user_agents
+        text = user_agents.get(ua)
+        if text is None:
+            text = user_agents[ua] = unquote(ua) if "%" in ua else ua
+        ua = text
+    try:
+        # positional, in field order: the arguments are evaluated in _parse_record's order
+        return PeerRecord(
+            _endpoint(addr, port, table.endpoints),
+            status,
+            int(first_seen),
+            int(last_seen),
+            int(services) if services is not None else None,
+            int(pver) if pver is not None else None,
+            ua,
+            int(height) if height is not None else None,
+            float(minrtt) if minrtt is not None else None,
+            int(addrs),
+        )
+    except ValueError as exc:
+        raise CorruptRecordError(lineno, str(exc)) from exc
+
+
+def read_snapshot(path: str | Path, *, _table: _SeriesTable | None = None) -> Snapshot:
+    # _table: what load_series shares across its files
+    table = _SeriesTable() if _table is None else _table
     # a series holds dozens of files: the message names the bad one
     with _naming_file(path, SnapshotStoreError):
-        return _parse_snapshot(_read_text(path, CorruptRecordError), endpoints)
+        return _parse_snapshot(_read_text(path, CorruptRecordError), table)
 
 
-def _parse_snapshot(text: str, endpoints: dict[tuple[str, str], Endpoint]) -> Snapshot:
+def _parse_snapshot(text: str, table: _SeriesTable) -> Snapshot:
     header: dict[str, str] | None = None
     records: dict[Endpoint, PeerRecord] = {}
+    record_lines: list[int] = []  # the line of each record, in the order of records
     # a written value never holds a raw \r, so \r\n can only be a CRLF line end
     for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        if not line.strip():
-            continue
-        fields = _parse_line(line, lineno)
-        if header is None:
-            if fields.get("kind") != "header":
-                raise CorruptRecordError(lineno, "first record must be the header")
-            schema = fields.get("schema")
-            if schema != str(SCHEMA_VERSION):
-                raise SchemaVersionUnsupportedError(f"schema {schema!r}")
-            header = fields
-            continue
-        record = _parse_record(fields, lineno, endpoints)
-        records[record.address] = record
+        record = None if header is None else _parse_written_record(line, lineno, table)
+        if record is None:
+            if not line.strip():
+                continue
+            fields = _parse_line(line, lineno)
+            if header is None:
+                if fields.get("kind") != "header":
+                    raise CorruptRecordError(lineno, "first record must be the header")
+                schema = fields.get("schema")
+                if schema != str(SCHEMA_VERSION):
+                    raise SchemaVersionUnsupportedError(f"schema {schema!r}")
+                header = fields
+                continue
+            record = _parse_record(fields, lineno, table.endpoints)
+        if records.setdefault(record.address, record) is not record:
+            first = record_lines[list(records).index(record.address)]
+            raise CorruptRecordError(lineno, f"{record.address} repeats line {first}")
+        record_lines.append(lineno)
     if header is None:
         raise CorruptRecordError(1, "empty snapshot file")
+    return _snapshot(header, records, table)
+
+
+def _snapshot(header: Mapping[str, str], records: dict[Endpoint, PeerRecord], table: _SeriesTable) -> Snapshot:
     try:
-        seeds = tuple(
-            Endpoint.parse(token)
-            for token in header.get("seeds", "").split(",")
-            if token.strip()
-        )
+        seeds_text = header.get("seeds", "")
+        seeds = table.seeds.get(seeds_text)
+        if seeds is None:
+            seeds = table.seeds[seeds_text] = tuple(
+                Endpoint.parse(token) for token in seeds_text.split(",") if token.strip()
+            )
+        if "seed_count" in header and int(header["seed_count"]) != len(seeds):
+            raise ValueError(f"seed_count {header['seed_count']} but seeds lists {len(seeds)}")
+        partial = header.get("partial", "0")
+        if partial not in ("0", "1"):
+            raise ValueError(f"partial {partial!r} is not 0 or 1")
         return Snapshot(
             started_at=int(header["started_at"]),
             finished_at=int(header["finished_at"]),
             seeds=seeds,
             records=records,
             crawler_config_digest=header.get("config", ""),
-            partial=header.get("partial", "0") == "1",
+            partial=partial == "1",
         )
     except (ValueError, KeyError) as exc:
         raise CorruptRecordError(1, f"bad header: {exc}") from exc
@@ -250,9 +336,9 @@ def _parse_snapshot(text: str, endpoints: dict[tuple[str, str], Endpoint]) -> Sn
 def load_series(directory: str | Path) -> list[Snapshot]:
     """Read every ``*.snap.ndrec`` under ``directory``, sorted by start time."""
     paths = sorted(Path(directory).glob(f"*{SNAPSHOT_SUFFIX}"))
-    # one table for the whole call: each address is canonicalised once per series
-    endpoints: dict[tuple[str, str], Endpoint] = {}
-    snapshots = [read_snapshot(p, _endpoints=endpoints) for p in paths]
+    # one table for the whole call: each address, user agent and seed list is parsed once per series
+    table = _SeriesTable()
+    snapshots = [read_snapshot(p, _table=table) for p in paths]
     snapshots.sort(key=lambda s: s.started_at)
     return snapshots
 

@@ -127,6 +127,50 @@ def test_duplicate_key_is_corrupt(tmp_path):
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("written_shape", [True, False], ids=["written", "enriched"])
+@pytest.mark.parametrize("second", ["10.0.0.1", "::ffff:10.0.0.1"])
+def test_repeated_endpoint_is_corrupt(tmp_path, written_shape, second):
+    path = tmp_path / f"rep{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1"), make_record("10.0.0.2")]), path)
+    lines = path.read_text().splitlines()
+    repeat = f"addr:{second} port:8333 net:ipv4 status:discovered_inactive first_seen:1 last_seen:1 addrs:0"
+    if not written_shape:
+        repeat += " country:DE"  # read by the general tokenizer
+    path.write_text("\n".join(lines + [repeat]) + "\n")
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.read_snapshot(path)
+    assert err.value.line_number == 4
+    assert str(err.value) == f"{path}: line 4: 10.0.0.1:8333 repeats line 2"
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (("partial:0", "partial:yes"), "partial 'yes' is not 0 or 1"),
+        (("partial:0", "partial:2"), "partial '2' is not 0 or 1"),
+        (("partial:0", "partial:"), "partial '' is not 0 or 1"),
+        (("seed_count:1", "seed_count:2"), "seed_count 2 but seeds lists 1"),
+        (("seed_count:1", "seed_count:0"), "seed_count 0 but seeds lists 1"),
+        (("seed_count:1", "seed_count:one"), "invalid literal for int() with base 10: 'one'"),
+    ],
+)
+def test_bad_partial_or_seed_count_is_corrupt(tmp_path, edit, reason):
+    path = tmp_path / f"hdr{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1")], seeds=[Endpoint.make("10.0.0.1")]), path)
+    path.write_text(path.read_text().replace(*edit, 1))
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.read_snapshot(path)
+    assert str(err.value) == f"{path}: line 1: bad header: {reason}"
+
+
+def test_header_without_partial_or_seed_count_reads_with_defaults(tmp_path):
+    path = tmp_path / f"old{store.SNAPSHOT_SUFFIX}"
+    path.write_text("schema:1 kind:header started_at:1 finished_at:2 seeds:10.0.0.1:8333\n")
+    loaded = store.read_snapshot(path)
+    assert not loaded.partial
+    assert loaded.seeds == (Endpoint.make("10.0.0.1"),)
+
+
 class _DiskFull:
     """File handle stub that writes half of what it is given, then fails like a full disk."""
 
@@ -306,20 +350,28 @@ def test_write_is_byte_identical_to_quoting_every_value(tmp_path, monkeypatch):
 
 
 def test_load_series_shares_one_endpoint_per_address(tmp_path):
+    seeds = [Endpoint.make("10.0.0.1"), Endpoint.make("2001:db8::7", 18333)]
     for start, records in [
-        (300, [make_record("10.0.0.1"), make_record("2001:db8::7", port=18333), make_record("10.0.0.3")]),
+        (300, [make_record("10.0.0.1"), make_record("2001:db8::7", port=18333), make_record("10.0.0.3", user_agent="/a b:1/")]),
         (100, [make_record("10.0.0.1"), make_record("2001:db8::7", port=18333, status=STATUS_INACTIVE)]),
         (200, [make_record("10.0.0.1", port=18333), make_record("10.0.0.3", status=STATUS_INACTIVE)]),
+        (400, [make_record("10.0.0.1", user_agent="/a b:1/"), make_record("10.0.0.3", user_agent="/peer:1.0/")]),
     ]:
-        store.write_snapshot(make_snapshot(records, started_at=start), tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}")
+        snapshot = make_snapshot(records, started_at=start, seeds=seeds)
+        store.write_snapshot(snapshot, tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}")
     series = store.load_series(tmp_path)
     shared = {}
+    user_agents = {}
     for snapshot in series:
+        assert snapshot.seeds is series[0].seeds
         for key, record in snapshot.records.items():
             assert record.address is key
             assert shared.setdefault(key, key) is key
+            if record.user_agent is not None:
+                assert user_agents.setdefault(record.user_agent, record.user_agent) is record.user_agent
     assert len(shared) == 4  # 10.0.0.1 on two ports, 2001:db8::7, 10.0.0.3
-    alone = [store.read_snapshot(tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}") for start in (100, 200, 300)]
+    assert sorted(user_agents) == ["/a b:1/", "/peer:1.0/"]
+    alone = [store.read_snapshot(tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}") for start in (100, 200, 300, 400)]
     assert series == alone
 
 
@@ -471,3 +523,124 @@ def test_series_reader_raises_only_declared_errors_on_a_mutated_copy(series_fuzz
         return
     alone = [store.read_snapshot(p) for p in sorted(series_fuzz_dir.glob(f"*{store.SNAPSHOT_SUFFIX}"))]
     assert series == sorted(alone, key=lambda s: s.started_at)
+
+
+# --- the written-shape fast path against the general tokenizer --------------------------
+
+_optional = lambda strategy: st.one_of(st.none(), strategy)  # noqa: E731
+_user_agents = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet=" %:~/é節\U0001f600aZ09", max_size=20),
+    st.just(""),
+)
+_written_records = st.builds(
+    PeerRecord,
+    address=st.builds(
+        Endpoint.make,
+        st.one_of(
+            st.ip_addresses(v=4).map(str),
+            st.ip_addresses(v=6).map(str),
+            st.integers(0, 2**80 - 1).map(lambda low: f"fd87:d87e:eb43:{low >> 64:x}:{low >> 48 & 0xFFFF:x}::{low & 0xFFFF:x}"),
+        ),
+        st.integers(0, 65535),
+    ),
+    status=st.sampled_from([STATUS_ACTIVE, STATUS_INACTIVE]),
+    first_seen=st.integers(-(2**40), 2**40),
+    last_seen=st.integers(-(2**40), 2**40),
+    services=_optional(st.integers(0, 2**64 - 1)),
+    protocol_version=_optional(st.integers(-(2**31), 2**31 - 1)),
+    user_agent=_optional(_user_agents),
+    start_height=_optional(st.integers(-10, 2**31 - 1)),
+    min_rtt_ms=_optional(st.floats(allow_nan=False)),
+    addr_count_returned=st.integers(0, 5000),
+)
+_enrichments = st.dictionaries(
+    st.sampled_from(["net", "country", "asn", "org"]), st.text(max_size=10), max_size=3
+)
+# values that int() or float() may accept but the written shape never holds, and values both reject
+_ODD_VALUES = [
+    "+5", "1_000", "٣", " 7", "7 ", "", "-0", "007", "65536", "99999999", "-1", "1e-05", "inf", "-inf",
+    "nan", "x", "1.5", "%31", "10.0.0.1%25eth0", "%zz", "9" * 5000, "up", "active", "discovered_inactive", ":",
+]
+
+
+@st.composite
+def _record_lines(draw):
+    fields = store._record_fields(draw(_written_records))
+    shape = draw(st.sampled_from(["written", "enriched", "mutated"]))
+    if shape == "enriched":
+        fields.update(draw(_enrichments))
+    pairs = [(key, store._escape(value)) for key, value in fields.items()]
+    if shape == "mutated":
+        for _ in range(draw(st.integers(1, 3))):
+            action = draw(st.sampled_from(["value", "shuffle", "drop", "repeat", "raw"]))
+            at = draw(st.integers(0, len(pairs) - 1))
+            if action == "value":
+                pairs[at] = (pairs[at][0], draw(st.sampled_from(_ODD_VALUES)))
+            elif action == "shuffle":
+                pairs = draw(st.permutations(pairs))
+            elif action == "drop" and len(pairs) > 1:
+                del pairs[at]
+            elif action == "repeat":
+                pairs.insert(at, pairs[draw(st.integers(0, len(pairs) - 1))])
+            elif action == "raw":
+                pairs[at] = (pairs[at][0], pairs[at][1] + draw(st.sampled_from([" ", "  x:1", "\t", "\r", "%"])))
+    return " ".join(f"{key}:{value}" for key, value in pairs)
+
+
+def _general(line):
+    return store._parse_record(store._parse_line(line, 2), 2, {})
+
+
+def _as_read(line):
+    """What the snapshot reader does with a record line: the fast path, else the general one."""
+    record = store._parse_written_record(line, 2, store._SeriesTable())
+    return _general(line) if record is None else record
+
+
+@settings(max_examples=300)
+@given(line=_record_lines())
+def test_fast_path_matches_the_general_tokenizer(line):
+    # repr: a NaN RTT is not equal to itself
+    assert repr(_outcome(_as_read, line)) == repr(_outcome(_general, line))
+
+
+@settings(max_examples=100)
+@given(records=st.lists(_written_records, max_size=10))
+def test_every_written_record_line_takes_the_fast_path(property_path, records):
+    snapshot = make_snapshot(list({r.address: r for r in records}.values()), seeds=[Endpoint.make("10.0.0.1")])
+    path = property_path
+    store.write_snapshot(snapshot, path)
+    general = store._parse_line
+
+    def header_only(line, lineno):
+        assert lineno == 1, f"line {lineno} went through the general tokenizer: {line!r}"
+        return general(line, lineno)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store, "_parse_line", header_only)
+        assert store.read_snapshot(path) == snapshot
+    # an enrichment key moves every record to the general path, with the same result
+    store.write_snapshot(snapshot, path, extra_fields={e: {"country": "DE"} for e in snapshot.records})
+    assert store.read_snapshot(path) == snapshot
+
+
+_FULL_RECORD = make_record("2001:db8::7", user_agent="/a b:1%/", min_rtt_ms=12.5, addr_count=3)
+# values that fail in both paths, for trying which of two bad fields is reported
+_failing_values = ["x", "", "9" * 5000, "65536"]
+
+
+def test_fast_path_matches_the_general_tokenizer_on_every_substitution():
+    pairs = [(key, store._escape(value)) for key, value in store._record_fields(_FULL_RECORD).items()]
+    lines = [" ".join(f"{key}:{value}" for key, value in pairs)]
+    for at, (key, _) in enumerate(pairs):
+        for value in _ODD_VALUES:
+            lines.append(" ".join(f"{k}:{value if i == at else v}" for i, (k, v) in enumerate(pairs)))
+        for later in range(at + 1, len(pairs)):
+            for first in _failing_values:
+                for second in _failing_values:
+                    bad = {at: first, later: second}
+                    lines.append(" ".join(f"{k}:{bad.get(i, v)}" for i, (k, v) in enumerate(pairs)))
+    lines += [" ".join(f"{k}:{v}" for k, v in reversed(pairs)), lines[0].replace("status:active", "status:up")]
+    for line in lines:
+        assert repr(_outcome(_as_read, line)) == repr(_outcome(_general, line)), line
