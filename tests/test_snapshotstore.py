@@ -527,7 +527,11 @@ def test_series_reader_raises_only_declared_errors_on_a_mutated_copy(series_fuzz
 
 # --- the written-shape fast path against the general tokenizer --------------------------
 
-_optional = lambda strategy: st.one_of(st.none(), strategy)  # noqa: E731
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
 _user_agents = st.one_of(
     st.text(max_size=30),
     st.text(alphabet=" %:~/é節\U0001f600aZ09", max_size=20),
@@ -609,8 +613,7 @@ def test_fast_path_matches_the_general_tokenizer(line):
 @given(records=st.lists(_written_records, max_size=10))
 def test_every_written_record_line_takes_the_fast_path(property_path, records):
     snapshot = make_snapshot(list({r.address: r for r in records}.values()), seeds=[Endpoint.make("10.0.0.1")])
-    path = property_path
-    store.write_snapshot(snapshot, path)
+    store.write_snapshot(snapshot, property_path)
     general = store._parse_line
 
     def header_only(line, lineno):
@@ -619,10 +622,10 @@ def test_every_written_record_line_takes_the_fast_path(property_path, records):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(store, "_parse_line", header_only)
-        assert store.read_snapshot(path) == snapshot
+        assert store.read_snapshot(property_path) == snapshot
     # an enrichment key moves every record to the general path, with the same result
-    store.write_snapshot(snapshot, path, extra_fields={e: {"country": "DE"} for e in snapshot.records})
-    assert store.read_snapshot(path) == snapshot
+    store.write_snapshot(snapshot, property_path, extra_fields={e: {"country": "DE"} for e in snapshot.records})
+    assert store.read_snapshot(property_path) == snapshot
 
 
 _FULL_RECORD = make_record("2001:db8::7", user_agent="/a b:1%/", min_rtt_ms=12.5, addr_count=3)
