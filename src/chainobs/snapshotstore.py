@@ -22,15 +22,16 @@ a crash never leaves a half-written snapshot behind.
 
 A record line in the shape :func:`write_snapshot` emits (its keys in the
 order below, integers in ASCII digits, no escape in ``addr`` or
-``minrtt``) is read by one precompiled pattern.  Any other line, such as an
-enriched or hand-edited record, goes through the general ``key:value``
-tokenizer, with the same result or the same error.
+``minrtt``), optionally followed by the ``country asn org`` keys that
+``chainobs enrich`` appends, is read by one precompiled pattern.  Any other
+line, such as a hand-edited record or one with other extra keys, goes
+through the general ``key:value`` tokenizer, with the same result or the
+same error.
 
 A series read by :func:`load_series` parses each shared value once: the
-``addr`` and ``port`` text of a record becomes one :class:`Endpoint`, each
-``ua`` text one unescaped string, and each header seed list one tuple, and
-every later record or header with the same text holds the same object.
-The table lives only as long as the call.
+``addr`` and ``port`` text of a record becomes one :class:`Endpoint` and
+each ``ua`` text one unescaped string, and every later record with the same
+text holds the same object.  The table lives only as long as the call.
 
 Record keys::
 
@@ -188,13 +189,12 @@ class _SeriesTable:
     """Values a series shares across its files, each parsed once per series.
 
     ``endpoints``: ``(addr, port)`` text -> Endpoint; ``user_agents``: written
-    ``ua`` text -> its unescaped text; ``seeds``: header ``seeds`` text -> the
-    seed tuple.  A value that fails to parse raises before it is stored.
+    ``ua`` text -> its unescaped text.  A value that fails to parse raises
+    before it is stored.
     """
 
     endpoints: dict[tuple[str, str], Endpoint] = field(default_factory=dict)
     user_agents: dict[str, str] = field(default_factory=dict)
-    seeds: dict[str, tuple[Endpoint, ...]] = field(default_factory=dict)
 
 
 def _endpoint(addr: str, port: str, endpoints: dict[tuple[str, str], Endpoint]) -> Endpoint:
@@ -231,20 +231,25 @@ def _parse_record(
 
 # A record line exactly as _record_fields and _emit write it: keys in that
 # order, a known status, integers in ASCII digits, no escape in addr, port or
-# minrtt.  On such a line _parse_line would keep every value but ua verbatim,
-# so the line skips it and _parse_record; any other line goes through both.
+# minrtt, and optionally the country/asn/org keys that `chainobs enrich`
+# appends (unknown keys, which the reader ignores).  On such a line
+# _parse_line would keep every value but ua verbatim, so the line skips it and
+# _parse_record; any other line goes through both.
 _INT = "(-?[0-9]+)"
 _WRITTEN_RECORD = re.compile(
     rf"addr:([^ %]*) port:([0-9]+) net:[^ ]* status:({STATUS_ACTIVE}|{STATUS_INACTIVE})"
     rf"(?: services:{_INT})?(?: pver:{_INT})?(?: ua:([^ ]*))?(?: height:{_INT})?(?: minrtt:([^ %]*))?"
-    rf" first_seen:{_INT} last_seen:{_INT} addrs:{_INT}"
+    rf" first_seen:{_INT} last_seen:{_INT} addrs:{_INT}(?: country:[^ ]* asn:[^ ]* org:[^ ]*)?"
 )
 
 
 def _parse_written_record(line: str, lineno: int, table: _SeriesTable) -> PeerRecord | None:
     """The record of a line in the written shape, or None for any other line."""
-    match = _WRITTEN_RECORD.fullmatch(line)
-    if match is None:
+    # match() and an end check, not fullmatch(): the pattern's first try is the
+    # only one that can reach the end, and a line with other keys after addrs
+    # then fails at once instead of backtracking through every value
+    match = _WRITTEN_RECORD.match(line)
+    if match is None or match.end() != len(line):
         return None
     addr, port, status, services, pver, ua, height, minrtt, first_seen, last_seen, addrs = match.groups()
     if ua is not None:
@@ -282,9 +287,9 @@ def read_snapshot(path: str | Path, *, _table: _SeriesTable | None = None) -> Sn
 def _parse_snapshot(text: str, table: _SeriesTable) -> Snapshot:
     header: dict[str, str] | None = None
     records: dict[Endpoint, PeerRecord] = {}
-    record_lines: list[int] = []  # the line of each record, in the order of records
     # a written value never holds a raw \r, so \r\n can only be a CRLF line end
-    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+    lines = text.replace("\r\n", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         record = None if header is None else _parse_written_record(line, lineno, table)
         if record is None:
             if not line.strip():
@@ -300,22 +305,22 @@ def _parse_snapshot(text: str, table: _SeriesTable) -> Snapshot:
                 continue
             record = _parse_record(fields, lineno, table.endpoints)
         if records.setdefault(record.address, record) is not record:
-            first = record_lines[list(records).index(record.address)]
+            # every non-blank line after the header is a record, in the order of records
+            numbered = [n for n, other in enumerate(lines, start=1) if other.strip()]
+            first = numbered[1 + list(records).index(record.address)]
             raise CorruptRecordError(lineno, f"{record.address} repeats line {first}")
-        record_lines.append(lineno)
     if header is None:
         raise CorruptRecordError(1, "empty snapshot file")
-    return _snapshot(header, records, table)
+    return _snapshot(header, records)
 
 
-def _snapshot(header: Mapping[str, str], records: dict[Endpoint, PeerRecord], table: _SeriesTable) -> Snapshot:
+def _snapshot(header: Mapping[str, str], records: dict[Endpoint, PeerRecord]) -> Snapshot:
     try:
-        seeds_text = header.get("seeds", "")
-        seeds = table.seeds.get(seeds_text)
-        if seeds is None:
-            seeds = table.seeds[seeds_text] = tuple(
-                Endpoint.parse(token) for token in seeds_text.split(",") if token.strip()
-            )
+        seeds = tuple(
+            Endpoint.parse(token)
+            for token in header.get("seeds", "").split(",")
+            if token.strip()
+        )
         if "seed_count" in header and int(header["seed_count"]) != len(seeds):
             raise ValueError(f"seed_count {header['seed_count']} but seeds lists {len(seeds)}")
         partial = header.get("partial", "0")
@@ -336,7 +341,7 @@ def _snapshot(header: Mapping[str, str], records: dict[Endpoint, PeerRecord], ta
 def load_series(directory: str | Path) -> list[Snapshot]:
     """Read every ``*.snap.ndrec`` under ``directory``, sorted by start time."""
     paths = sorted(Path(directory).glob(f"*{SNAPSHOT_SUFFIX}"))
-    # one table for the whole call: each address, user agent and seed list is parsed once per series
+    # one table for the whole call: each address and user agent is parsed once per series
     table = _SeriesTable()
     snapshots = [read_snapshot(p, _table=table) for p in paths]
     snapshots.sort(key=lambda s: s.started_at)

@@ -42,7 +42,7 @@ COMMANDS = {
         ],
         ["enriched.snap.ndrec", "shares.csv"],
     ),
-    # every record of an enriched series goes through the general record reader
+    # records of an enriched series carry the country/asn/org keys that enrich appends
     "timeline-enriched": (
         ["timeline", "--snapshots", "enriched", "--out", "timeline-enriched.csv"],
         ["timeline-enriched.csv"],

@@ -132,15 +132,16 @@ def test_duplicate_key_is_corrupt(tmp_path):
 def test_repeated_endpoint_is_corrupt(tmp_path, written_shape, second):
     path = tmp_path / f"rep{store.SNAPSHOT_SUFFIX}"
     store.write_snapshot(make_snapshot([make_record("10.0.0.1"), make_record("10.0.0.2")]), path)
-    lines = path.read_text().splitlines()
+    header, first, other = path.read_text().splitlines()
     repeat = f"addr:{second} port:8333 net:ipv4 status:discovered_inactive first_seen:1 last_seen:1 addrs:0"
     if not written_shape:
-        repeat += " country:DE"  # read by the general tokenizer
-    path.write_text("\n".join(lines + [repeat]) + "\n")
+        repeat += " country:DE"  # not the whole enrich tail: read by the general tokenizer
+    # blank lines do not count as records, but they do count as lines
+    path.write_text("\n".join([header, "", first, other, " ", repeat]) + "\n")
     with pytest.raises(store.CorruptRecordError) as err:
         store.read_snapshot(path)
-    assert err.value.line_number == 4
-    assert str(err.value) == f"{path}: line 4: 10.0.0.1:8333 repeats line 2"
+    assert err.value.line_number == 6
+    assert str(err.value) == f"{path}: line 6: 10.0.0.1:8333 repeats line 3"
 
 
 @pytest.mark.parametrize(
@@ -363,7 +364,6 @@ def test_load_series_shares_one_endpoint_per_address(tmp_path):
     shared = {}
     user_agents = {}
     for snapshot in series:
-        assert snapshot.seeds is series[0].seeds
         for key, record in snapshot.records.items():
             assert record.address is key
             assert shared.setdefault(key, key) is key
@@ -558,8 +558,10 @@ _written_records = st.builds(
     min_rtt_ms=_optional(st.floats(allow_nan=False)),
     addr_count_returned=st.integers(0, 5000),
 )
-_enrichments = st.dictionaries(
-    st.sampled_from(["net", "country", "asn", "org"]), st.text(max_size=10), max_size=3
+_enrichments = st.one_of(
+    # what `chainobs enrich` appends, which the fast path reads too
+    st.fixed_dictionaries({key: st.text(max_size=10) for key in ("net", "country", "asn", "org")}),
+    st.dictionaries(st.sampled_from(["net", "country", "asn", "org"]), st.text(max_size=10), max_size=3),
 )
 # values that int() or float() may accept but the written shape never holds, and values both reject
 _ODD_VALUES = [
@@ -572,7 +574,7 @@ _ODD_VALUES = [
 def _record_lines(draw):
     fields = store._record_fields(draw(_written_records))
     shape = draw(st.sampled_from(["written", "enriched", "mutated"]))
-    if shape == "enriched":
+    if shape == "enriched" or (shape == "mutated" and draw(st.booleans())):
         fields.update(draw(_enrichments))
     pairs = [(key, store._escape(value)) for key, value in fields.items()]
     if shape == "mutated":
@@ -620,11 +622,15 @@ def test_every_written_record_line_takes_the_fast_path(property_path, records):
         assert lineno == 1, f"line {lineno} went through the general tokenizer: {line!r}"
         return general(line, lineno)
 
+    enriched = property_path.with_name(f"enriched{store.SNAPSHOT_SUFFIX}")
+    enrich = {"net": "ipv4", "country": "DE", "asn": "64500", "org": "Example Org"}
+    store.write_snapshot(snapshot, enriched, extra_fields={e: enrich for e in snapshot.records})
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(store, "_parse_line", header_only)
         assert store.read_snapshot(property_path) == snapshot
-    # an enrichment key moves every record to the general path, with the same result
-    store.write_snapshot(snapshot, property_path, extra_fields={e: {"country": "DE"} for e in snapshot.records})
+        assert store.read_snapshot(enriched) == snapshot
+    # any other extra key moves every record to the general path, with the same result
+    store.write_snapshot(snapshot, property_path, extra_fields={e: {"note": "x"} for e in snapshot.records})
     assert store.read_snapshot(property_path) == snapshot
 
 
@@ -633,9 +639,14 @@ _FULL_RECORD = make_record("2001:db8::7", user_agent="/a b:1%/", min_rtt_ms=12.5
 _failing_values = ["x", "", "9" * 5000, "65536"]
 
 
-def test_fast_path_matches_the_general_tokenizer_on_every_substitution():
-    pairs = [(key, store._escape(value)) for key, value in store._record_fields(_FULL_RECORD).items()]
+@pytest.mark.parametrize("enriched", [False, True], ids=["written", "enriched"])
+def test_fast_path_matches_the_general_tokenizer_on_every_substitution(enriched):
+    fields = store._record_fields(_FULL_RECORD)
+    if enriched:
+        fields.update(country="DE", asn="64500", org="Example Org")
+    pairs = [(key, store._escape(value)) for key, value in fields.items()]
     lines = [" ".join(f"{key}:{value}" for key, value in pairs)]
+    assert store._parse_written_record(lines[0], 2, store._SeriesTable()) == _FULL_RECORD
     for at, (key, _) in enumerate(pairs):
         for value in _ODD_VALUES:
             lines.append(" ".join(f"{k}:{value if i == at else v}" for i, (k, v) in enumerate(pairs)))
