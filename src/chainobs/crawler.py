@@ -12,8 +12,9 @@ connection's clock: the whole handshake, each ping, and each getaddr round.
 Pings from the peer are answered with a pong in every phase.  A frame whose
 header announces more payload than its command can carry (``addr``: 1000
 entries, ``version``: 1 KiB, ``ping``/``pong``: 8 bytes,
-``verack``/``getaddr``: none) is rejected before its payload is read; any
-other command may announce up to the 4 MiB frame limit.
+``verack``/``getaddr``: none; the caps are ``wirecodec.MAX_PAYLOAD_BY_COMMAND``
+and only this frame pump enforces them) is rejected before its payload is
+read; any other command may announce up to the 4 MiB frame limit.
 
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  Connection, timeout,
@@ -27,7 +28,6 @@ import hashlib
 import logging
 import random
 import socket
-import struct
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from collections import deque
@@ -198,18 +198,6 @@ def bootstrap_seeds(
 # --- single-peer probe -----------------------------------------------------
 
 
-# Largest payload each known command can carry, checked before the payload
-# is buffered; unknown commands get MAX_PAYLOAD_SIZE.
-_MAX_PAYLOAD_BY_COMMAND = {
-    b"addr": 3 + 30 * wirecodec.MAX_ADDR_ENTRIES,
-    b"version": wirecodec.MAX_VERSION_PAYLOAD_SIZE,
-    b"ping": 8,
-    b"pong": 8,
-    b"verack": 0,
-    b"getaddr": 0,
-}
-
-
 def _next_frame(conn: Connection, magic: bytes, deadline: float) -> tuple[str, bytes]:
     """Next frame other than ``ping`` before ``deadline`` on ``conn.clock()``.
 
@@ -223,17 +211,13 @@ def _next_frame(conn: Connection, magic: bytes, deadline: float) -> tuple[str, b
         if remaining <= 0:
             raise RecvTimeoutError("no frame before deadline")
         header = conn.recv_exact(wirecodec.HEADER_SIZE, remaining)
-        frame = wirecodec.decode_message_prefix(header, magic)
-        if frame is None:  # the header announces a payload
-            (length,) = struct.unpack("<I", header[16:20])
-            command = header[4:16].rstrip(b"\x00")  # validated by decode_message_prefix
-            if length > _MAX_PAYLOAD_BY_COMMAND.get(command, wirecodec.MAX_PAYLOAD_SIZE):
-                raise wirecodec.OversizedPayloadError(f"{length} byte {command.decode()} payload")
-            remaining = deadline - conn.clock()
-            if remaining <= 0:
-                raise RecvTimeoutError("payload did not arrive in time")
-            frame = wirecodec.decode_message(header + conn.recv_exact(length, remaining), magic)
-        command, payload = frame[:2]
+        command, length, _ = wirecodec.decode_header(header, magic)
+        if length > wirecodec.MAX_PAYLOAD_BY_COMMAND.get(command, wirecodec.MAX_PAYLOAD_SIZE):
+            raise wirecodec.OversizedPayloadError(f"{length} byte {command} payload")
+        remaining = deadline - conn.clock()
+        if length and remaining <= 0:
+            raise RecvTimeoutError("payload did not arrive in time")
+        command, payload = wirecodec.decode_message(header + conn.recv_exact(length, remaining), magic)
         if command != "ping":
             return command, payload
         pong = wirecodec.encode_pong(wirecodec.decode_ping(payload))

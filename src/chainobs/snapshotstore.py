@@ -301,7 +301,7 @@ def _parse_snapshot(text: str, table: _SeriesTable) -> Snapshot:
                 schema = fields.get("schema")
                 if schema != str(SCHEMA_VERSION):
                     raise SchemaVersionUnsupportedError(f"schema {schema!r}")
-                header = fields
+                header, header_line = fields, lineno
                 continue
             record = _parse_record(fields, lineno, table.endpoints)
         if records.setdefault(record.address, record) is not record:
@@ -311,10 +311,10 @@ def _parse_snapshot(text: str, table: _SeriesTable) -> Snapshot:
             raise CorruptRecordError(lineno, f"{record.address} repeats line {first}")
     if header is None:
         raise CorruptRecordError(1, "empty snapshot file")
-    return _snapshot(header, records)
+    return _snapshot(header, header_line, records)
 
 
-def _snapshot(header: Mapping[str, str], records: dict[Endpoint, PeerRecord]) -> Snapshot:
+def _snapshot(header: Mapping[str, str], lineno: int, records: dict[Endpoint, PeerRecord]) -> Snapshot:
     try:
         seeds = tuple(
             Endpoint.parse(token)
@@ -335,7 +335,7 @@ def _snapshot(header: Mapping[str, str], records: dict[Endpoint, PeerRecord]) ->
             partial=partial == "1",
         )
     except (ValueError, KeyError) as exc:
-        raise CorruptRecordError(1, f"bad header: {exc}") from exc
+        raise CorruptRecordError(lineno, f"bad header: {exc}") from exc
 
 
 def load_series(directory: str | Path) -> list[Snapshot]:

@@ -13,6 +13,13 @@ inside payloads are little-endian, except ports, which ride big-endian inside
 Variable-length counts use Bitcoin's CompactSize encoding; non-canonical
 encodings are rejected on decode and never emitted.
 
+Each fixed layout (frame header, the 80 bytes of ``version`` before the user
+agent, address records, ping nonce) is one ``struct.Struct`` shared by its
+encoder and decoder.  :func:`decode_header` judges a header from its 24 bytes
+alone; a frame pump checks the length it returns against
+``MAX_PAYLOAD_BY_COMMAND`` before buffering the payload, while the frame
+decoders keep only the 4 MiB frame limit.
+
 Everything here is a pure function over byte sequences: no sockets, no
 clocks, no shared state, safe from any number of threads.  Decoders either
 return a value or raise a :class:`CodecError` subclass; they never raise
@@ -40,7 +47,8 @@ from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
 MAINNET_MAGIC = b"\xf9\xbe\xb4\xd9"
 SIMNET_MAGIC = b"\xfa\xce\xb0\x0c"
 
-HEADER_SIZE = 24
+_HEADER = struct.Struct("<4s12sI4s")  # magic, command, length, checksum
+HEADER_SIZE = _HEADER.size
 MAX_PAYLOAD_SIZE = 4 * 1024 * 1024
 MAX_COMMAND_SIZE = 12
 MAX_ADDR_ENTRIES = 1000
@@ -201,7 +209,7 @@ def _encode_command(command: str) -> bytes:
         raise CommandTooLongError(command)
     if any(b < 0x20 or b > 0x7E for b in raw):
         raise BadCommandError(f"unprintable byte in command {command!r}")
-    return raw.ljust(MAX_COMMAND_SIZE, b"\x00")
+    return raw  # _HEADER NUL-pads it to 12 bytes
 
 
 def _decode_command(field: bytes) -> str:
@@ -217,9 +225,20 @@ def encode_message(command: str, payload: bytes, magic: bytes) -> bytes:
     """Wrap ``payload`` in a framed message: header + payload."""
     if len(payload) > MAX_PAYLOAD_SIZE:
         raise OversizedPayloadError(f"{len(payload)} byte payload")
-    header = magic + _encode_command(command)
-    header += struct.pack("<I", len(payload)) + checksum(payload)
-    return header + payload
+    return _HEADER.pack(magic, _encode_command(command), len(payload), checksum(payload)) + payload
+
+
+def decode_header(data: bytes, magic: bytes) -> tuple[str, int, bytes]:
+    """``(command, length, checksum)`` of the header starting ``data``; checksum unchecked."""
+    if len(data) < HEADER_SIZE:
+        raise TruncatedError(f"{len(data)} bytes is not a whole header")
+    head, command, length, check = _HEADER.unpack_from(data)
+    if head != magic:
+        raise BadMagicError(head.hex())
+    command = _decode_command(command)
+    if length > MAX_PAYLOAD_SIZE:
+        raise OversizedPayloadError(f"declared payload of {length} bytes")
+    return command, length, check
 
 
 def decode_message_prefix(data: bytes, magic: bytes) -> tuple[str, bytes, int] | None:
@@ -234,15 +253,12 @@ def decode_message_prefix(data: bytes, magic: bytes) -> tuple[str, bytes, int] |
         raise BadMagicError(data[:4].hex())
     if len(data) < HEADER_SIZE:
         return None
-    command = _decode_command(data[4:16])
-    (length,) = struct.unpack("<I", data[16:20])
-    if length > MAX_PAYLOAD_SIZE:
-        raise OversizedPayloadError(f"declared payload of {length} bytes")
+    command, length, check = decode_header(data, magic)
     end = HEADER_SIZE + length
     if len(data) < end:
         return None
     payload = bytes(data[HEADER_SIZE:end])
-    if checksum(payload) != data[20:24]:
+    if checksum(payload) != check:
         raise BadChecksumError(command or "<empty>")
     return command, payload, end
 
@@ -267,6 +283,17 @@ def decode_message(data: bytes, magic: bytes) -> tuple[str, bytes]:
 _NET_ADDRESS = struct.Struct("<Q16s2s")
 _ADDR_ENTRY = struct.Struct("<IQ16s2s")
 _PORT = struct.Struct(">H")
+# version payload: _VERSION_HEAD, CompactSize-prefixed user agent, _VERSION_TAIL
+_VERSION_HEAD = struct.Struct("<iQq26s26sQ")  # version, services, time, receiver, sender, nonce
+_VERSION_TAIL = struct.Struct("<iB")  # start height, relay flag
+_PING = struct.Struct("<Q")  # nonce; pong echoes it
+
+# Largest payload each known command can carry; other commands may use all
+# of MAX_PAYLOAD_SIZE.
+MAX_PAYLOAD_BY_COMMAND = {
+    "addr": 3 + _ADDR_ENTRY.size * MAX_ADDR_ENTRIES, "version": MAX_VERSION_PAYLOAD_SIZE,
+    "ping": _PING.size, "pong": _PING.size, "verack": 0, "getaddr": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -281,11 +308,11 @@ class NetAddress:
         return _NET_ADDRESS.pack(self.services, ip_to_bytes16(self.ip), _PORT.pack(self.port))
 
     @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> tuple["NetAddress", int]:
-        if offset + _NET_ADDRESS.size > len(data):
-            raise TruncatedError("network address record cut short")
-        services, ip, port = _NET_ADDRESS.unpack_from(data, offset)
-        return cls(services, bytes16_to_ip(ip), int.from_bytes(port, "big")), _NET_ADDRESS.size
+    def decode(cls, record: bytes) -> "NetAddress":
+        if len(record) != _NET_ADDRESS.size:
+            raise TruncatedError(f"network address record must be {_NET_ADDRESS.size} bytes")
+        services, ip, port = _NET_ADDRESS.unpack(record)
+        return cls(services, bytes16_to_ip(ip), int.from_bytes(port, "big"))
 
 
 NULL_ADDRESS = NetAddress(0, "::", 0)
@@ -329,14 +356,12 @@ def encode_version(payload: VersionPayload) -> bytes:
     ua = payload.user_agent.encode("utf-8")
     if len(ua) > MAX_USER_AGENT_BYTES:
         raise UserAgentTooLongError(f"{len(ua)} bytes")
-    out = struct.pack("<iQq", payload.protocol_version, payload.services, payload.timestamp)
-    out += payload.receiver.encode()
-    out += payload.sender.encode()
-    out += struct.pack("<Q", payload.nonce)
-    out += encode_varint(len(ua)) + ua
-    out += struct.pack("<i", payload.start_height)
-    out += struct.pack("<B", 1 if payload.relay else 0)
-    return out
+    head = _VERSION_HEAD.pack(
+        payload.protocol_version, payload.services, payload.timestamp,
+        payload.receiver.encode(), payload.sender.encode(), payload.nonce,
+    )
+    tail = _VERSION_TAIL.pack(payload.start_height, 1 if payload.relay else 0)
+    return head + encode_varint(len(ua)) + ua + tail
 
 
 def decode_version(data: bytes) -> VersionPayload:
@@ -345,41 +370,27 @@ def decode_version(data: bytes) -> VersionPayload:
     Trailing bytes beyond the relay flag are tolerated: newer protocol
     revisions append fields there and we only need the common prefix.
     """
-    if len(data) < 20:
-        raise TruncatedError("version payload cut short")
-    protocol_version, services, timestamp = struct.unpack_from("<iQq", data, 0)
-    offset = 20
-    receiver, used = NetAddress.decode(data, offset)
-    offset += used
-    sender, used = NetAddress.decode(data, offset)
-    offset += used
-    if offset + 8 > len(data):
-        raise TruncatedError("version nonce cut short")
-    (nonce,) = struct.unpack_from("<Q", data, offset)
-    offset += 8
-    ua_len, used = decode_varint(data, offset)
+    if len(data) < _VERSION_HEAD.size:
+        raise TruncatedError("version payload cut short before the user agent")
+    protocol_version, services, timestamp, receiver, sender, nonce = _VERSION_HEAD.unpack_from(data)
+    ua_len, used = decode_varint(data, _VERSION_HEAD.size)
     if ua_len > MAX_USER_AGENT_BYTES:
         raise UserAgentTooLongError(f"{ua_len} bytes")
-    offset += used
-    if offset + ua_len > len(data):
-        raise TruncatedError("user agent cut short")
-    user_agent = data[offset : offset + ua_len].decode("utf-8", errors="replace")
-    offset += ua_len
-    if offset + 4 > len(data):
-        raise TruncatedError("start height cut short")
-    (start_height,) = struct.unpack_from("<i", data, offset)
-    offset += 4
-    relay = offset < len(data) and data[offset] != 0
+    ua_start = _VERSION_HEAD.size + used
+    tail = data[ua_start + ua_len : ua_start + ua_len + _VERSION_TAIL.size]
+    if len(tail) < _VERSION_TAIL.size - 1:  # only the relay flag may be missing
+        raise TruncatedError("version payload cut short after the user agent")
+    start_height, relay = _VERSION_TAIL.unpack(tail.ljust(_VERSION_TAIL.size, b"\x00"))
     return VersionPayload(
         protocol_version=protocol_version,
         services=services,
         timestamp=timestamp,
-        receiver=receiver,
-        sender=sender,
+        receiver=NetAddress.decode(receiver),
+        sender=NetAddress.decode(sender),
         nonce=nonce,
-        user_agent=user_agent,
+        user_agent=data[ua_start : ua_start + ua_len].decode("utf-8", errors="replace"),
         start_height=start_height,
-        relay=relay,
+        relay=relay != 0,
     )
 
 
@@ -405,15 +416,15 @@ def decode_addr(data: bytes) -> list[AddrEntry]:
 
 
 def encode_ping(nonce: int) -> bytes:
-    return struct.pack("<Q", nonce)
+    return _PING.pack(nonce)
 
 
 def decode_ping(data: bytes) -> int:
-    if len(data) < 8:
+    if len(data) < _PING.size:
         raise TruncatedError("ping nonce cut short")
-    if len(data) > 8:
+    if len(data) > _PING.size:
         raise TrailingDataError("ping payload longer than 8 bytes")
-    return struct.unpack("<Q", data)[0]
+    return _PING.unpack(data)[0]
 
 
 # pong is byte-identical to ping: an echoed 64-bit nonce.

@@ -161,6 +161,28 @@ def test_sim_subcommand_self_test(topo_file, capsys):
     assert "OK" in out and "MISMATCH" not in out
 
 
+def test_sim_out_writes_the_snapshot(tmp_path, topo_file):
+    topo_path, topo = topo_file
+    out = tmp_path / f"sim{snapshotstore.SNAPSHOT_SUFFIX}"
+    assert cli.main(["sim", "--topology", str(topo_path), "--out", str(out)]) == 0
+    assert snapshotstore.read_snapshot(out).active_addresses() == simnet.reachable_set(topo)
+
+
+def test_sim_on_a_topology_without_peers_exits_two(tmp_path, capsys):
+    path = tmp_path / "empty.topo"
+    path.write_text("@rng_seed 1\n")
+    assert cli.main(["sim", "--topology", str(path)]) == 2
+    assert "topology has no @seeds directive" in capsys.readouterr().err
+
+
+def test_timeline_on_a_directory_without_snapshots_exits_two(tmp_path, capsys):
+    directory = tmp_path / "nothing"
+    directory.mkdir()
+    code = cli.main(["timeline", "--snapshots", str(directory), "--out", str(tmp_path / "churn.csv")])
+    assert code == 2
+    assert f"no *{snapshotstore.SNAPSHOT_SUFFIX} files under {directory}" in capsys.readouterr().err
+
+
 def _write_snapshot_series(tmp_path):
     directory = tmp_path / "snaps"
     directory.mkdir()

@@ -560,6 +560,17 @@ def test_mining_shares_buckets_by_month():
     assert shares["2019-03"] == {"Unknown": 1.0}
 
 
+@pytest.mark.parametrize("bucketing, bucket", [("day", "2020-09-13"), ("month", "2020-09"), ("year", "2020")])
+def test_mining_shares_bucketings(bucketing, bucket):
+    shares = ledger.mining_shares([_coinbase("c1", 1_600_000_000, b"/slush/")], _tagmap(), bucketing)
+    assert shares == {bucket: {"SlushPool": 1.0}}
+
+
+def test_mining_shares_rejects_unknown_bucketing():
+    with pytest.raises(ValueError, match="unknown bucketing 'week'"):
+        ledger.mining_shares([_coinbase("c1", 1_600_000_000, b"")], _tagmap(), "week")
+
+
 def test_mining_shares_sum_to_one_on_random_fixtures():
     rng = random.Random(6)
     scripts = [b"/slush/", b"/BTC.COM/", b"", b"/whoami/"]

@@ -38,10 +38,7 @@ def send_version(conn):
 
 def read_frame(conn, timeout=5.0):
     header = conn.recv_exact(wirecodec.HEADER_SIZE, timeout)
-    parsed = wirecodec.decode_message_prefix(header, MAGIC)
-    if parsed is not None:
-        return parsed[0], parsed[1]
-    length = int.from_bytes(header[16:20], "little")
+    _, length, _ = wirecodec.decode_header(header, MAGIC)
     return wirecodec.decode_message(header + conn.recv_exact(length, timeout), MAGIC)
 
 

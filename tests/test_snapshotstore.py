@@ -162,6 +162,10 @@ def test_bad_partial_or_seed_count_is_corrupt(tmp_path, edit, reason):
     with pytest.raises(store.CorruptRecordError) as err:
         store.read_snapshot(path)
     assert str(err.value) == f"{path}: line 1: bad header: {reason}"
+    path.write_text("\n" + path.read_text())  # the header is read from the first non-blank line
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.read_snapshot(path)
+    assert str(err.value) == f"{path}: line 2: bad header: {reason}"
 
 
 def test_header_without_partial_or_seed_count_reads_with_defaults(tmp_path):

@@ -99,6 +99,26 @@ def test_decode_message_prefix_incremental():
     assert (command, payload, consumed) == ("ping", wc.encode_ping(7), len(frame))
 
 
+def test_decode_header_reads_what_encode_message_writes():
+    frame = wc.encode_message("ping", wc.encode_ping(7), MAGIC)
+    assert wc.decode_header(frame, MAGIC) == ("ping", 8, oracle_checksum(wc.encode_ping(7)))
+    assert wc.decode_header(frame[: wc.HEADER_SIZE], MAGIC) == wc.decode_header(frame, MAGIC)
+
+
+def test_decode_header_rejects_short_or_foreign_headers():
+    frame = wc.encode_message("verack", b"", MAGIC)
+    for size in range(wc.HEADER_SIZE):
+        with pytest.raises(wc.TruncatedError):
+            wc.decode_header(frame[:size], MAGIC)
+    with pytest.raises(wc.BadMagicError):
+        wc.decode_header(frame, wc.SIMNET_MAGIC)
+    with pytest.raises(wc.BadCommandError):
+        wc.decode_header(frame[:4] + b"ver\x01" + frame[8:], MAGIC)
+    oversized = MAGIC + b"tx".ljust(12, b"\x00") + struct.pack("<I", wc.MAX_PAYLOAD_SIZE + 1) + bytes(4)
+    with pytest.raises(wc.OversizedPayloadError):
+        wc.decode_header(oversized, MAGIC)
+
+
 @settings(max_examples=300)
 @given(
     command=st.sampled_from(["version", "verack", "addr", "ping", "pong", "getaddr", "tx"]),
@@ -213,6 +233,38 @@ net_addresses = st.builds(
 )
 def test_version_round_trip_property(payload):
     assert wc.decode_version(wc.encode_version(payload)) == payload
+
+
+@pytest.mark.parametrize("overrides", [{}, {"start_height": 654_321, "relay": True}])
+def test_version_bytes_follow_the_reference_layout(overrides):
+    def net_address(services, ip16, port):
+        return struct.pack("<Q", services) + ip16 + struct.pack(">H", port)  # the port is big-endian
+
+    payload = _version(**overrides)
+    user_agent = b"/census:0.1/"
+    expected = b"".join(
+        [
+            struct.pack("<i", 70015),  # protocol version
+            struct.pack("<Q", 1 | 8),  # services: NODE_NETWORK | NODE_WITNESS
+            struct.pack("<q", 1_600_000_000),  # timestamp
+            net_address(1, bytes(10) + b"\xff\xff" + bytes([10, 0, 0, 1]), 8333),  # receiver
+            net_address(0, bytes(16), 0),  # sender
+            struct.pack("<Q", 0x1122334455667788),  # nonce
+            bytes([len(user_agent)]) + user_agent,  # a CompactSize below 0xfd is one byte
+            struct.pack("<i", overrides.get("start_height", 0)),
+            b"\x01" if overrides.get("relay") else b"\x00",
+        ]
+    )
+    assert wc.encode_version(payload) == expected
+    assert wc.decode_version(expected) == payload
+
+
+def test_version_cut_anywhere_before_the_relay_flag_is_truncated():
+    data = wc.encode_version(_version(relay=True))
+    for size in range(len(data) - 1):
+        with pytest.raises(wc.TruncatedError):
+            wc.decode_version(data[:size])
+    assert wc.decode_version(data[:-1]) == _version(relay=False)  # the relay flag is optional
 
 
 def test_version_negative_start_height_is_carried_through():
@@ -430,6 +482,7 @@ def test_decoders_raise_only_codec_errors_on_garbage():
         blob = rng.randbytes(rng.randrange(0, 64))
         for decoder in (
             lambda d: wc.decode_message(d, MAGIC),
+            lambda d: wc.decode_header(d, MAGIC),
             wc.decode_version,
             wc.decode_addr,
             wc.decode_varint,
