@@ -9,6 +9,7 @@ cap trips, which flags the snapshot as partial).
 
 Each phase waits under its own deadline of one handshake timeout on the
 connection's clock: the whole handshake, each ping, and each getaddr round.
+Every read is handed its phase deadline, and the connection checks it.
 Pings from the peer are answered with a pong in every phase.  A frame whose
 header announces more payload than its command can carry (``addr``: 1000
 entries, ``version``: 1 KiB, ``ping``/``pong``: 8 bytes,
@@ -36,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import wirecodec
-from .transport import Connection, Endpoint, RecvTimeoutError, Transport, TransportError, _content_lines
+from .transport import Connection, Endpoint, Transport, TransportError, _content_lines
 from .wirecodec import DEFAULT_PORT, MAINNET_MAGIC, VersionPayload
 
 log = logging.getLogger(__name__)
@@ -53,10 +54,6 @@ class EmptySeedSetError(ValueError):
 
 class UnresolvableSeedsError(ValueError):
     """No seed name resolved to a single usable address."""
-
-
-class NoPongReceivedError(Exception):
-    pass
 
 
 @dataclass
@@ -161,16 +158,11 @@ def bootstrap_seeds(
     names are skipped; every A/AAAA record of a name is a seed on the default port.
     """
     resolver = resolver or _default_resolver
-    endpoints: list[Endpoint] = []
-
-    def add(endpoint: Endpoint) -> None:
-        if endpoint not in endpoints:
-            endpoints.append(endpoint)
-
+    endpoints: dict[Endpoint, None] = {}  # insertion-ordered set: first-seen order
     if isinstance(source, (str, Path)) and Path(source).exists():
         for lineno, line in _content_lines(source):
             try:
-                add(Endpoint.parse(line, default_port=default_port))
+                endpoints[Endpoint.parse(line, default_port=default_port)] = None
             except ValueError as exc:
                 raise ValueError(f"{source}: line {lineno}: {exc}") from exc
     else:
@@ -186,13 +178,12 @@ def bootstrap_seeds(
                 log.warning("seed %s did not resolve: %s", name, exc)
                 failures += 1
                 continue
-            for ip in resolved:
-                add(Endpoint.make(ip, default_port))
+            endpoints.update(dict.fromkeys(Endpoint.make(ip, default_port) for ip in resolved))
         if failures == len(names):
             raise UnresolvableSeedsError(f"none of {len(names)} seed names resolved")
     if not endpoints:
         raise EmptySeedSetError(f"seed source {source!r} yielded no endpoints")
-    return endpoints
+    return list(endpoints)
 
 
 # --- single-peer probe -----------------------------------------------------
@@ -207,17 +198,11 @@ def _next_frame(conn: Connection, magic: bytes, deadline: float) -> tuple[str, b
     payload is read.
     """
     while True:
-        remaining = deadline - conn.clock()
-        if remaining <= 0:
-            raise RecvTimeoutError("no frame before deadline")
-        header = conn.recv_exact(wirecodec.HEADER_SIZE, remaining)
+        header = conn.recv_exact(wirecodec.HEADER_SIZE, deadline)
         command, length, _ = wirecodec.decode_header(header, magic)
         if length > wirecodec.MAX_PAYLOAD_BY_COMMAND.get(command, wirecodec.MAX_PAYLOAD_SIZE):
             raise wirecodec.OversizedPayloadError(f"{length} byte {command} payload")
-        remaining = deadline - conn.clock()
-        if length and remaining <= 0:
-            raise RecvTimeoutError("payload did not arrive in time")
-        command, payload = wirecodec.decode_message(header + conn.recv_exact(length, remaining), magic)
+        command, payload = wirecodec.decode_message(header + conn.recv_exact(length, deadline), magic)
         if command != "ping":
             return command, payload
         pong = wirecodec.encode_pong(wirecodec.decode_ping(payload))
@@ -257,11 +242,8 @@ def _handshake(conn: Connection, endpoint: Endpoint, config: CrawlConfig) -> Ver
     return their_version
 
 
-def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) -> float:
-    """Minimum round-trip time over ``count`` ping/pong cycles, in ms.
-
-    Raises :class:`NoPongReceivedError` when not a single pong came back.
-    """
+def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) -> float | None:
+    """Minimum round-trip time over ``count`` ping/pong cycles, in ms; None when no pong came back."""
     best: float | None = None
     for _ in range(max(1, count)):
         nonce = random.getrandbits(64)
@@ -277,10 +259,8 @@ def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) 
         sample = (conn.clock() - sent_at) * 1000.0
         if best is None or sample < best:
             best = sample
-    if best is None:
-        raise NoPongReceivedError(f"{count} pings went unanswered")
     # records promise min_rtt > 0; clamp the degenerate zero-latency case
-    return max(best, 1e-6)
+    return None if best is None else max(best, 1e-6)
 
 
 def _harvest(conn: Connection, config: CrawlConfig) -> tuple[list[Endpoint], int]:
@@ -317,12 +297,7 @@ def probe_peer(
         return inactive, []
     try:
         version = _handshake(conn, endpoint, config)
-        try:
-            min_rtt = measure_min_rtt(
-                conn, config.magic, config.ping_count, config.handshake_timeout_ms / 1000.0
-            )
-        except NoPongReceivedError:
-            min_rtt = None
+        min_rtt = measure_min_rtt(conn, config.magic, config.ping_count, config.handshake_timeout_ms / 1000.0)
         harvested, entries_received = _harvest(conn, config)
         done = int(time.time())
         record = PeerRecord(
@@ -382,14 +357,12 @@ def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
             absorb(*probe_peer(endpoint, config, transport))
     else:
         with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
-            pending: dict[Future, Endpoint] = {}
+            pending: set[Future] = set()
             while frontier or pending:
                 while frontier and len(pending) < config.max_inflight:
-                    endpoint = frontier.popleft()
-                    pending[pool.submit(probe_peer, endpoint, config, transport)] = endpoint
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                    pending.add(pool.submit(probe_peer, frontier.popleft(), config, transport))
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    del pending[future]
                     absorb(*future.result())
 
     return Snapshot(

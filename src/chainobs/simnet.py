@@ -150,10 +150,11 @@ class _SimConnection:
         except wirecodec.CodecError:
             self._broken = True  # bad frame or malformed payload: peer hangs up
 
-    def recv_exact(self, n: int, timeout: float) -> bytes:
+    def recv_exact(self, n: int, deadline: float) -> bytes:
         if self._closed:
             raise ConnectionClosedError("connection is closed")
-        deadline = self._now + timeout
+        if n and self._now >= deadline:
+            raise RecvTimeoutError(f"read of {n} bytes starts at or after its deadline")
         while len(self._readable) < n:
             if not self._arrivals or self._arrivals[0][0] > deadline:
                 # what the peer sent before hanging up arrives first, as over TCP

@@ -1,11 +1,12 @@
 """Byte-stream transport abstraction shared by the crawler and the simnet.
 
 A transport connects to an endpoint and returns a connection object with
-four capabilities: send bytes, receive an exact number of bytes under a
-timeout, close, and read a connection-local monotonic clock.  The clock is
+four capabilities: send bytes, receive an exact number of bytes before a
+deadline, close, and read a connection-local monotonic clock.  The clock is
 what makes latency measurement uniform: the TCP transport reports wall
 monotonic time, the simulated network reports virtual time, and the crawler
-never needs to know which one it got.
+never needs to know which one it got.  A read's deadline is a time on that
+same clock, and the connection is the one place that checks it.
 
 Endpoints are keyed by canonical IP text (see :class:`Endpoint`) and a port
 in 0-65535.  Every reader of an input file decodes it here, so a byte that
@@ -123,7 +124,8 @@ def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 class Connection(Protocol):
     def send(self, data: bytes) -> None: ...
 
-    def recv_exact(self, n: int, timeout: float) -> bytes: ...
+    def recv_exact(self, n: int, deadline: float) -> bytes:
+        """``n`` bytes before ``deadline`` on :meth:`clock`, else :class:`RecvTimeoutError`."""
 
     def close(self) -> None: ...
 
@@ -144,8 +146,7 @@ class TcpConnection:
         except OSError as exc:
             raise ConnectionClosedError(str(exc)) from exc
 
-    def recv_exact(self, n: int, timeout: float) -> bytes:
-        deadline = time.monotonic() + timeout
+    def recv_exact(self, n: int, deadline: float) -> bytes:
         chunks = bytearray()
         while len(chunks) < n:
             remaining = deadline - time.monotonic()

@@ -5,13 +5,16 @@ import csv
 import dataclasses
 import itertools
 import random
+import socket
+import threading
 import typing
 
 import pytest
 
-from chainobs import cli, ledger, simnet, snapshotstore
+from chainobs import cli, ledger, simnet, snapshotstore, wirecodec
 from chainobs.crawler import CrawlConfig
 from chainobs.ledger import COIN, DEFAULT_COINJOIN_PARAMS, LedgerTx
+from chainobs.transport import Endpoint
 from helpers import BASE_TS, concentrated_ledger, make_record, make_snapshot, zero_fee_ledger
 
 
@@ -56,6 +59,59 @@ def test_crawl_subcommand_writes_parseable_snapshot(tmp_path, topo_file, seeds_f
     assert code == 0
     snapshot = snapshotstore.read_snapshot(out)
     assert snapshot.active_addresses() == simnet.reachable_set(topo)
+
+
+def _mainnet_peer(server):
+    """Serve one connection on mainnet magic: handshake, answer pings, gossip no addresses."""
+    magic = wirecodec.MAINNET_MAGIC
+    version = wirecodec.VersionPayload(
+        protocol_version=70015,
+        services=1,
+        timestamp=0,
+        receiver=wirecodec.NULL_ADDRESS,
+        sender=wirecodec.NULL_ADDRESS,
+        nonce=1,
+        user_agent="/loopback:0.1/",
+        start_height=1,
+    )
+    conn, _ = server.accept()
+    with conn:
+        conn.settimeout(5)
+        buffer = b""
+        while chunk := conn.recv(4096):
+            buffer += chunk
+            while frame := wirecodec.decode_message_prefix(buffer, magic):
+                command, payload, consumed = frame
+                buffer = buffer[consumed:]
+                replies = {
+                    "version": [("version", wirecodec.encode_version(version)), ("verack", b"")],
+                    "ping": [("pong", payload)],
+                    "getaddr": [("addr", wirecodec.encode_addr([]))],
+                }.get(command, [])
+                conn.sendall(b"".join(wirecodec.encode_message(c, p, magic) for c, p in replies))
+
+
+def test_crawl_without_simnet_probes_real_sockets(tmp_path, capsys):
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    server.settimeout(5)
+    thread = threading.Thread(target=_mainnet_peer, args=(server,), daemon=True)
+    thread.start()
+    peer = Endpoint.make("127.0.0.1", server.getsockname()[1])
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(f"{peer}\n")  # a bare --seeds host:port would be read as a DNS name
+    out = tmp_path / f"tcp{snapshotstore.SNAPSHOT_SUFFIX}"
+    try:
+        assert cli.main(["crawl", "--seeds", str(seeds), "--out", str(out), "--max-inflight", "1"]) == 0
+    finally:
+        thread.join(timeout=10)
+        server.close()
+    assert not thread.is_alive()
+    snapshot = snapshotstore.read_snapshot(out)
+    assert list(snapshot.records) == [peer] and snapshot.active_addresses() == {peer}
+    assert snapshot.records[peer].user_agent == "/loopback:0.1/"
+    assert f"{out}: 1 active / 1 discovered" in capsys.readouterr().out
 
 
 def test_crawl_repeat_writes_timestamped_files(tmp_path, topo_file, seeds_file, monkeypatch):
@@ -175,6 +231,21 @@ def test_sim_on_a_topology_without_peers_exits_two(tmp_path, capsys):
     assert "topology has no @seeds directive" in capsys.readouterr().err
 
 
+def test_sim_seeds_from_the_first_peer_without_a_seeds_directive(tmp_path, capsys):
+    path = tmp_path / "unseeded.topo"
+    path.write_text(
+        "10.0.0.1:8333 normal 9 600000 20 10.0.0.2:8333\n"
+        "10.0.0.2:8333 normal 9 600000 20 -\n"
+        "10.0.0.3:8333 normal 9 600000 20 10.0.0.1:8333\n"
+    )
+    out = tmp_path / f"sim{snapshotstore.SNAPSHOT_SUFFIX}"
+    assert cli.main(["sim", "--topology", str(path), "--out", str(out)]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    snapshot = snapshotstore.read_snapshot(out)
+    assert snapshot.seeds == (Endpoint.make("10.0.0.1"),)
+    assert snapshot.active_addresses() == {Endpoint.make("10.0.0.1"), Endpoint.make("10.0.0.2")}
+
+
 def test_timeline_on_a_directory_without_snapshots_exits_two(tmp_path, capsys):
     directory = tmp_path / "nothing"
     directory.mkdir()
@@ -231,6 +302,18 @@ def test_enrich_subcommand(tmp_path, capsys):
     assert "active nodes: 3" in stdout
     # enriched file still reads back as a plain snapshot
     assert snapshotstore.read_snapshot(out).active_count == 3
+
+
+def test_enrich_notes_tables_that_disagree_on_a_prefix(tmp_path, capsys):
+    directory = _write_snapshot_series(tmp_path)
+    snapshot_path = next(iter(sorted(directory.glob("*"))))
+    other = tmp_path / "other.csv"
+    other.write_text("10.0.0.0/8,FR,64999,Gamma\n")
+    out = tmp_path / f"enriched{snapshotstore.SNAPSHOT_SUFFIX}"
+    argv = ["enrich", "--snapshot", str(snapshot_path), "--out", str(out)]
+    assert cli.main(argv + ["--table", str(_geo_csv(tmp_path)), "--table", str(other)]) == 0
+    assert "note: 1 prefix disagreements; first-listed table won" in capsys.readouterr().err
+    assert "country:US" in out.read_text() and "country:FR" not in out.read_text()
 
 
 def test_timeline_subcommand(tmp_path):
@@ -355,3 +438,16 @@ def test_report_subcommand_fig10_fixture(tmp_path, capsys):
 def test_report_without_optional_flags(tmp_path, capsys):
     assert cli.main(["report", "--ledger", str(fig10_ledger(tmp_path))]) == 0
     assert "gini" in capsys.readouterr().out
+
+
+def test_report_on_a_ledger_without_balances_has_no_gini(tmp_path, capsys):
+    txs = [
+        LedgerTx("cb", 0, BASE_TS, True, (), (("A", 10 * COIN),)),
+        LedgerTx("t1", 1, BASE_TS + 600, False, (("A", 10 * COIN),), ()),  # all of it as fee
+    ]
+    path = tmp_path / "spent.ldg"
+    ledger.write_ledger(txs, path)
+    assert cli.main(["report", "--ledger", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "entities: 1 total, 0 with nonzero balance" in out
+    assert "gini: n/a (no nonzero balances)" in out

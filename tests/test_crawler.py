@@ -65,6 +65,11 @@ def test_endpoint_rejects_ports_outside_16_bits(build):
         build()
 
 
+def test_endpoint_parse_rejects_blank_text():
+    with pytest.raises(ValueError, match="empty endpoint"):
+        Endpoint.parse("  ")
+
+
 def test_endpoint_accepts_port_range_bounds():
     assert Endpoint.parse("1.2.3.4:0").port == 0
     assert Endpoint.parse("1.2.3.4:65535").port == 65535
@@ -80,7 +85,7 @@ def test_endpoint_str_brackets_ipv6():
 
 def test_seed_file_dedup_and_default_port(tmp_path):
     seeds = tmp_path / "seeds.txt"
-    seeds.write_text("10.0.0.1:8333\n10.0.0.1:8333\n# comment\n10.0.0.2\n")
+    seeds.write_text("10.0.0.1:8333\n10.0.0.1:8333\n::ffff:10.0.0.1\n# comment\n10.0.0.2\n")
     endpoints = crawler.bootstrap_seeds(seeds)
     assert endpoints == [ep("10.0.0.1"), ep("10.0.0.2")]
 
@@ -111,7 +116,11 @@ def test_seed_file_errors_name_the_file_and_the_line(tmp_path, content, line):
 
 
 def test_seed_dns_resolution_collects_all_records():
-    table = {"seed.example": ["10.0.0.1", "2001:db8::1"], "dead.example": OSError("nx")}
+    table = {
+        "seed.example": ["10.0.0.1", "2001:db8::1"],
+        "alias.example": ["10.0.0.1", "10.0.0.3"],
+        "dead.example": OSError("nx"),
+    }
 
     def resolver(name):
         result = table[name]
@@ -119,8 +128,8 @@ def test_seed_dns_resolution_collects_all_records():
             raise result
         return result
 
-    endpoints = crawler.bootstrap_seeds(["seed.example", "dead.example"], resolver=resolver)
-    assert endpoints == [ep("10.0.0.1"), ep("2001:db8::1")]
+    endpoints = crawler.bootstrap_seeds(["seed.example", "alias.example", "dead.example"], resolver=resolver)
+    assert endpoints == [ep("10.0.0.1"), ep("2001:db8::1"), ep("10.0.0.3")]
 
 
 def test_seed_name_list_skips_blank_names():
@@ -133,6 +142,11 @@ def test_seed_name_list_skips_blank_names():
     endpoints = crawler.bootstrap_seeds("a.example, ,b.example", resolver=resolver)
     assert resolved == ["a.example", "b.example"]
     assert endpoints == [ep("10.0.0.1"), ep("10.0.0.2")]
+
+
+def test_seed_names_all_blank_rejected():
+    with pytest.raises(crawler.EmptySeedSetError, match="no seed names given"):
+        crawler.bootstrap_seeds(" , ")
 
 
 def test_seed_dns_all_unresolvable():
@@ -216,12 +230,12 @@ class _ScriptedConnection:
         if command == "ping" and self._answer:
             self._pending += wirecodec.encode_message("pong", payload, MAGIC)
 
-    def recv_exact(self, n, timeout):
+    def recv_exact(self, n, deadline):
         if len(self._pending) >= n:
             self._now += 0.025
             out, self._pending = self._pending[:n], self._pending[n:]
             return out
-        self._now += timeout
+        self._now = max(self._now, deadline)
         raise RecvTimeoutError("nothing scheduled")
 
     def close(self):
@@ -238,8 +252,7 @@ def test_measure_min_rtt_single_sample():
 
 def test_measure_min_rtt_no_pong():
     conn = _ScriptedConnection(answer=False)
-    with pytest.raises(crawler.NoPongReceivedError):
-        crawler.measure_min_rtt(conn, MAGIC, count=3, timeout=0.1)
+    assert crawler.measure_min_rtt(conn, MAGIC, count=3, timeout=0.1) is None
 
 
 class _PingingPeer(_ScriptedConnection):
@@ -321,9 +334,9 @@ class _OversizedAddrPeer(_ScriptedConnection):
         super().__init__(answer=True)
         self.requested = []
 
-    def recv_exact(self, n, timeout):
+    def recv_exact(self, n, deadline):
         self.requested.append(n)
-        return super().recv_exact(n, timeout)
+        return super().recv_exact(n, deadline)
 
     def send(self, data):
         command, payload = wirecodec.decode_message(data, MAGIC)
@@ -684,11 +697,33 @@ def test_tcp_recv_from_a_silent_peer_times_out():
         conn = TcpTransport().connect(endpoint, timeout=2.0)
         try:
             with pytest.raises(RecvTimeoutError):
-                conn.recv_exact(1, 0.0)
+                conn.recv_exact(1, conn.clock() + 0.0)
             started = time.monotonic()
             with pytest.raises(RecvTimeoutError):
-                conn.recv_exact(wirecodec.HEADER_SIZE, 0.2)
+                conn.recv_exact(wirecodec.HEADER_SIZE, conn.clock() + 0.2)
             assert 0.15 <= time.monotonic() - started < 2.0
+        finally:
+            conn.close()
+
+
+_VERACK = wirecodec.encode_message("verack", b"", wirecodec.MAINNET_MAGIC)
+
+
+def _verack_then_wait(conn):
+    conn.sendall(_VERACK)
+    conn.recv(1)  # until we hang up
+
+
+def test_tcp_read_that_starts_at_or_after_its_deadline_times_out():
+    with _listener(_verack_then_wait) as endpoint:
+        conn = TcpTransport().connect(endpoint, timeout=2.0)
+        try:
+            first = conn.recv_exact(1, conn.clock() + 2.0)
+            for late in (0.0, 5.0):  # the rest of the frame may be waiting in the socket
+                with pytest.raises(RecvTimeoutError):
+                    conn.recv_exact(len(_VERACK) - 1, conn.clock() - late)
+            assert conn.recv_exact(0, conn.clock() - 5.0) == b""
+            assert first + conn.recv_exact(len(_VERACK) - 1, conn.clock() + 2.0) == _VERACK
         finally:
             conn.close()
 
@@ -702,7 +737,7 @@ def test_tcp_peer_that_hangs_up_mid_header():
         conn = TcpTransport().connect(endpoint, timeout=2.0)
         try:
             with pytest.raises(ConnectionClosedError):
-                conn.recv_exact(wirecodec.HEADER_SIZE, 2.0)
+                conn.recv_exact(wirecodec.HEADER_SIZE, conn.clock() + 2.0)
         finally:
             conn.close()
         cfg = CrawlConfig(seeds=(endpoint,), connect_timeout_ms=2000.0, handshake_timeout_ms=2000.0)
@@ -719,7 +754,7 @@ def test_tcp_recv_and_send_after_a_reset_fail_as_closed():
         conn = TcpTransport().connect(endpoint, timeout=2.0)
         try:
             with pytest.raises(ConnectionClosedError):
-                conn.recv_exact(wirecodec.HEADER_SIZE, 2.0)
+                conn.recv_exact(wirecodec.HEADER_SIZE, conn.clock() + 2.0)
             with pytest.raises(ConnectionClosedError):
                 conn.send(b"\x00" * 64)
         finally:

@@ -309,6 +309,12 @@ def test_top_holders_k_larger_than_population():
     assert rows[-1].cumulative_share == pytest.approx(1.0)
 
 
+def test_top_holders_needs_a_positive_k():
+    balances = {"E1": 5}
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        ledger.top_holders(balances, _partition_of(balances), k=0)
+
+
 def test_top_holders_tie_breaks_by_entity_id():
     balances = {"B": 5, "A": 5, "C": 1}
     rows = ledger.top_holders(balances, _partition_of(balances), k=2)
@@ -646,6 +652,13 @@ def test_ledger_format_error_names_the_file(tmp_path):
 )
 def test_entry_values_must_be_non_negative_decimal_integers(column):
     with pytest.raises(ledger.LedgerFormatError) as err:
+        ledger._parse_entries(column, 4)
+    assert err.value.line_number == 4
+
+
+@pytest.mark.parametrize("column", ["m", ":5", "a:1;b"])
+def test_entries_need_an_address_and_a_colon(column):
+    with pytest.raises(ledger.LedgerFormatError, match="bad addr:value pair") as err:
         ledger._parse_entries(column, 4)
     assert err.value.line_number == 4
 

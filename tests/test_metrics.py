@@ -32,6 +32,11 @@ def test_mean_connection_time_never_active():
         metrics.mean_connection_time(timeline([0, 0, 0]))
 
 
+def test_latency_and_uptime_metrics_never_active():
+    with pytest.raises(metrics.NeverActiveError):
+        metrics.latency_and_uptime_metrics(timeline([0, 0, 0]), [])
+
+
 def test_mean_connection_time_is_the_exact_rational():
     rng = random.Random(5)
     for _ in range(200):
@@ -380,6 +385,12 @@ def test_build_timelines_infers_interval():
 def test_build_timelines_rejects_empty_input():
     with pytest.raises(ValueError):
         metrics.build_timelines([])
+
+
+def test_build_timelines_cannot_infer_an_interval_from_one_start_time():
+    snapshots = [make_snapshot([make_record(ip)], started_at=1000) for ip in ("10.0.0.1", "10.0.0.2")]
+    with pytest.raises(ValueError, match="single point in time"):
+        metrics.build_timelines(snapshots)
 
 
 @pytest.mark.parametrize("interval", [0, -600])

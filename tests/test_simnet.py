@@ -37,9 +37,9 @@ def send_version(conn):
 
 
 def read_frame(conn, timeout=5.0):
-    header = conn.recv_exact(wirecodec.HEADER_SIZE, timeout)
+    header = conn.recv_exact(wirecodec.HEADER_SIZE, conn.clock() + timeout)
     _, length, _ = wirecodec.decode_header(header, MAGIC)
-    return wirecodec.decode_message(header + conn.recv_exact(length, timeout), MAGIC)
+    return wirecodec.decode_message(header + conn.recv_exact(length, conn.clock() + timeout), MAGIC)
 
 
 def handshake(conn):
@@ -99,7 +99,7 @@ def test_silent_peer_accepts_then_never_answers():
     conn = network.connect(profile.address, timeout=1.0)
     send_version(conn)
     with pytest.raises(RecvTimeoutError):
-        conn.recv_exact(1, timeout=2.5)
+        conn.recv_exact(1, conn.clock() + 2.5)
     # virtual clock advanced by exactly the timeout, no wall sleeping
     assert conn.clock() == 2.5
 
@@ -188,7 +188,7 @@ def test_frame_fed_one_byte_per_send_is_answered_once_complete():
     for i in range(len(frame) - 1):
         conn.send(frame[i : i + 1])
     with pytest.raises(RecvTimeoutError):
-        conn.recv_exact(1, timeout=1.0)  # nothing until the last byte arrives
+        conn.recv_exact(1, conn.clock() + 1.0)  # nothing until the last byte arrives
     conn.send(frame[-1:])
     command, payload = read_frame(conn)
     assert (command, wirecodec.decode_pong(payload)) == ("pong", 0xC0FFEE)
@@ -230,10 +230,56 @@ def test_peer_answers_a_good_frame_then_hangs_up_on_a_bad_one(spoil):
     command, payload = read_frame(conn)
     assert (command, wirecodec.decode_pong(payload)) == ("pong", 6)
     with pytest.raises(ConnectionClosedError):
-        conn.recv_exact(1, timeout=1.0)
+        conn.recv_exact(1, conn.clock() + 1.0)
     conn.send(ping_frame(8))  # a peer that hung up ignores what follows
     with pytest.raises(ConnectionClosedError):
-        conn.recv_exact(1, timeout=1.0)
+        conn.recv_exact(1, conn.clock() + 1.0)
+
+
+# --- read contract: deadlines on the connection's clock --------------------------
+
+
+@pytest.mark.parametrize("late", [0.0, 5.0], ids=["at", "after"])
+def test_read_that_starts_at_or_after_its_deadline_times_out_with_bytes_buffered(late):
+    conn = connected_peer()
+    handshake(conn)
+    conn.send(ping_frame(9))
+    conn.recv_exact(wirecodec.HEADER_SIZE, conn.clock() + 1.0)  # the whole pong arrives at once
+    now = conn.clock()
+    with pytest.raises(RecvTimeoutError):
+        conn.recv_exact(8, now - late)
+    assert conn.clock() == now
+    assert wirecodec.decode_pong(conn.recv_exact(8, now + 1.0)) == 9
+
+
+def test_past_deadline_never_moves_the_clock_backwards():
+    profile = SimPeerProfile(ep("10.0.0.1"), behavior="silent")
+    conn = simnet.build_network(topology([profile])).connect(profile.address, timeout=1.0)
+    with pytest.raises(RecvTimeoutError):
+        conn.recv_exact(1, 2.5)
+    for deadline in (2.5, 1.0, -3.0):
+        with pytest.raises(RecvTimeoutError):
+            conn.recv_exact(1, deadline)
+        assert conn.clock() == 2.5
+
+
+def test_empty_read_returns_at_any_time():
+    conn = connected_peer()
+    for deadline in (-1.0, 0.0, 1.0):
+        assert conn.recv_exact(0, deadline) == b""
+    assert conn.clock() == 0.0
+
+
+@pytest.mark.parametrize(
+    "use",
+    [lambda conn: conn.send(ping_frame(1)), lambda conn: conn.recv_exact(1, conn.clock() + 1.0)],
+    ids=["send", "recv_exact"],
+)
+def test_closed_connection_refuses_reads_and_writes(use):
+    conn = connected_peer()
+    conn.close()
+    with pytest.raises(ConnectionClosedError, match="connection is closed"):
+        use(conn)
 
 
 # --- gossip: differential against the per-call sampler it replaced ----------------
@@ -302,6 +348,16 @@ def test_known_peers_cache_limit():
     too_many = tuple(ep(f"10.{i // 65536}.{(i // 256) % 256}.{i % 256}", 8333) for i in range(2501))
     with pytest.raises(ValueError):
         SimPeerProfile(ep("10.0.0.1"), known_peers=too_many)
+
+
+def test_unknown_behavior_rejected():
+    with pytest.raises(ValueError, match="unknown behavior 'bogus'"):
+        SimPeerProfile(ep("10.0.0.1"), behavior="bogus")
+
+
+def test_random_topology_needs_a_normal_peer_to_seed_from():
+    with pytest.raises(ValueError, match="no normal peers"):
+        simnet.random_topology(10, 1, unreachable_fraction=1.0)
 
 
 def test_seed_outside_topology_rejected():
@@ -428,8 +484,9 @@ def test_topology_file_rejects_unknown_behavior(tmp_path):
             3,
             "10.0.0.1:8333 repeats line 1",
         ),
+        (b"10.0.0.1:8333 normal:5 9 0 0 -\n", 1, "only slow takes a delay parameter: 'normal:5'"),
     ],
-    ids=["services", "not-utf8", "directive", "repeat"],
+    ids=["services", "not-utf8", "directive", "repeat", "delay-on-normal"],
 )
 def test_topology_file_errors_name_the_file_and_the_line(tmp_path, content, line, reason):
     path = tmp_path / "bad.topo"

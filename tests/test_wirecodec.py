@@ -91,6 +91,25 @@ def test_bad_command_bytes():
         wc.decode_message(bytes(frame), MAGIC)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: wc.bytes16_to_ip(bytes(15)), wc.TruncatedError, "must be 16 bytes"),
+        (lambda: wc.NetAddress.decode(bytes(25)), wc.TruncatedError, "must be 26 bytes"),
+        (lambda: wc.encode_message("v\u00e9rack", b"", MAGIC), wc.BadCommandError, "non-ASCII"),
+        (
+            lambda: wc.encode_message("tx", bytes(wc.MAX_PAYLOAD_SIZE + 1), MAGIC),
+            wc.OversizedPayloadError,
+            f"{wc.MAX_PAYLOAD_SIZE + 1} byte payload",
+        ),
+    ],
+    ids=["ip-15-bytes", "net-address-25-bytes", "non-ascii-command", "oversized-payload"],
+)
+def test_codec_rejects_input_of_the_wrong_size_or_alphabet(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_decode_message_prefix_incremental():
     frame = wc.encode_message("ping", wc.encode_ping(7), MAGIC)
     assert wc.decode_message_prefix(frame[:10], MAGIC) is None
