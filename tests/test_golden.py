@@ -1,4 +1,4 @@
-"""Golden outputs: the bytes every report subcommand writes on fixed inputs.
+"""Golden outputs: the bytes every subcommand writes on fixed inputs.
 
 Small seeded inputs come from the benchmark's generators (``bench/inputs.py``).
 Each subcommand runs in-process; the sha256 of each file it writes and of
@@ -6,6 +6,10 @@ its standard output is compared with a pinned value.  A change that alters
 one of these bytes on purpose updates the pin and says why.  One subprocess
 run under a fixed ``PYTHONHASHSEED`` checks that the bytes do not depend on
 the hash seed of the process.
+
+``sim`` and ``crawl --simnet`` stamp snapshots with the wall clock, so their
+outputs are pinned with the clock fields stripped (the pattern of the
+benchmark's ``_CLOCK_FIELDS``) and ``sim``'s stdout without its run time.
 """
 
 from __future__ import annotations
@@ -13,13 +17,14 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from chainobs import cli, snapshotstore
+from chainobs import cli, simnet, snapshotstore
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -132,3 +137,43 @@ def test_bni_output_does_not_depend_on_the_hash_seed(workdir, tmp_path):
     env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, "-m", "chainobs.cli", *argv], cwd=workdir, env=env, check=True, capture_output=True)
     assert _sha256((tmp_path / file).read_bytes()) == GOLDEN[f"bni:{file}"]
+
+
+# the clock fields of bench/workloads.py's _CLOCK_FIELDS, and sim's "in X.XXs"
+CLOCK_FIELDS = re.compile(r" ?\b(?:started_at|finished_at|first_seen|last_seen):\d+")
+RUN_TIME = re.compile(r" in \d+\.\d+s")
+
+CRAWL_COMMANDS = {
+    "sim": ["sim", "--topology", "net.topo", "--out", "sim.snap.ndrec"],
+    # a short handshake timeout leaves the slow peers inactive
+    "crawl": [
+        "crawl", "--simnet", "net.topo", "--seeds", "seeds.txt", "--out", "crawl.snap.ndrec",
+        "--handshake-timeout-ms", "200", "--getaddr-rounds", "1", "--ping-count", "2",
+    ],
+}
+
+# pinned on the commit before simnet crawls left the thread pool
+CRAWL_GOLDEN = {
+    "sim:stdout": "2304b78b5fa11e2f4b6f031331657557fc4f80783bd38ca543af71d951905785",
+    "sim:sim.snap.ndrec": "302700245aa771e7a65e4fa131b08d71d85471766ade228bc3d7163ee965e4b1",
+    "crawl:stdout": "5a6f65e97af98df71805d4dfaca54a904df2e0b00fc2e9b8d1ef08f53bc9033d",
+    "crawl:crawl.snap.ndrec": "27ae3146bb83daa707357e2d354661649164e48d1a3e66ef1bab8ecbeb6a3989",
+}
+
+
+def test_simnet_crawl_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
+    topology = simnet.random_topology(
+        200, rng_seed=14, unreachable_fraction=0.1, silent_fraction=0.05, slow_fraction=0.1,
+        stale_fraction=0.05, empty_addr_fraction=0.05,
+    )
+    simnet.save_topology(topology, tmp_path / "net.topo")
+    (tmp_path / "seeds.txt").write_text("".join(f"{seed}\n" for seed in topology.seed_ids))
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, argv in CRAWL_COMMANDS.items():
+        capsys.readouterr()
+        assert cli.main(argv) == 0, name
+        digests[f"{name}:stdout"] = _sha256(RUN_TIME.sub("", capsys.readouterr().out).encode())
+        out = argv[argv.index("--out") + 1]
+        digests[f"{name}:{out}"] = _sha256(CLOCK_FIELDS.sub("", Path(out).read_text(encoding="utf-8")).encode())
+    assert digests == CRAWL_GOLDEN
