@@ -29,7 +29,7 @@ for round_index in range(6):
             profiles.append(profile)
     topo = simnet.SimTopology(tuple(profiles), seeds, rng_seed=base.rng_seed)
     network = simnet.build_network(topo)
-    config = crawler.CrawlConfig(seeds=seeds, magic=network.magic, max_inflight=32)
+    config = crawler.CrawlConfig(seeds=seeds, magic=network.magic)
     snapshot = crawler.crawl(config, network)
     snapshot.started_at = 1_700_000_000 + round_index * INTERVAL
     snapshots.append(snapshot)

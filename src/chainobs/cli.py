@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import logging
 import os
 import sys
@@ -59,6 +60,19 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _at_least(low: int, convert: type) -> typing.Callable[[str], float]:
+    """An argparse type: ``convert(text)``, finite and at least ``low``."""
+
+    def parse(text: str) -> float:
+        value = convert(text)
+        if not low <= value < float("inf"):  # also false for nan
+            raise argparse.ArgumentTypeError(f"not a finite number >= {low}: {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid float value"
+    return parse
+
+
 # The CrawlConfig fields a user sets: each is a flag with the field's type and default.
 _CRAWL_SETTINGS = (
     "max_inflight", "connect_timeout_ms", "handshake_timeout_ms", "getaddr_rounds", "ping_count", "max_frontier"
@@ -96,8 +110,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    iteration = 0
-    while True:
+    for crawls in itertools.count(1):
         snapshot = crawler.crawl(config, transport)
         stamp = datetime.fromtimestamp(snapshot.started_at, tz=timezone.utc).strftime("%Y%m%dT%H%M%SZ")
         path = out_dir / f"{stamp}{snapshotstore.SNAPSHOT_SUFFIX}"
@@ -107,8 +120,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             suffix += 1
         snapshotstore.write_snapshot(snapshot, path)
         print(f"{path}: {snapshot.active_count} active / {snapshot.total_count} discovered")
-        iteration += 1
-        if args.repeat_count is not None and iteration >= args.repeat_count:
+        if crawls == args.repeat_count:
             return 0
         time.sleep(args.repeat * 60.0)
 
@@ -325,8 +337,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", required=True, help="seed file (ip[:port] per line) or DNS names")
     p.add_argument("--out", required=True, help="snapshot file, or directory with --repeat")
     p.add_argument("--simnet", help="topology file: crawl the simulated network instead of TCP")
-    p.add_argument("--repeat", type=float, help="re-crawl every N minutes, one timestamped file each")
-    p.add_argument("--repeat-count", type=int, help="stop after this many crawls (with --repeat)")
+    p.add_argument("--repeat", type=_at_least(0, float), help="re-crawl every N minutes, one timestamped file each")
+    p.add_argument("--repeat-count", type=_at_least(1, int), help="stop after this many crawls (with --repeat)")
     _add_crawl_options(p)
     p.set_defaults(func=_cmd_crawl)
 
@@ -391,6 +403,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "repeat_count", None) is not None and args.repeat is None:
+        parser.error("argument --repeat-count: needs --repeat")
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:

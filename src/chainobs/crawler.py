@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import wirecodec
-from .transport import Connection, Endpoint, Transport, TransportError, _content_lines
+from .transport import Connection, Endpoint, TcpTransport, Transport, TransportError, _content_lines
 from .wirecodec import DEFAULT_PORT, MAINNET_MAGIC, VersionPayload
 
 log = logging.getLogger(__name__)
@@ -326,9 +326,10 @@ def probe_peer(
 def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
     """Breadth-first crawl from the configured seeds.
 
-    Each endpoint is probed exactly once.  ``max_inflight`` bounds the
-    number of simultaneously open probes; with ``max_inflight=1`` the crawl
-    degenerates to a strictly sequential loop on the calling thread.
+    Each endpoint is probed exactly once.  Only over a :class:`TcpTransport`,
+    whose reads wait on the network, do up to ``max_inflight`` threads probe
+    at once; any other transport (the simnet's reads never wait) and
+    ``max_inflight=1`` probe one peer at a time on the calling thread.
     """
     started_at = int(time.time())
     seeds = tuple(dict.fromkeys(config.seeds))
@@ -351,7 +352,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
             visited.add(endpoint)
             frontier.append(endpoint)
 
-    if config.max_inflight == 1:
+    if config.max_inflight == 1 or not isinstance(transport, TcpTransport):
         while frontier:
             endpoint = frontier.popleft()
             absorb(*probe_peer(endpoint, config, transport))

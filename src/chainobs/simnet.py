@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -172,7 +171,7 @@ class _SimConnection:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._network._connection_closed()
+            self._network.open_connections -= 1
 
     def clock(self) -> float:
         return self._now
@@ -192,7 +191,7 @@ class _SimConnection:
                 timestamp=BASE_TIME,
                 receiver=wirecodec.NULL_ADDRESS,
                 sender=NetAddress(profile.services, profile.address.ip, profile.address.port),
-                nonce=self._network._draw_nonce(profile.address),
+                nonce=self._network._rngs[profile.address].getrandbits(64),
                 user_agent=profile.advertised_user_agent,
                 start_height=profile.start_height,
                 relay=False,
@@ -206,7 +205,8 @@ class _SimConnection:
         elif command == "getaddr":
             if self._gossip is None:
                 self._gossip = self._network._gossip_entries(profile)
-            entries = self._network._sample_gossip(profile.address, self._gossip)
+            count = min(wirecodec.MAX_ADDR_ENTRIES, len(self._gossip))
+            entries = self._network._rngs[profile.address].sample(self._gossip, count)
             self._schedule(wirecodec.encode_message("addr", wirecodec.encode_addr(entries), magic))
         # verack and anything else: nothing to say back
 
@@ -214,8 +214,8 @@ class _SimConnection:
 class SimNetwork:
     """Transport over a :class:`SimTopology`, with connection accounting.
 
-    ``peak_connections`` records the highest number of simultaneously open
-    connections, which lets tests assert crawler concurrency bounds.
+    Single-threaded: its reads never wait, so the crawler probes it on the
+    calling thread.  ``peak_connections`` is the most connections open at once.
     """
 
     def __init__(self, topology: SimTopology, magic: bytes = wirecodec.SIMNET_MAGIC):
@@ -224,26 +224,16 @@ class SimNetwork:
         self.open_connections = 0
         self.peak_connections = 0
         self.connects_attempted = 0
-        self._lock = threading.Lock()
         self._rngs = {p.address: _peer_rng(topology.rng_seed, p.address) for p in topology.peers}
 
     def connect(self, endpoint: Endpoint, timeout: float) -> _SimConnection:
         profile = self.topology.profile(endpoint)
-        with self._lock:
-            self.connects_attempted += 1
-            if profile is None or profile.behavior == "unreachable":
-                raise ConnectError(f"{endpoint}: connection refused")
-            self.open_connections += 1
-            self.peak_connections = max(self.peak_connections, self.open_connections)
+        self.connects_attempted += 1
+        if profile is None or profile.behavior == "unreachable":
+            raise ConnectError(f"{endpoint}: connection refused")
+        self.open_connections += 1
+        self.peak_connections = max(self.peak_connections, self.open_connections)
         return _SimConnection(self, profile)
-
-    def _connection_closed(self) -> None:
-        with self._lock:
-            self.open_connections -= 1
-
-    def _draw_nonce(self, address: Endpoint) -> int:
-        with self._lock:
-            return self._rngs[address].getrandbits(64)
 
     def _gossip_entries(self, profile: SimPeerProfile) -> list[AddrEntry]:
         entries = []
@@ -252,11 +242,6 @@ class SimNetwork:
             services = known.services if known is not None else 0
             entries.append(AddrEntry(BASE_TIME, services, endpoint.ip, endpoint.port))
         return entries
-
-    def _sample_gossip(self, address: Endpoint, entries: list[AddrEntry]) -> list[AddrEntry]:
-        count = min(wirecodec.MAX_ADDR_ENTRIES, len(entries))
-        with self._lock:
-            return self._rngs[address].sample(entries, count)
 
 
 def build_network(topology: SimTopology, magic: bytes = wirecodec.SIMNET_MAGIC) -> SimNetwork:

@@ -78,10 +78,9 @@ class Endpoint:
             raise ValueError("empty endpoint")
         if text.startswith("["):
             host, bracket, rest = text[1:].partition("]")
-            if not bracket:
-                raise ValueError(f"unterminated bracket in {text!r}")
-            port = int(rest[1:]) if rest.startswith(":") else default_port
-            return cls.make(host, port)
+            if not bracket or rest[:1] not in ("", ":"):
+                raise ValueError(f"expected [ipv6] or [ipv6]:port, got {text!r}")
+            return cls.make(host, int(rest[1:]) if rest else default_port)
         if text.count(":") == 1:
             host, _, port_text = text.partition(":")
             return cls.make(host, int(port_text))

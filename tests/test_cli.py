@@ -153,6 +153,29 @@ def test_crawl_repeat_does_not_overwrite_same_second_snapshots(tmp_path, topo_fi
     assert len(list(out_dir.glob(f"*{snapshotstore.SNAPSHOT_SUFFIX}"))) == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--repeat", "-1"],
+        ["--repeat", "inf"],
+        ["--repeat", "nan"],
+        ["--repeat", "soon"],
+        ["--repeat", "0", "--repeat-count", "0"],
+        ["--repeat", "0", "--repeat-count", "-2"],
+        ["--repeat-count", "2"],
+    ],
+    ids=["negative", "inf", "nan", "not-a-number", "count-0", "count-negative", "count-without-repeat"],
+)
+def test_crawl_rejects_bad_repeat_flags_before_crawling(tmp_path, topo_file, seeds_file, flags, capsys):
+    topo_path, _ = topo_file
+    out = tmp_path / "series"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["crawl", "--seeds", str(seeds_file), "--out", str(out), "--simnet", str(topo_path), *flags])
+    assert err.value.code == 1
+    assert "usage" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["crawl", "--seeds", "x", "--out", "y", "--bogus"])

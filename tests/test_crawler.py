@@ -57,8 +57,13 @@ def test_endpoint_parse(text, expected):
         lambda: Endpoint.parse("1.2.3.4:-1"),
         lambda: Endpoint.make("1.2.3.4", -1),
         lambda: Endpoint.make("1.2.3.4", 65536),
+        lambda: Endpoint.parse("[2001:db8::1]18333"),
+        lambda: Endpoint.parse("[::1]x"),
     ],
-    ids=["parse-65536", "parse-v6-70000", "parse-negative", "make-negative", "make-65536"],
+    ids=[
+        "parse-65536", "parse-v6-70000", "parse-negative", "make-negative", "make-65536",
+        "parse-v6-port-without-colon", "parse-v6-trailing-text",
+    ],
 )
 def test_endpoint_rejects_ports_outside_16_bits(build):
     with pytest.raises(ValueError):
@@ -532,19 +537,16 @@ def test_crawl_is_deterministic_modulo_timestamps():
     assert run() == run()
 
 
-def test_crawl_single_threaded_configuration_matches_parallel():
-    topo = simnet.random_topology(50, rng_seed=9, silent_fraction=0.1)
-    parallel = crawler.crawl(config(topo.seed_ids, max_inflight=16), simnet.build_network(topo))
-    sequential = crawler.crawl(config(topo.seed_ids, max_inflight=1), simnet.build_network(topo))
-    assert parallel.active_addresses() == sequential.active_addresses()
-    assert set(parallel.records) == set(sequential.records)
+def test_simnet_crawl_starts_no_thread_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a simnet crawl started a thread pool")
 
-
-def test_crawl_inflight_bound_is_respected():
-    topo = simnet.random_topology(120, rng_seed=6)
+    monkeypatch.setattr(crawler, "ThreadPoolExecutor", no_pool)
+    topo = simnet.random_topology(120, rng_seed=6, silent_fraction=0.1)
     network = simnet.build_network(topo)
-    crawler.crawl(config(topo.seed_ids, max_inflight=4), network)
-    assert network.peak_connections <= 4
+    snapshot = crawler.crawl(config(topo.seed_ids, max_inflight=64), network)
+    assert network.peak_connections == 1
+    assert snapshot.active_addresses() == simnet.reachable_set(topo)
 
 
 def test_crawl_frontier_cap_flags_partial_snapshot():
@@ -759,3 +761,105 @@ def test_tcp_recv_and_send_after_a_reset_fail_as_closed():
                 conn.send(b"\x00" * 64)
         finally:
             conn.close()
+
+
+class _CountingTcpTransport(TcpTransport):
+    """TCP whose connections are counted while open, from any thread."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.open = self.peak = 0
+
+    def connect(self, endpoint, timeout):
+        conn = super().connect(endpoint, timeout)
+        with self._lock:
+            self.open += 1
+            self.peak = max(self.peak, self.open)
+        close = conn.close
+
+        def counted_close():
+            with self._lock:
+                self.open -= 1
+            close()
+
+        conn.close = counted_close
+        return conn
+
+
+def _gossiping_tcp_peer(server, magic, index, gossip, probes):
+    """Serve ``probes`` connections in turn, like ``_tcp_peer`` with a version 50 ms late
+    and the endpoints of ``gossip`` as the answer to getaddr."""
+    version = wirecodec.VersionPayload(
+        protocol_version=70015,
+        services=5,
+        timestamp=0,
+        receiver=wirecodec.NULL_ADDRESS,
+        sender=wirecodec.NULL_ADDRESS,
+        nonce=index,
+        user_agent=f"/tcp-peer-{index}:0.1/",
+        start_height=750_000 + index,
+    )
+    handshake = wirecodec.encode_message("version", wirecodec.encode_version(version), magic)
+    handshake += wirecodec.encode_message("verack", b"", magic)
+    entries = [wirecodec.AddrEntry(0, 1, e.ip, e.port) for e in gossip]
+    addr = wirecodec.encode_message("addr", wirecodec.encode_addr(entries), magic)
+    for _ in range(probes):
+        conn, _ = server.accept()
+        with conn:
+            conn.settimeout(5)
+            buffer = b""
+            while chunk := conn.recv(4096):
+                buffer += chunk
+                while frame := wirecodec.decode_message_prefix(buffer, magic):
+                    command, payload, consumed = frame
+                    buffer = buffer[consumed:]
+                    if command == "version":
+                        time.sleep(0.05)
+                        conn.sendall(handshake)
+                    elif command == "ping":
+                        conn.sendall(wirecodec.encode_message("pong", payload, magic))
+                    elif command == "getaddr":
+                        conn.sendall(addr)
+
+
+def test_tcp_crawl_holds_the_inflight_bound_and_matches_a_sequential_crawl():
+    magic = wirecodec.MAINNET_MAGIC
+    servers = [socket.create_server(("127.0.0.1", 0)) for _ in range(6)]
+    endpoints = [ep("127.0.0.1", server.getsockname()[1]) for server in servers]
+    threads = []
+    for index, server in enumerate(servers):
+        server.settimeout(5)
+        gossip = endpoints[:index] + endpoints[index + 1:]
+        args = (server, magic, index, gossip, 2)  # one probe per crawl
+        threads.append(threading.Thread(target=_gossiping_tcp_peer, args=args, daemon=True))
+        threads[-1].start()
+
+    def run(max_inflight):
+        transport = _CountingTcpTransport()
+        cfg = CrawlConfig(
+            seeds=(endpoints[0],),
+            magic=magic,
+            max_inflight=max_inflight,
+            connect_timeout_ms=2000.0,
+            handshake_timeout_ms=2000.0,
+            getaddr_rounds=1,
+            ping_count=1,
+        )
+        snapshot = crawler.crawl(cfg, transport)
+        assert transport.open == 0
+        records = {r.address: (r.status, r.user_agent, r.start_height) for r in snapshot.records.values()}
+        return transport.peak, records
+
+    try:
+        parallel_peak, parallel = run(3)
+        sequential_peak, sequential = run(1)
+    finally:
+        for thread in threads:
+            thread.join(timeout=10)
+        for server in servers:
+            server.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert 1 < parallel_peak <= 3 and sequential_peak == 1
+    assert set(parallel) == set(endpoints)
+    assert all(status == STATUS_ACTIVE for status, _, _ in parallel.values())
+    assert parallel == sequential
