@@ -154,25 +154,25 @@ def test_crawl_repeat_does_not_overwrite_same_second_snapshots(tmp_path, topo_fi
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, reason",
     [
-        ["--repeat", "-1"],
-        ["--repeat", "inf"],
-        ["--repeat", "nan"],
-        ["--repeat", "soon"],
-        ["--repeat", "0", "--repeat-count", "0"],
-        ["--repeat", "0", "--repeat-count", "-2"],
-        ["--repeat-count", "2"],
+        (["--repeat", "-1"], "--repeat: not a finite number >= 0: '-1'"),
+        (["--repeat", "inf"], "--repeat: not a finite number >= 0: 'inf'"),
+        (["--repeat", "nan"], "--repeat: not a finite number >= 0: 'nan'"),
+        (["--repeat", "soon"], "--repeat: invalid float value: 'soon'"),
+        (["--repeat", "0", "--repeat-count", "0"], "--repeat-count: not a finite number >= 1: '0'"),
+        (["--repeat", "0", "--repeat-count", "-2"], "--repeat-count: not a finite number >= 1: '-2'"),
+        (["--repeat-count", "2"], "--repeat-count: needs --repeat"),
     ],
     ids=["negative", "inf", "nan", "not-a-number", "count-0", "count-negative", "count-without-repeat"],
 )
-def test_crawl_rejects_bad_repeat_flags_before_crawling(tmp_path, topo_file, seeds_file, flags, capsys):
+def test_crawl_rejects_bad_repeat_flags_before_crawling(tmp_path, topo_file, seeds_file, flags, reason, capsys):
     topo_path, _ = topo_file
     out = tmp_path / "series"
     with pytest.raises(SystemExit) as err:
         cli.main(["crawl", "--seeds", str(seeds_file), "--out", str(out), "--simnet", str(topo_path), *flags])
     assert err.value.code == 1
-    assert "usage" in capsys.readouterr().err
+    assert f"error: argument {reason}" in capsys.readouterr().err
     assert not out.exists()
 
 
