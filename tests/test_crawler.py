@@ -822,44 +822,73 @@ def _gossiping_tcp_peer(server, magic, index, gossip, probes):
                         conn.sendall(addr)
 
 
-def test_tcp_crawl_holds_the_inflight_bound_and_matches_a_sequential_crawl():
+@contextmanager
+def _gossiping_tcp_network(peers, probes):
+    """Yield the endpoints of ``peers`` loopback peers, each serving ``probes``
+    connections on its own thread and gossiping the others; join and close on exit."""
     magic = wirecodec.MAINNET_MAGIC
-    servers = [socket.create_server(("127.0.0.1", 0)) for _ in range(6)]
+    servers = [socket.create_server(("127.0.0.1", 0)) for _ in range(peers)]
     endpoints = [ep("127.0.0.1", server.getsockname()[1]) for server in servers]
     threads = []
     for index, server in enumerate(servers):
         server.settimeout(5)
         gossip = endpoints[:index] + endpoints[index + 1:]
-        args = (server, magic, index, gossip, 2)  # one probe per crawl
+        args = (server, magic, index, gossip, probes)
         threads.append(threading.Thread(target=_gossiping_tcp_peer, args=args, daemon=True))
         threads[-1].start()
-
-    def run(max_inflight):
-        transport = _CountingTcpTransport()
-        cfg = CrawlConfig(
-            seeds=(endpoints[0],),
-            magic=magic,
-            max_inflight=max_inflight,
-            connect_timeout_ms=2000.0,
-            handshake_timeout_ms=2000.0,
-            getaddr_rounds=1,
-            ping_count=1,
-        )
-        snapshot = crawler.crawl(cfg, transport)
-        assert transport.open == 0
-        records = {r.address: (r.status, r.user_agent, r.start_height) for r in snapshot.records.values()}
-        return transport.peak, records
-
     try:
-        parallel_peak, parallel = run(3)
-        sequential_peak, sequential = run(1)
+        yield endpoints
     finally:
         for thread in threads:
             thread.join(timeout=10)
         for server in servers:
             server.close()
     assert not any(thread.is_alive() for thread in threads)
-    assert 1 < parallel_peak <= 3 and sequential_peak == 1
+
+
+def _tcp_crawl(endpoints, max_inflight):
+    """Crawl from the first of ``endpoints``; return the peak of open connections and
+    status, user agent and height per address."""
+    transport = _CountingTcpTransport()
+    cfg = CrawlConfig(
+        seeds=(endpoints[0],),
+        magic=wirecodec.MAINNET_MAGIC,
+        max_inflight=max_inflight,
+        connect_timeout_ms=2000.0,
+        handshake_timeout_ms=2000.0,
+        getaddr_rounds=1,
+        ping_count=1,
+    )
+    snapshot = crawler.crawl(cfg, transport)
+    assert transport.open == 0
+    records = {r.address: (r.status, r.user_agent, r.start_height) for r in snapshot.records.values()}
+    return transport.peak, records
+
+
+def test_crawl_single_threaded_configuration_matches_parallel():
+    topo = simnet.random_topology(50, rng_seed=9, silent_fraction=0.1)
+    parallel = crawler.crawl(config(topo.seed_ids, max_inflight=16), simnet.build_network(topo))
+    sequential = crawler.crawl(config(topo.seed_ids, max_inflight=1), simnet.build_network(topo))
+    assert parallel.active_addresses() == sequential.active_addresses()
+    assert set(parallel.records) == set(sequential.records)
+
+    # The pool runs only over TCP: a parallel loopback crawl equals a sequential one.
+    with _gossiping_tcp_network(6, probes=2) as endpoints:  # one probe per crawl
+        _, parallel = _tcp_crawl(endpoints, max_inflight=3)
+        _, sequential = _tcp_crawl(endpoints, max_inflight=1)
     assert set(parallel) == set(endpoints)
     assert all(status == STATUS_ACTIVE for status, _, _ in parallel.values())
     assert parallel == sequential
+
+
+def test_crawl_inflight_bound_is_respected():
+    topo = simnet.random_topology(120, rng_seed=6)
+    network = simnet.build_network(topo)
+    crawler.crawl(config(topo.seed_ids, max_inflight=4), network)
+    assert network.peak_connections <= 4
+
+    # Over TCP the pool runs: more than one probe is in flight, never more than the bound.
+    with _gossiping_tcp_network(6, probes=2) as endpoints:
+        parallel_peak, _ = _tcp_crawl(endpoints, max_inflight=3)
+        sequential_peak, _ = _tcp_crawl(endpoints, max_inflight=1)
+    assert 1 < parallel_peak <= 3 and sequential_peak == 1
