@@ -37,10 +37,8 @@ _DATA_ERRORS = (
     ledger.LedgerError,
     wirecodec.CodecError,
     TransportError,
-    metrics.NeverActiveError,
-    simnet.DuplicateAddressError,
     OSError,
-    ValueError,
+    ValueError,  # also metrics.NeverActiveError and simnet.DuplicateAddressError
 )
 
 
@@ -93,34 +91,25 @@ def _add_crawl_options(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
     seeds = crawler.bootstrap_seeds(args.seeds)
-    if args.simnet:
-        topology = simnet.load_topology(args.simnet)
-        transport = simnet.build_network(topology)
-        magic = transport.magic
-    else:
-        transport = TcpTransport()
-        magic = wirecodec.MAINNET_MAGIC
-    config = _crawl_config(args, seeds, magic)
-
-    if args.repeat is None:
-        snapshot = crawler.crawl(config, transport)
-        snapshotstore.write_snapshot(snapshot, args.out)
-        print(f"{args.out}: {snapshot.active_count} active / {snapshot.total_count} discovered")
-        return 0
+    transport = simnet.build_network(simnet.load_topology(args.simnet)) if args.simnet else TcpTransport()
+    config = _crawl_config(args, seeds, simnet.SimNetwork.magic if args.simnet else wirecodec.MAINNET_MAGIC)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.repeat is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     for crawls in itertools.count(1):
         snapshot = crawler.crawl(config, transport)
-        stamp = datetime.fromtimestamp(snapshot.started_at, tz=timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-        path = out_dir / f"{stamp}{snapshotstore.SNAPSHOT_SUFFIX}"
-        suffix = 1
-        while path.exists():  # sub-second crawls must not overwrite each other
-            path = out_dir / f"{stamp}-{suffix}{snapshotstore.SNAPSHOT_SUFFIX}"
-            suffix += 1
+        path = args.out
+        if args.repeat is not None:
+            stamp = datetime.fromtimestamp(snapshot.started_at, tz=timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+            path = out_dir / f"{stamp}{snapshotstore.SNAPSHOT_SUFFIX}"
+            suffix = 1
+            while path.exists():  # sub-second crawls must not overwrite each other
+                path = out_dir / f"{stamp}-{suffix}{snapshotstore.SNAPSHOT_SUFFIX}"
+                suffix += 1
         snapshotstore.write_snapshot(snapshot, path)
         print(f"{path}: {snapshot.active_count} active / {snapshot.total_count} discovered")
-        if crawls == args.repeat_count:
+        if args.repeat is None or crawls == args.repeat_count:
             return 0
         time.sleep(args.repeat * 60.0)
 
@@ -304,24 +293,22 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     seeds = crawler.bootstrap_seeds(args.seeds) if args.seeds else list(topology.seed_ids)
     if not seeds:
         raise ValueError("topology has no @seeds directive and --seeds was not given")
+    oracle_topology = simnet.SimTopology(topology.peers, tuple(seeds), topology.rng_seed)  # checks the seeds
     network = simnet.build_network(topology)
     config = _crawl_config(args, seeds, network.magic)
     started = time.monotonic()
     snapshot = crawler.crawl(config, network)
     elapsed = time.monotonic() - started
 
-    oracle_topology = simnet.SimTopology(topology.peers, tuple(seeds), topology.rng_seed)
     expected_active = simnet.reachable_set(oracle_topology)
     expected_discovered = simnet.discovered_set(oracle_topology)
-    active = snapshot.active_addresses()
-    discovered = set(snapshot.records)
-    active_ok = active == expected_active
-    discovered_ok = discovered == expected_discovered
+    active_ok = snapshot.active_addresses() == expected_active
+    discovered_ok = set(snapshot.records) == expected_discovered
 
     print(f"peers: {len(topology.peers)}, probed {snapshot.total_count} in {elapsed:.2f}s")
-    print(f"active {len(active)} vs oracle {len(expected_active)}: {'OK' if active_ok else 'MISMATCH'}")
+    print(f"active {snapshot.active_count} vs oracle {len(expected_active)}: {'OK' if active_ok else 'MISMATCH'}")
     print(
-        f"discovered {len(discovered)} vs oracle {len(expected_discovered)}: "
+        f"discovered {snapshot.total_count} vs oracle {len(expected_discovered)}: "
         f"{'OK' if discovered_ok else 'MISMATCH'}"
     )
     if args.out:
@@ -367,7 +354,7 @@ def build_parser() -> _Parser:
                    help="latency excursion threshold as a fraction over the moving average")
     p.add_argument("--alpha", type=float, default=metrics.DEFAULT_EWMA_ALPHA,
                    help="moving average weight for the newest sample")
-    p.add_argument("--height-tolerance", type=int, default=metrics.DEFAULT_HEIGHT_TOLERANCE)
+    p.add_argument("--height-tolerance", type=_at_least(1, int), default=metrics.DEFAULT_HEIGHT_TOLERANCE)
     p.set_defaults(func=_cmd_bni)
 
     p = commands.add_parser("cluster", help="cluster ledger addresses into entities with balances")
@@ -378,7 +365,7 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("report", help="top holders, Lorenz curve, Gini, and pool shares")
     p.add_argument("--ledger", required=True)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_at_least(1, int), default=10)
     p.add_argument("--lorenz-out")
     p.add_argument("--tags", help="pool tag map file for mined-block shares")
     p.add_argument("--pool-shares-out")

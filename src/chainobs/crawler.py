@@ -11,16 +11,14 @@ Each phase waits under its own deadline of one handshake timeout on the
 connection's clock: the whole handshake, each ping, and each getaddr round.
 Every read is handed its phase deadline, and the connection checks it.
 Pings from the peer are answered with a pong in every phase.  A frame whose
-header announces more payload than its command can carry (``addr``: 1000
-entries, ``version``: 1 KiB, ``ping``/``pong``: 8 bytes,
-``verack``/``getaddr``: none; the caps are ``wirecodec.MAX_PAYLOAD_BY_COMMAND``
-and only this frame pump enforces them) is rejected before its payload is
-read; any other command may announce up to the 4 MiB frame limit.
+header announces more payload than its command can carry (this frame pump
+alone enforces ``wirecodec.MAX_PAYLOAD_BY_COMMAND``) is rejected before its
+payload is read; any other command may announce up to the 4 MiB frame limit.
 
 A peer counts as *active* only when the full handshake completes; a peer
-that answers version but never verack stays inactive.  Connection, timeout,
-and protocol failures are never raised out of a probe: they are encoded as
-``discovered_inactive`` records so one hostile peer cannot abort a crawl.
+that answers version but never verack stays inactive.  From ``connect`` on, a
+failure ends the probe at one ``except`` with a ``discovered_inactive`` record
+stamped before ``connect``, so one hostile peer cannot abort a crawl.
 """
 
 from __future__ import annotations
@@ -244,7 +242,7 @@ def _handshake(conn: Connection, endpoint: Endpoint, config: CrawlConfig) -> Ver
 
 def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) -> float | None:
     """Minimum round-trip time over ``count`` ping/pong cycles, in ms; None when no pong came back."""
-    best: float | None = None
+    samples: list[float] = []
     for _ in range(max(1, count)):
         nonce = random.getrandbits(64)
         sent_at = conn.clock()
@@ -256,11 +254,9 @@ def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) 
                     break
         except (TransportError, wirecodec.CodecError):
             continue
-        sample = (conn.clock() - sent_at) * 1000.0
-        if best is None or sample < best:
-            best = sample
+        samples.append((conn.clock() - sent_at) * 1000.0)
     # records promise min_rtt > 0; clamp the degenerate zero-latency case
-    return None if best is None else max(best, 1e-6)
+    return max(min(samples), 1e-6) if samples else None
 
 
 def _harvest(conn: Connection, config: CrawlConfig) -> tuple[list[Endpoint], int]:
@@ -287,15 +283,11 @@ def _harvest(conn: Connection, config: CrawlConfig) -> tuple[list[Endpoint], int
 def probe_peer(
     endpoint: Endpoint, config: CrawlConfig, transport: Transport
 ) -> tuple[PeerRecord, list[Endpoint]]:
-    """Probe one endpoint; failures become an inactive record, never a raise."""
+    """Probe one endpoint; a failure from ``connect`` on gives an inactive record, never a raise."""
     now = int(time.time())
-    inactive = PeerRecord(address=endpoint, status=STATUS_INACTIVE, first_seen=now, last_seen=now)
+    conn = None
     try:
         conn = transport.connect(endpoint, config.connect_timeout_ms / 1000.0)
-    except TransportError as exc:
-        log.debug("%s: connect failed: %s", endpoint, exc)
-        return inactive, []
-    try:
         version = _handshake(conn, endpoint, config)
         min_rtt = measure_min_rtt(conn, config.magic, config.ping_count, config.handshake_timeout_ms / 1000.0)
         harvested, entries_received = _harvest(conn, config)
@@ -315,9 +307,10 @@ def probe_peer(
         return record, harvested
     except (TransportError, wirecodec.CodecError) as exc:
         log.debug("%s: probe failed: %s", endpoint, exc)
-        return inactive, []
+        return PeerRecord(address=endpoint, status=STATUS_INACTIVE, first_seen=now, last_seen=now), []
     finally:
-        conn.close()
+        if conn is not None:
+            conn.close()
 
 
 # --- full crawl -------------------------------------------------------------

@@ -290,7 +290,9 @@ def port_index(port: int) -> float:
 def height_index(
     start_height: int | None, stats: SnapshotStats, tolerance: int = DEFAULT_HEIGHT_TOLERANCE
 ) -> float:
-    """How synchronized the node's chain tip is with the network median."""
+    """1 at the network's median chain tip, 0 from ``tolerance`` (> 0) blocks away."""
+    if tolerance <= 0:
+        raise ValueError(f"height tolerance must be positive, got {tolerance}")
     if start_height is None or stats.median_height is None:
         return 0.0
     return max(0.0, 1.0 - abs(start_height - stats.median_height) / tolerance)

@@ -61,6 +61,10 @@ class DuplicateAddressError(ValueError):
 
 @dataclass(frozen=True)
 class SimPeerProfile:
+    """A simulated peer; its version and user agent follow from ``behavior``.  Values
+    the wire cannot carry raise ValueError: services outside 0..2^64-1, a start
+    height outside -2^31..2^31-1, a negative or non-finite ``rtt_ms`` or delay."""
+
     address: Endpoint
     behavior: str = "normal"
     services: int = wirecodec.NODE_NETWORK | wirecodec.NODE_WITNESS
@@ -68,18 +72,21 @@ class SimPeerProfile:
     rtt_ms: float = 20.0
     known_peers: tuple[Endpoint, ...] = ()
     slow_delay_ms: float = DEFAULT_SLOW_DELAY_MS
-    protocol_version: int | None = None  # None: 70015, or 70001 when stale
 
     def __post_init__(self) -> None:
         if self.behavior not in BEHAVIORS:
             raise ValueError(f"unknown behavior {self.behavior!r}")
         if len(self.known_peers) > MAX_KNOWN_PEERS:
             raise ValueError(f"{self.address}: more than {MAX_KNOWN_PEERS} known peers")
+        if not 0 <= self.services < 2**64:
+            raise ValueError(f"services {self.services} not in 0..2^64-1")
+        if not -(2**31) <= self.start_height < 2**31:
+            raise ValueError(f"start height {self.start_height} not in -2^31..2^31-1")
+        if not (0 <= self.rtt_ms < float("inf") and 0 <= self.slow_delay_ms < float("inf")):  # also false for nan
+            raise ValueError(f"rtt_ms {self.rtt_ms} and slow_delay_ms {self.slow_delay_ms} must be finite and >= 0")
 
     @property
     def advertised_version(self) -> int:
-        if self.protocol_version is not None:
-            return self.protocol_version
         return STALE_PROTOCOL_VERSION if self.behavior == "stale" else wirecodec.PROTOCOL_VERSION
 
     @property
@@ -99,9 +106,9 @@ class SimTopology:
             if peer.address in seen:
                 raise DuplicateAddressError(str(peer.address))
             seen.add(peer.address)
-        missing = [s for s in self.seed_ids if s not in seen]
+        missing = [str(s) for s in self.seed_ids if s not in seen]
         if missing:
-            raise ValueError(f"seeds not in topology: {missing}")
+            raise ValueError(f"seeds not in topology: {', '.join(missing)}")
 
     def profile(self, endpoint: Endpoint) -> SimPeerProfile | None:
         return self._by_address.get(endpoint)
@@ -215,12 +222,14 @@ class SimNetwork:
     """Transport over a :class:`SimTopology`, with connection accounting.
 
     Single-threaded: its reads never wait, so the crawler probes it on the
-    calling thread.  ``peak_connections`` is the most connections open at once.
+    calling thread.  It always speaks ``magic``, which is ``SIMNET_MAGIC``, and
+    ``peak_connections`` is the most connections open at once.
     """
 
-    def __init__(self, topology: SimTopology, magic: bytes = wirecodec.SIMNET_MAGIC):
+    magic = wirecodec.SIMNET_MAGIC
+
+    def __init__(self, topology: SimTopology):
         self.topology = topology
-        self.magic = magic
         self.open_connections = 0
         self.peak_connections = 0
         self.connects_attempted = 0
@@ -244,9 +253,9 @@ class SimNetwork:
         return entries
 
 
-def build_network(topology: SimTopology, magic: bytes = wirecodec.SIMNET_MAGIC) -> SimNetwork:
-    """Build the transport for a topology (validation happens in SimTopology)."""
-    return SimNetwork(topology, magic)
+def build_network(topology: SimTopology) -> SimNetwork:
+    """Build the transport for a topology, on ``SIMNET_MAGIC`` (validation happens in SimTopology)."""
+    return SimNetwork(topology)
 
 
 # --- oracles --------------------------------------------------------------
@@ -297,6 +306,7 @@ def load_topology(path: str | Path) -> SimTopology:
     peers: list[SimPeerProfile] = []
     seed_ids: tuple[Endpoint, ...] = ()
     rng_seed = 0
+    seeds_line = 0
     line_of: dict[Endpoint, int] = {}
     for lineno, line in _content_lines(path):
         try:
@@ -306,6 +316,7 @@ def load_topology(path: str | Path) -> SimTopology:
                     rng_seed = int(value)
                 elif directive == "@seeds":
                     seed_ids = tuple(Endpoint.parse(t) for t in value.split(",") if t.strip())
+                    seeds_line = lineno
                 else:
                     raise ValueError(f"unknown directive {directive!r}")
                 continue
@@ -335,7 +346,10 @@ def load_topology(path: str | Path) -> SimTopology:
         line_of[address] = lineno
     if not seed_ids and peers:
         seed_ids = (peers[0].address,)
-    return SimTopology(peers=tuple(peers), seed_ids=seed_ids, rng_seed=rng_seed)
+    try:
+        return SimTopology(peers=tuple(peers), seed_ids=seed_ids, rng_seed=rng_seed)
+    except ValueError as exc:  # addresses are unique by now: an @seeds entry is not a peer
+        raise ValueError(f"{path}: line {seeds_line}: {exc}") from exc
 
 
 def save_topology(topology: SimTopology, path: str | Path) -> None:

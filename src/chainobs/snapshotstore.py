@@ -92,6 +92,7 @@ _VALUE_SAFE = "".join(chr(c) for c in range(0x21, 0x7F) if chr(c) != "%")
 # Finds a character outside _VALUE_SAFE.  Almost every value (ints, IP text,
 # status words, digests) has none, and quote() would return it unchanged.
 _needs_escape = re.compile(r"[^\x21-\x24\x26-\x7e]").search
+_is_key = re.compile(r"[\x21-\x39\x3b-\x7e]+").fullmatch  # what _parse_line reads before a ':'
 
 
 def _escape(value: str) -> str:
@@ -146,7 +147,11 @@ def write_snapshot(
     path: str | Path,
     extra_fields: Mapping[Endpoint, Mapping[str, str]] | None = None,
 ) -> None:
-    """Write a snapshot atomically; ``extra_fields`` adds or replaces record keys."""
+    """Write a snapshot atomically; ``extra_fields`` adds or replaces record keys.  A key
+    outside 0x21-0x7E or holding ``:`` raises ValueError before any file is touched."""
+    for key in dict.fromkeys(key for extra in (extra_fields or {}).values() for key in extra):
+        if not _is_key(key):
+            raise ValueError(f"extra field key {key!r} is not printable ASCII without space or ':'")
     lines = [
         _emit(
             [

@@ -201,24 +201,22 @@ def canonical_ip(ip: str) -> str:
 
 
 def _encode_command(command: str) -> bytes:
-    try:
-        raw = command.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise BadCommandError(f"non-ASCII command {command!r}") from exc
-    if len(raw) > MAX_COMMAND_SIZE:
+    if not command.isascii():
+        raise BadCommandError(f"non-ASCII command {command!r}")
+    if len(command) > MAX_COMMAND_SIZE:
         raise CommandTooLongError(command)
-    if any(b < 0x20 or b > 0x7E for b in raw):
+    if not command.isprintable():  # on ASCII text: exactly 0x20-0x7E
         raise BadCommandError(f"unprintable byte in command {command!r}")
-    return raw  # _HEADER NUL-pads it to 12 bytes
+    return command.encode("ascii")  # _HEADER NUL-pads it to 12 bytes
 
 
 def _decode_command(field: bytes) -> str:
-    name, _, padding = field.partition(b"\x00")
-    if padding.strip(b"\x00"):
+    name, _, padding = field.decode("latin-1").partition("\x00")  # one character per byte
+    if padding.strip("\x00"):
         raise BadCommandError("bytes after first NUL must be NUL")
-    if any(b < 0x20 or b > 0x7E for b in name):
+    if not (name.isascii() and name.isprintable()):
         raise BadCommandError("unprintable byte in command")
-    return name.decode("ascii")
+    return name
 
 
 def encode_message(command: str, payload: bytes, magic: bytes) -> bytes:

@@ -11,7 +11,7 @@ import typing
 
 import pytest
 
-from chainobs import cli, ledger, simnet, snapshotstore, wirecodec
+from chainobs import cli, crawler, ledger, simnet, snapshotstore, wirecodec
 from chainobs.crawler import CrawlConfig
 from chainobs.ledger import COIN, DEFAULT_COINJOIN_PARAMS, LedgerTx
 from chainobs.transport import Endpoint
@@ -267,6 +267,49 @@ def test_sim_seeds_from_the_first_peer_without_a_seeds_directive(tmp_path, capsy
     snapshot = snapshotstore.read_snapshot(out)
     assert snapshot.seeds == (Endpoint.make("10.0.0.1"),)
     assert snapshot.active_addresses() == {Endpoint.make("10.0.0.1"), Endpoint.make("10.0.0.2")}
+
+
+def test_sim_checks_its_seeds_against_the_topology_before_crawling(tmp_path, topo_file, monkeypatch, capsys):
+    topo_path, topo = topo_file
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(f"{topo.seed_ids[0]}\n10.9.9.9\n")
+    monkeypatch.setattr(crawler, "crawl", lambda *args: pytest.fail("crawled before checking the seeds"))
+    out = tmp_path / f"sim{snapshotstore.SNAPSHOT_SUFFIX}"
+    assert cli.main(["sim", "--topology", str(topo_path), "--seeds", str(seeds), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "chainobs: seeds not in topology: 10.9.9.9:8333\n"
+    assert not out.exists()
+
+
+def test_sim_names_the_topology_line_that_the_wire_cannot_carry(tmp_path, capsys):
+    path = tmp_path / "bad.topo"
+    path.write_text("10.0.0.1:8333 normal 9 600000 20 -\n10.0.0.2:8333 normal -1 600000 20 -\n")
+    assert cli.main(["sim", "--topology", str(path)]) == 2
+    assert capsys.readouterr().err == f"chainobs: {path}: line 2: services -1 not in 0..2^64-1\n"
+
+
+_BNI = ["bni", "--snapshots", "s", "--out", "o", "--height-tolerance"]
+_REPORT = ["report", "--ledger", "l", "--top"]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ([*_BNI, "0"], "--height-tolerance: not a finite number >= 1: '0'"),
+        ([*_BNI, "-5"], "--height-tolerance: not a finite number >= 1: '-5'"),
+        ([*_BNI, "1.5"], "--height-tolerance: invalid int value: '1.5'"),
+        ([*_REPORT, "0"], "--top: not a finite number >= 1: '0'"),
+        ([*_REPORT, "-3"], "--top: not a finite number >= 1: '-3'"),
+        ([*_REPORT, "all"], "--top: invalid int value: 'all'"),
+    ],
+    ids=["tolerance-0", "tolerance-negative", "tolerance-not-int", "top-0", "top-negative", "top-not-int"],
+)
+def test_bni_and_report_reject_counts_below_one_before_reading(tmp_path, argv, reason, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the inputs do not exist: reading them would exit 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 1
+    assert f"error: argument {reason}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_timeline_on_a_directory_without_snapshots_exits_two(tmp_path, capsys):

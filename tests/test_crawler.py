@@ -4,6 +4,7 @@ import socket
 import struct
 import threading
 import time
+import types
 from contextlib import contextmanager
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from chainobs import crawler, simnet, wirecodec
 from chainobs.crawler import CrawlConfig, STATUS_ACTIVE, STATUS_INACTIVE
 from chainobs.simnet import SimPeerProfile, SimTopology
-from chainobs.transport import ConnectionClosedError, Endpoint, RecvTimeoutError, TcpTransport
+from chainobs.transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, TcpTransport
 
 MAGIC = wirecodec.SIMNET_MAGIC
 
@@ -217,6 +218,56 @@ def test_probe_records_min_rtt_from_profile():
     network = simnet.build_network(topology([profile]))
     record, _ = crawler.probe_peer(profile.address, config([profile.address]), network)
     assert record.min_rtt_ms == pytest.approx(40.0)
+
+
+class _ClosingCounter:
+    """Transport whose connect fails, or hands out connections that count their closes."""
+
+    def __init__(self, connection=None):
+        self._connection = connection
+        self.closes = 0
+
+    def connect(self, endpoint, timeout):
+        if self._connection is None:
+            raise ConnectError(f"{endpoint}: refused")
+        close = self._connection.close
+
+        def counted_close():
+            self.closes += 1
+            close()
+
+        self._connection.close = counted_close
+        return self._connection
+
+
+class _GarbagePeer:
+    """Answers the version message with a frame on the wrong network magic."""
+
+    def __init__(self):
+        self._pending = b""
+
+    def send(self, data):
+        self._pending += wirecodec.encode_message("verack", b"", wirecodec.MAINNET_MAGIC)
+
+    def recv_exact(self, n, deadline):
+        out, self._pending = self._pending[:n], self._pending[n:]
+        return out
+
+    def close(self):
+        pass
+
+    def clock(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("connection", [None, _GarbagePeer()], ids=["connect-fails", "codec-error"])
+def test_probe_failure_is_inactive_stamped_before_connect_and_closes_only_what_opened(connection, monkeypatch):
+    ticks = iter(range(100, 200))
+    monkeypatch.setattr(crawler, "time", types.SimpleNamespace(time=lambda: next(ticks)))
+    transport = _ClosingCounter(connection)
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), config([ep("10.0.0.1")]), transport)
+    assert (record.status, record.first_seen, record.last_seen, harvested) == (STATUS_INACTIVE, 100, 100, [])
+    assert transport.closes == (0 if connection is None else 1)
 
 
 # --- measure_min_rtt ------------------------------------------------------------
@@ -752,8 +803,15 @@ def _reset(conn):
 
 
 def test_tcp_recv_and_send_after_a_reset_fail_as_closed():
-    with _listener(_reset) as endpoint:
+    connected = threading.Event()
+
+    def reset_once_connected(conn):
+        connected.wait(timeout=5)  # an earlier RST could fail connect() itself
+        _reset(conn)
+
+    with _listener(reset_once_connected) as endpoint:
         conn = TcpTransport().connect(endpoint, timeout=2.0)
+        connected.set()
         try:
             with pytest.raises(ConnectionClosedError):
                 conn.recv_exact(wirecodec.HEADER_SIZE, conn.clock() + 2.0)

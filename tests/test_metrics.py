@@ -164,6 +164,14 @@ def test_height_index():
     assert metrics.height_index(None, stats) == 0.0
 
 
+@pytest.mark.parametrize("tolerance", [0, -5])
+def test_height_index_rejects_a_tolerance_that_is_not_positive(tolerance):
+    stats = SnapshotStats(make_snapshot([make_record("10.0.0.1", start_height=600_000)]))
+    for height in (600_000, None):
+        with pytest.raises(ValueError, match="height tolerance must be positive"):
+            metrics.height_index(height, stats, tolerance)
+
+
 def test_asn_index_formula():
     assert metrics.asn_index(1, 100) == 1.0
     assert metrics.asn_index(100, 100) == 0.0

@@ -485,8 +485,24 @@ def test_topology_file_rejects_unknown_behavior(tmp_path):
             "10.0.0.1:8333 repeats line 1",
         ),
         (b"10.0.0.1:8333 normal:5 9 0 0 -\n", 1, "only slow takes a delay parameter: 'normal:5'"),
+        (b"10.0.0.1:8333 normal -1 0 0 -\n", 1, "services -1 not in 0..2^64-1"),
+        (b"10.0.0.1:8333 normal 18446744073709551616 0 0 -\n", 1, "services 18446744073709551616 not in 0..2^64-1"),
+        (b"10.0.0.1:8333 normal 9 3000000000 0 -\n", 1, "start height 3000000000 not in -2^31..2^31-1"),
+        (b"10.0.0.1:8333 normal 9 -2147483649 0 -\n", 1, "start height -2147483649 not in -2^31..2^31-1"),
+        (b"10.0.0.1:8333 normal 9 0 nan -\n", 1, "rtt_ms nan and slow_delay_ms 150.0 must be finite and >= 0"),
+        (b"10.0.0.1:8333 normal 9 0 -50 -\n", 1, "rtt_ms -50.0 and slow_delay_ms 150.0 must be finite and >= 0"),
+        (b"10.0.0.1:8333 slow:inf 9 0 20 -\n", 1, "rtt_ms 20.0 and slow_delay_ms inf must be finite and >= 0"),
+        (
+            b"@rng_seed 1\n@seeds 10.0.0.1:8333,10.0.0.9:8333,[::1]:18333\n10.0.0.1:8333 normal 9 0 0 -\n",
+            2,
+            "seeds not in topology: 10.0.0.9:8333, [::1]:18333",
+        ),
     ],
-    ids=["services", "not-utf8", "directive", "repeat", "delay-on-normal"],
+    ids=[
+        "services", "not-utf8", "directive", "repeat", "delay-on-normal", "services-negative",
+        "services-above-64-bits", "height-above-32-bits", "height-below-32-bits", "rtt-nan", "rtt-negative",
+        "slow-delay-inf", "unknown-seeds",
+    ],
 )
 def test_topology_file_errors_name_the_file_and_the_line(tmp_path, content, line, reason):
     path = tmp_path / "bad.topo"
@@ -494,6 +510,13 @@ def test_topology_file_errors_name_the_file_and_the_line(tmp_path, content, line
     with pytest.raises(ValueError) as err:
         simnet.load_topology(path)
     assert str(err.value) == f"{path}: line {line}: {reason}"
+
+
+def test_peer_profile_accepts_the_wire_bounds():
+    for services, start_height in ((0, -(2**31)), (2**64 - 1, 2**31 - 1)):
+        profile = SimPeerProfile(ep("10.0.0.1"), services=services, start_height=start_height, rtt_ms=0.0)
+        version = handshake(simnet.build_network(topology([profile])).connect(profile.address, timeout=1.0))
+        assert (version.services, version.start_height) == (services, start_height)
 
 
 def test_topology_file_rejects_wrong_column_count(tmp_path):

@@ -103,6 +103,30 @@ def test_unknown_trailing_fields_ignored(tmp_path):
     assert store.read_snapshot(path) == snapshot
 
 
+@pytest.mark.parametrize("key", ["my key", "", "a:b", "tab\tkey", "caf\xe9", "del\x7f", "line\nkey"])
+def test_extra_field_keys_the_reader_cannot_split_back_raise_before_writing(tmp_path, key):
+    snapshot = make_snapshot([make_record("10.0.0.1")])
+    path = tmp_path / f"enriched{store.SNAPSHOT_SUFFIX}"
+    with pytest.raises(ValueError, match="extra field key"):
+        store.write_snapshot(snapshot, path, extra_fields={Endpoint.make("10.0.0.1"): {"country": "DE", key: "x"}})
+    assert list(tmp_path.iterdir()) == []
+    store.write_snapshot(snapshot, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="extra field key"):
+        store.write_snapshot(snapshot, path, extra_fields={Endpoint.make("10.0.0.1"): {key: "x"}})
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+
+
+def test_extra_field_key_may_hold_any_printable_ascii_but_space_and_colon(tmp_path):
+    key = "".join(chr(c) for c in range(0x21, 0x7F) if chr(c) != ":")
+    snapshot = make_snapshot([make_record("10.0.0.1")])
+    path = tmp_path / f"enriched{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(snapshot, path, extra_fields={Endpoint.make("10.0.0.1"): {key: "a b"}})
+    assert f" {key}:a%20b" in path.read_text()
+    assert store.read_snapshot(path) == snapshot
+
+
 def test_extra_field_replaces_same_named_key(tmp_path):
     endpoint = Endpoint.make("10.0.0.1")
     snapshot = make_snapshot([make_record("10.0.0.1")])

@@ -91,6 +91,61 @@ def test_bad_command_bytes():
         wc.decode_message(bytes(frame), MAGIC)
 
 
+def _reference_encode_command(command):
+    """The byte-by-byte command encoder that ``str.isascii``/``isprintable`` replaced."""
+    try:
+        raw = command.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise wc.BadCommandError(f"non-ASCII command {command!r}") from exc
+    if len(raw) > wc.MAX_COMMAND_SIZE:
+        raise wc.CommandTooLongError(command)
+    if any(b < 0x20 or b > 0x7E for b in raw):
+        raise wc.BadCommandError(f"unprintable byte in command {command!r}")
+    return raw
+
+
+def _reference_decode_command(field):
+    """The byte-by-byte command decoder that ``str.isascii``/``isprintable`` replaced."""
+    name, _, padding = field.partition(b"\x00")
+    if padding.strip(b"\x00"):
+        raise wc.BadCommandError("bytes after first NUL must be NUL")
+    if any(b < 0x20 or b > 0x7E for b in name):
+        raise wc.BadCommandError("unprintable byte in command")
+    return name.decode("ascii")
+
+
+def _command_outcome(function, argument):
+    """What ``function(argument)`` returns, or the type and message of what it raises."""
+    try:
+        return "value", function(argument)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_command_encoder_matches_the_byte_walk():
+    names = [chr(c) for c in range(0x300)]
+    names += [chr(c) for c in range(0xD800, 0xE000)]  # lone surrogates
+    names += ["a" * 12, "a" * 13, "a" * 11 + "\x7f", "a" * 12 + "\x7f", "a" * 12 + "\xe9", "\ud800" * 13]
+    names += ["ver" + chr(c) + "ck" for c in range(0x300)]
+    for name in names:
+        expected = _command_outcome(_reference_encode_command, name)
+        assert _command_outcome(wc._encode_command, name) == expected, repr(name)
+
+
+def test_command_decoder_matches_the_byte_walk():
+    fields = []
+    for position in range(wc.MAX_COMMAND_SIZE):
+        for byte in range(256):
+            named = bytearray(b"a" * position + b"\x00" * (wc.MAX_COMMAND_SIZE - position))
+            named[position] = byte  # NUL padding after it: valid unless the byte sits inside it
+            padded = bytearray(b"ver" + b"\x00" * (wc.MAX_COMMAND_SIZE - 3))
+            padded[position] = byte  # a nonzero byte at position > 3 breaks the padding
+            fields += [bytes(named), bytes(padded)]
+    for field in fields:
+        expected = _command_outcome(_reference_decode_command, field)
+        assert _command_outcome(wc._decode_command, field) == expected, field
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
