@@ -220,56 +220,6 @@ def test_probe_records_min_rtt_from_profile():
     assert record.min_rtt_ms == pytest.approx(40.0)
 
 
-class _ClosingCounter:
-    """Transport whose connect fails, or hands out connections that count their closes."""
-
-    def __init__(self, connection=None):
-        self._connection = connection
-        self.closes = 0
-
-    def connect(self, endpoint, timeout):
-        if self._connection is None:
-            raise ConnectError(f"{endpoint}: refused")
-        close = self._connection.close
-
-        def counted_close():
-            self.closes += 1
-            close()
-
-        self._connection.close = counted_close
-        return self._connection
-
-
-class _GarbagePeer:
-    """Answers the version message with a frame on the wrong network magic."""
-
-    def __init__(self):
-        self._pending = b""
-
-    def send(self, data):
-        self._pending += wirecodec.encode_message("verack", b"", wirecodec.MAINNET_MAGIC)
-
-    def recv_exact(self, n, deadline):
-        out, self._pending = self._pending[:n], self._pending[n:]
-        return out
-
-    def close(self):
-        pass
-
-    def clock(self):
-        return 0.0
-
-
-@pytest.mark.parametrize("connection", [None, _GarbagePeer()], ids=["connect-fails", "codec-error"])
-def test_probe_failure_is_inactive_stamped_before_connect_and_closes_only_what_opened(connection, monkeypatch):
-    ticks = iter(range(100, 200))
-    monkeypatch.setattr(crawler, "time", types.SimpleNamespace(time=lambda: next(ticks)))
-    transport = _ClosingCounter(connection)
-    record, harvested = crawler.probe_peer(ep("10.0.0.1"), config([ep("10.0.0.1")]), transport)
-    assert (record.status, record.first_seen, record.last_seen, harvested) == (STATUS_INACTIVE, 100, 100, [])
-    assert transport.closes == (0 if connection is None else 1)
-
-
 # --- measure_min_rtt ------------------------------------------------------------
 
 
@@ -309,6 +259,26 @@ def test_measure_min_rtt_single_sample():
 def test_measure_min_rtt_no_pong():
     conn = _ScriptedConnection(answer=False)
     assert crawler.measure_min_rtt(conn, MAGIC, count=3, timeout=0.1) is None
+
+
+@pytest.mark.parametrize("refused", [True, False], ids=["connect-fails", "codec-error"])
+def test_probe_failure_is_inactive_stamped_before_connect_and_closes_only_what_opened(refused, monkeypatch):
+    ticks = iter(range(100, 200))
+    monkeypatch.setattr(crawler, "time", types.SimpleNamespace(time=lambda: next(ticks)))
+    conn = _ScriptedConnection(answer=False)
+    conn._pending = wirecodec.encode_message("verack", b"", wirecodec.MAINNET_MAGIC)  # the wrong network
+    closes = []
+    conn.close = lambda: closes.append(1)
+
+    class Transport:
+        def connect(self, endpoint, timeout):
+            if refused:
+                raise ConnectError(f"{endpoint}: refused")
+            return conn
+
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), config([ep("10.0.0.1")]), Transport())
+    assert (record.status, record.first_seen, record.last_seen, harvested) == (STATUS_INACTIVE, 100, 100, [])
+    assert len(closes) == (0 if refused else 1)
 
 
 class _PingingPeer(_ScriptedConnection):

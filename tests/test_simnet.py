@@ -488,6 +488,7 @@ def test_topology_file_rejects_unknown_behavior(tmp_path):
         (b"10.0.0.1:8333 normal -1 0 0 -\n", 1, "services -1 not in 0..2^64-1"),
         (b"10.0.0.1:8333 normal 18446744073709551616 0 0 -\n", 1, "services 18446744073709551616 not in 0..2^64-1"),
         (b"10.0.0.1:8333 normal 9 3000000000 0 -\n", 1, "start height 3000000000 not in -2^31..2^31-1"),
+        (b"10.0.0.1:8333 normal 9 2147483648 0 -\n", 1, "start height 2147483648 not in -2^31..2^31-1"),
         (b"10.0.0.1:8333 normal 9 -2147483649 0 -\n", 1, "start height -2147483649 not in -2^31..2^31-1"),
         (b"10.0.0.1:8333 normal 9 0 nan -\n", 1, "rtt_ms nan and slow_delay_ms 150.0 must be finite and >= 0"),
         (b"10.0.0.1:8333 normal 9 0 -50 -\n", 1, "rtt_ms -50.0 and slow_delay_ms 150.0 must be finite and >= 0"),
@@ -500,8 +501,8 @@ def test_topology_file_rejects_unknown_behavior(tmp_path):
     ],
     ids=[
         "services", "not-utf8", "directive", "repeat", "delay-on-normal", "services-negative",
-        "services-above-64-bits", "height-above-32-bits", "height-below-32-bits", "rtt-nan", "rtt-negative",
-        "slow-delay-inf", "unknown-seeds",
+        "services-above-64-bits", "height-above-32-bits", "height-2^31", "height-below-32-bits",
+        "rtt-nan", "rtt-negative", "slow-delay-inf", "unknown-seeds",
     ],
 )
 def test_topology_file_errors_name_the_file_and_the_line(tmp_path, content, line, reason):
