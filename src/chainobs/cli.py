@@ -71,6 +71,17 @@ def _at_least(low: int, convert: type) -> typing.Callable[[str], float]:
     return parse
 
 
+def _fraction(text: str) -> float:
+    """An argparse type: a float in (0, 1]."""
+    value = float(text)
+    if not 0 < value <= 1:  # also false for nan
+        raise argparse.ArgumentTypeError(f"not a number in (0, 1]: {text!r}")
+    return value
+
+
+_fraction.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 # The CrawlConfig fields a user sets: each is a flag with the field's type and default.
 _CRAWL_SETTINGS = (
     "max_inflight", "connect_timeout_ms", "handshake_timeout_ms", "getaddr_rounds", "ping_count", "max_frontier"
@@ -246,6 +257,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     txs = ledger.read_ledger(args.ledger)
+    tagmap = ledger.PoolTagMap.from_file(args.tags) if args.tags else None  # read every input before writing
     partition = ledger.build_partition(txs, _coinjoin_params(args))
     balances = ledger.entity_balances(txs, partition)
     nonzero = {entity: value for entity, value in balances.items() if value > 0}
@@ -271,8 +283,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         print("gini: n/a (no nonzero balances)")
 
-    if args.tags:
-        tagmap = ledger.PoolTagMap.from_file(args.tags)
+    if tagmap is not None:
         coinbases = [tx for tx in txs if tx.is_coinbase]
         shares = ledger.mining_shares(coinbases, tagmap, args.bucket)
         for bucket, pools in shares.items():
@@ -350,10 +361,10 @@ def build_parser() -> _Parser:
     p.add_argument("--table", action="append", default=[], help="prefix CSV for the AS sub-metric")
     p.add_argument("--tor-exits")
     p.add_argument("--interval-seconds", type=int)
-    p.add_argument("--tau", type=float, default=metrics.DEFAULT_EXCURSION_THRESHOLD,
+    p.add_argument("--tau", type=_at_least(0, float), default=metrics.DEFAULT_EXCURSION_THRESHOLD,
                    help="latency excursion threshold as a fraction over the moving average")
-    p.add_argument("--alpha", type=float, default=metrics.DEFAULT_EWMA_ALPHA,
-                   help="moving average weight for the newest sample")
+    p.add_argument("--alpha", type=_fraction, default=metrics.DEFAULT_EWMA_ALPHA,
+                   help="moving average weight for the newest sample, in (0, 1]")
     p.add_argument("--height-tolerance", type=_at_least(1, int), default=metrics.DEFAULT_HEIGHT_TOLERANCE)
     p.set_defaults(func=_cmd_bni)
 

@@ -87,10 +87,16 @@ class CrawlConfig:
     user_agent: str = CRAWLER_USER_AGENT
 
     def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if self.connect_timeout_ms <= 0 or self.handshake_timeout_ms <= 0:
-            raise ValueError("timeouts must be positive")
+        """Reject a value the crawl cannot honour, naming its setting.  A ``ping_count``
+        of 0 still sends one ping (see :func:`measure_min_rtt`)."""
+        for name, low in (("max_inflight", 1), ("getaddr_rounds", 0), ("ping_count", 0), ("max_frontier", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("connect_timeout_ms", "handshake_timeout_ms"):
+            value = getattr(self, name)
+            if not 0 < value < float("inf"):  # also false for nan
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.seeds:
             raise EmptySeedSetError("crawl needs at least one seed")
 

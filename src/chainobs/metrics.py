@@ -329,8 +329,12 @@ def latency_and_uptime_metrics(
 
     ``rtt_series`` must carry one entry per active timeline slot.  With no
     RTT samples at all the three latency metrics default to 1 (no observed
-    instability).
+    instability).  ``alpha`` must lie in (0, 1] and ``tau`` must be finite and >= 0.
     """
+    if not 0 < alpha <= 1:  # also false for nan
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not 0 <= tau < float("inf"):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     active_slots = timeline.active_slots()
     if not active_slots:
         raise NeverActiveError(str(timeline.address))

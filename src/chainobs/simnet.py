@@ -12,8 +12,9 @@ selects connection dynamics:
 
 Time is virtual: responses carry arrival stamps on a per-connection clock,
 so latency and timeout behavior are exact and tests never sleep.
-A connection builds its peer's gossip entries once, on the first getaddr,
-and each getaddr samples them with the peer's RNG, so ``topology.rng_seed``
+A connection builds its peer's gossip once, on the first getaddr, as the
+30-byte wire record of each entry, and each getaddr samples those records
+with the peer's RNG and joins them into the reply, so ``topology.rng_seed``
 fully determines gossip: equal topologies give byte-identical addr messages.
 
 Topology file format (one peer per line, ``#`` starts a comment)::
@@ -131,8 +132,8 @@ class _SimConnection:
         self._profile = profile
         slow_ms = profile.slow_delay_ms if profile.behavior == "slow" else 0.0
         self._latency_s = (profile.rtt_ms + slow_ms) / 1000.0
-        # built on the first getaddr; an empty-addr peer has nothing to gossip
-        self._gossip: list[AddrEntry] | None = [] if profile.behavior == "empty-addr" else None
+        # encoded entries, built on the first getaddr; an empty-addr peer has nothing to gossip
+        self._gossip: list[bytes] | None = [] if profile.behavior == "empty-addr" else None
         self._now = 0.0
         self._incoming = bytearray()
         self._readable = bytearray()
@@ -211,10 +212,10 @@ class _SimConnection:
             self._schedule(wirecodec.encode_message("pong", wirecodec.encode_pong(nonce), magic))
         elif command == "getaddr":
             if self._gossip is None:
-                self._gossip = self._network._gossip_entries(profile)
+                self._gossip = self._network._gossip_records(profile)
             count = min(wirecodec.MAX_ADDR_ENTRIES, len(self._gossip))
-            entries = self._network._rngs[profile.address].sample(self._gossip, count)
-            self._schedule(wirecodec.encode_message("addr", wirecodec.encode_addr(entries), magic))
+            records = self._network._rngs[profile.address].sample(self._gossip, count)
+            self._schedule(wirecodec.encode_message("addr", wirecodec.encode_addr_records(records), magic))
         # verack and anything else: nothing to say back
 
 
@@ -244,13 +245,14 @@ class SimNetwork:
         self.peak_connections = max(self.peak_connections, self.open_connections)
         return _SimConnection(self, profile)
 
-    def _gossip_entries(self, profile: SimPeerProfile) -> list[AddrEntry]:
-        entries = []
+    def _gossip_records(self, profile: SimPeerProfile) -> list[bytes]:
+        """Each known peer's ``addr`` record, in ``known_peers`` order."""
+        records = []
         for endpoint in profile.known_peers:
             known = self.topology.profile(endpoint)
             services = known.services if known is not None else 0
-            entries.append(AddrEntry(BASE_TIME, services, endpoint.ip, endpoint.port))
-        return entries
+            records.append(AddrEntry(BASE_TIME, services, endpoint.ip, endpoint.port).encode())
+        return records
 
 
 def build_network(topology: SimTopology) -> SimNetwork:

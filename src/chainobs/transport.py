@@ -9,9 +9,11 @@ never needs to know which one it got.  A read's deadline is a time on that
 same clock, and the connection is the one place that checks it.
 
 Endpoints are keyed by canonical IP text (see :class:`Endpoint`) and a port
-in 0-65535.  Every reader of an input file decodes it here, so a byte that
-is not UTF-8 is reported with the file and the line, and a line ends only at
-a newline byte, as in ``grep -n``.
+in 0-65535, written in ASCII digits.  An endpoint is a named tuple: it
+iterates as ``ip, port`` and equals the plain tuple of the two.  Every
+reader of an input file decodes it here, so a byte that is not UTF-8 is
+reported with the file and the line, and a line ends only at a newline
+byte, as in ``grep -n``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from __future__ import annotations
 import socket
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator, NamedTuple, Protocol
 
 from .wirecodec import DEFAULT_PORT, canonical_ip
 
@@ -44,8 +45,7 @@ class ConnectionClosedError(TransportError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     """Canonical (ip, port) key for one network endpoint.
 
     ``ip`` is canonical text as :func:`~chainobs.wirecodec.canonical_ip`
@@ -53,6 +53,11 @@ class Endpoint:
     plain dotted quad and ``::/96`` in ``ipaddress``'s form.  That also
     covers OnionCat-encoded onion peers.  ``port`` lies in 0-65535;
     :meth:`make` and :meth:`parse` raise ValueError for anything else.
+
+    An endpoint is a tuple: it unpacks as ``ip, port``, and it equals, sorts
+    and hashes as the plain tuple ``(ip, port)``.  Construction, comparison
+    and hashing all run in C, which matters on the crawl path, where every
+    gossiped address becomes one.
     """
 
     ip: str
@@ -72,7 +77,7 @@ class Endpoint:
 
     @classmethod
     def parse(cls, text: str, default_port: int = DEFAULT_PORT) -> "Endpoint":
-        """Parse ``ip``, ``ip:port``, ``[v6]`` or ``[v6]:port``."""
+        """Parse ``ip``, ``ip:port``, ``[v6]`` or ``[v6]:port``; a port is ASCII digits only."""
         text = text.strip()
         if not text:
             raise ValueError("empty endpoint")
@@ -80,12 +85,20 @@ class Endpoint:
             host, bracket, rest = text[1:].partition("]")
             if not bracket or rest[:1] not in ("", ":"):
                 raise ValueError(f"expected [ipv6] or [ipv6]:port, got {text!r}")
-            return cls.make(host, int(rest[1:]) if rest else default_port)
+            return cls.make(host, _port(rest[1:]) if rest else default_port)
         if text.count(":") == 1:
             host, _, port_text = text.partition(":")
-            return cls.make(host, int(port_text))
+            return cls.make(host, _port(port_text))
         # zero colons: bare IPv4; two or more: bare IPv6 without a port
         return cls.make(text, default_port)
+
+
+def _port(text: str) -> int:
+    """A port written as ASCII digits; ``int`` alone would also take ``+80``, ``8_333``,
+    `` 80`` or non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"port {text!r} is not ASCII digits")
+    return int(text)
 
 
 def _read_text(path: str | Path, error: Callable[[int, str], Exception] | None = None) -> str:

@@ -20,6 +20,12 @@ alone; a frame pump checks the length it returns against
 ``MAX_PAYLOAD_BY_COMMAND`` before buffering the payload, while the frame
 decoders keep only the 4 MiB frame limit.
 
+:class:`AddrEntry` is a named tuple, iterable and equal to the plain tuple
+``(last_seen, services, ip, port)``.  :func:`encode_addr_records` frames
+entries that are already encoded (the simulated peer keeps its gossip that
+way), and :func:`encode_addr` encodes each entry and ends in it, so the
+count cap and the CompactSize prefix are written once.
+
 Everything here is a pure function over byte sequences: no sockets, no
 clocks, no shared state, safe from any number of threads.  Decoders either
 return a value or raise a :class:`CodecError` subclass; they never raise
@@ -43,6 +49,7 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
+from typing import NamedTuple, Sequence
 
 MAINNET_MAGIC = b"\xf9\xbe\xb4\xd9"
 SIMNET_MAGIC = b"\xfa\xce\xb0\x0c"
@@ -316,9 +323,12 @@ class NetAddress:
 NULL_ADDRESS = NetAddress(0, "::", 0)
 
 
-@dataclass(frozen=True)
-class AddrEntry:
-    """One gossiped peer inside an ``addr`` message (30 bytes on the wire)."""
+class AddrEntry(NamedTuple):
+    """One gossiped peer inside an ``addr`` message (30 bytes on the wire).
+
+    A tuple, built in C: ``decode_addr`` makes one per entry, so it iterates
+    and equals the plain tuple ``(last_seen, services, ip, port)``.
+    """
 
     last_seen: int
     services: int
@@ -392,10 +402,18 @@ def decode_version(data: bytes) -> VersionPayload:
     )
 
 
-def encode_addr(entries: list[AddrEntry] | tuple[AddrEntry, ...]) -> bytes:
-    if len(entries) > MAX_ADDR_ENTRIES:
-        raise TooManyAddrEntriesError(str(len(entries)))
-    return encode_varint(len(entries)) + b"".join([entry.encode() for entry in entries])
+def encode_addr(entries: Sequence[AddrEntry]) -> bytes:
+    return encode_addr_records([entry.encode() for entry in entries])
+
+
+def encode_addr_records(records: Sequence[bytes]) -> bytes:
+    """An ``addr`` payload from entries already encoded by :meth:`AddrEntry.encode`."""
+    if len(records) > MAX_ADDR_ENTRIES:
+        raise TooManyAddrEntriesError(str(len(records)))
+    body = b"".join(records)
+    if len(body) != len(records) * _ADDR_ENTRY.size:
+        raise ValueError(f"addr records must be {_ADDR_ENTRY.size} bytes each")
+    return encode_varint(len(records)) + body
 
 
 def decode_addr(data: bytes) -> list[AddrEntry]:

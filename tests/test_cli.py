@@ -287,6 +287,27 @@ def test_sim_names_the_topology_line_that_the_wire_cannot_carry(tmp_path, capsys
     assert capsys.readouterr().err == f"chainobs: {path}: line 2: services -1 not in 0..2^64-1\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--getaddr-rounds", "-1", "getaddr_rounds must be >= 0, got -1"),
+        ("--ping-count", "-4", "ping_count must be >= 0, got -4"),
+        ("--max-frontier", "0", "max_frontier must be >= 1, got 0"),
+        ("--handshake-timeout-ms", "nan", "handshake_timeout_ms must be finite and positive, got nan"),
+        ("--connect-timeout-ms", "inf", "connect_timeout_ms must be finite and positive, got inf"),
+    ],
+)
+def test_sim_rejects_a_crawl_setting_before_any_probe(topo_file, capsys, monkeypatch, flag, value, message):
+    topo_path, _ = topo_file
+
+    def no_probe(*args):
+        raise AssertionError("probed a peer")
+
+    monkeypatch.setattr(crawler, "probe_peer", no_probe)
+    assert cli.main(["sim", "--topology", str(topo_path), flag, value]) == 2
+    assert capsys.readouterr().err == f"chainobs: {message}\n"
+
+
 _BNI = ["bni", "--snapshots", "s", "--out", "o", "--height-tolerance"]
 _REPORT = ["report", "--ledger", "l", "--top"]
 
@@ -310,6 +331,39 @@ def test_bni_and_report_reject_counts_below_one_before_reading(tmp_path, argv, r
     assert err.value.code == 1
     assert f"error: argument {reason}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--alpha", "0", "not a number in (0, 1]: '0'"),
+        ("--alpha", "1.01", "not a number in (0, 1]: '1.01'"),
+        ("--alpha", "nan", "not a number in (0, 1]: 'nan'"),
+        ("--alpha", "half", "invalid float value: 'half'"),
+        ("--tau", "-1", "not a finite number >= 0: '-1'"),
+        ("--tau", "inf", "not a finite number >= 0: 'inf'"),
+        ("--tau", "nan", "not a finite number >= 0: 'nan'"),
+    ],
+)
+def test_bni_rejects_an_alpha_or_tau_out_of_range_before_reading(tmp_path, monkeypatch, capsys, flag, value, reason):
+    monkeypatch.chdir(tmp_path)  # the inputs do not exist: reading them would exit 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(["bni", "--snapshots", "s", "--out", "o", flag, value])
+    assert err.value.code == 1
+    assert f"error: argument {flag}: {reason}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_reads_the_tag_map_before_writing_anything(tmp_path, capsys):
+    tags = tmp_path / "bad.tags"
+    tags.write_text("[tags]\n/slush/ without a tab\n")
+    lorenz = tmp_path / "lorenz.csv"
+    argv = ["report", "--ledger", str(fig10_ledger(tmp_path)), "--lorenz-out", str(lorenz), "--tags", str(tags)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"chainobs: {tags}: line 2: ")
+    assert captured.out == ""
+    assert not lorenz.exists()
 
 
 def test_timeline_on_a_directory_without_snapshots_exits_two(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Crawler tests: seeds, single-peer probes, full crawls, transports."""
 
+import ast
+import dataclasses
 import socket
 import struct
 import threading
@@ -9,10 +11,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from chainobs import crawler, simnet, wirecodec
+from chainobs import crawler, simnet, snapshotstore, wirecodec
 from chainobs.crawler import CrawlConfig, STATUS_ACTIVE, STATUS_INACTIVE
 from chainobs.simnet import SimPeerProfile, SimTopology
 from chainobs.transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, TcpTransport
+from helpers import make_record, make_snapshot
 
 MAGIC = wirecodec.SIMNET_MAGIC
 
@@ -84,6 +87,171 @@ def test_endpoint_accepts_port_range_bounds():
 def test_endpoint_str_brackets_ipv6():
     assert str(ep("2001:db8::1", 8333)) == "[2001:db8::1]:8333"
     assert str(ep("10.0.0.1", 8333)) == "10.0.0.1:8333"
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class _DataclassEndpoint:
+    """``Endpoint`` as it was before it became a tuple, kept as the reference."""
+
+    ip: str
+    port: int
+
+    @classmethod
+    def make(cls, ip, port=8333):
+        port = int(port)
+        if not 0 <= port <= 0xFFFF:
+            raise ValueError(f"port {port} outside 0-65535")
+        return cls(wirecodec.canonical_ip(ip), port)
+
+    @classmethod
+    def parse(cls, text, default_port=8333):
+        text = text.strip()
+        if not text:
+            raise ValueError("empty endpoint")
+        if text.startswith("["):
+            host, bracket, rest = text[1:].partition("]")
+            if not bracket or rest[:1] not in ("", ":"):
+                raise ValueError(f"expected [ipv6] or [ipv6]:port, got {text!r}")
+            return cls.make(host, int(rest[1:]) if rest else default_port)
+        if text.count(":") == 1:
+            host, _, port_text = text.partition(":")
+            return cls.make(host, int(port_text))
+        return cls.make(text, default_port)
+
+
+def _outcome(build):
+    try:
+        endpoint = build()
+    except ValueError as exc:
+        return "error", str(exc)
+    return (endpoint.ip, endpoint.port), hash(endpoint)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "10.0.0.1", "10.0.0.1:0", "10.0.0.1:65535", "10.0.0.1:0080", " 10.0.0.1:80 ", "010.0.0.1:1", "",
+        "2001:db8::1", "[2001:db8::1]", "[2001:DB8:0:0::1]:18333", "::ffff:10.0.0.9", "[::ffff:10.0.0.9]:1",
+        "::1.2.3.4", "fd87:d87e:eb43::1", "[fd87:d87e:eb43:f00d::1]:9050", "fe80::1%eth0", "[fe80::1%eth0]:8",
+        "10.0.0.1:65536", "10.0.0.1:99999999", "[::1]:70000", "10.0.0.256", "10.0.0.1:x", "host:80",
+        "[::1", "[::1]x", "[]:80", ":80", "10.0.0.1\x00:80",
+        "10.0.0.1:+80", "10.0.0.1:8_333", "10.0.0.1: 80", "[::1]:\u0663\u0663", "10.0.0.1:", "[::1]:",
+    ],
+)
+def test_endpoint_make_and_parse_match_the_dataclass_they_replaced(text):
+    """The same endpoint and hash as the dataclass, or the same error; the one new
+    error is a port that is not ASCII digits, which ``int()`` read or rejected."""
+    old = _outcome(lambda: _DataclassEndpoint.parse(text))
+    new = _outcome(lambda: Endpoint.parse(text))
+    if new[0] == "error" and new[1].endswith("is not ASCII digits"):
+        port_text = new[1][len("port "):-len(" is not ASCII digits")]
+        assert text.strip().endswith(":" + ast.literal_eval(port_text))  # all the text after the colon
+    else:
+        assert new == old
+    if old[0] != "error":
+        assert _outcome(lambda: Endpoint.make(*old[0])) == old
+
+
+def test_endpoint_is_a_tuple_that_sorts_and_hashes_as_ip_then_port():
+    endpoints = [ep("10.0.0.2", 1), ep("10.0.0.10", 9), ep("10.0.0.2", 0), ep("2001:db8::1"), ep("::1", 7)]
+    assert sorted(endpoints) == sorted(endpoints, key=lambda e: (e.ip, e.port))
+    as_dataclasses = sorted(_DataclassEndpoint(*e) for e in endpoints)
+    assert sorted(endpoints) == [(d.ip, d.port) for d in as_dataclasses]
+    for endpoint in endpoints:
+        assert hash(endpoint) == hash((endpoint.ip, endpoint.port)) == hash(_DataclassEndpoint(*endpoint))
+        assert endpoint == (endpoint.ip, endpoint.port)
+        ip, port = endpoint
+        assert (ip, port) == (endpoint.ip, endpoint.port)
+
+
+@pytest.mark.parametrize(
+    "endpoint, text",
+    [
+        (ep("10.0.0.1", 8333), "10.0.0.1:8333"),
+        (ep("2001:db8::1", 0), "[2001:db8::1]:0"),
+        (ep("fd87:d87e:eb43::a", 9050), "[fd87:d87e:eb43::a]:9050"),  # an OnionCat onion peer
+    ],
+    ids=["v4", "v6", "onion"],
+)
+def test_endpoint_str_round_trips_through_parse(endpoint, text):
+    assert str(endpoint) == text
+    assert Endpoint.parse(text) == endpoint
+
+
+@pytest.mark.parametrize("field", ["ip", "port"])
+def test_endpoint_fields_cannot_be_assigned(field):
+    endpoint = ep("10.0.0.1")
+    with pytest.raises(AttributeError):
+        setattr(endpoint, field, getattr(endpoint, field))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("10.0.0.1:80", ("10.0.0.1", 80)),
+        ("10.0.0.1:00080", ("10.0.0.1", 80)),
+        ("[::1]:33", ("::1", 33)),
+        ("[::1]", ("::1", 8333)),
+        ("\t10.0.0.1:65535 ", ("10.0.0.1", 65535)),  # space around the whole text is not in the port
+    ],
+)
+def test_endpoint_parse_accepts_ports_of_ascii_digits(text, expected):
+    assert Endpoint.parse(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, port_text",
+    [
+        ("10.0.0.1:+80", "+80"),
+        ("10.0.0.1:-1", "-1"),
+        ("10.0.0.1:8_333", "8_333"),
+        ("10.0.0.1: 80", " 80"),
+        ("[::1]:80 0", "80 0"),
+        ("[::1]:\u0663\u0663", "\u0663\u0663"),  # Arabic-Indic digits, which int() reads as 33
+        ("10.0.0.1:\u00b2", "\u00b2"),  # superscript two: str.isdigit() alone accepts it
+        ("10.0.0.1:", ""),
+        ("[::1]:", ""),
+    ],
+)
+def test_endpoint_parse_rejects_ports_that_are_not_ascii_digits(text, port_text):
+    with pytest.raises(ValueError) as err:
+        Endpoint.parse(text)
+    assert str(err.value) == f"port {port_text!r} is not ASCII digits"
+
+
+def _snapshot_header_seed(path, text):
+    snapshotstore.write_snapshot(make_snapshot([make_record("10.0.0.1")], seeds=[ep("10.0.0.9")]), path)
+    path.write_text(path.read_text().replace("seeds:10.0.0.9:8333", f"seeds:{text}", 1))
+    return snapshotstore.read_snapshot, 1
+
+
+def _lines(*lines):
+    def write(path, text):
+        path.write_text("".join(line.format(text) + "\n" for line in lines))
+        return (simnet.load_topology if path.suffix == ".topo" else crawler.bootstrap_seeds), len(lines)
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        ("seeds.txt", _lines("10.0.0.1", "{}")),
+        ("at-seeds.topo", _lines("@seeds {}")),
+        ("peer.topo", _lines("10.0.0.1:8333 normal 9 0 20 -", "{} normal 9 0 20 -")),
+        ("known.topo", _lines("10.0.0.1:8333 normal 9 0 20 {}")),
+        ("header.snap.ndrec", _snapshot_header_seed),
+    ],
+    ids=["seed-file", "topology-seeds", "topology-peer", "topology-known-peer", "snapshot-header"],
+)
+@pytest.mark.parametrize("port", ["+80", "8_333", "\u0663\u0663"])
+def test_readers_name_the_file_and_the_line_of_a_port_that_is_not_ascii_digits(tmp_path, name, write, port):
+    path = tmp_path / name
+    read, line = write(path, f"10.0.0.2:{port}")
+    with pytest.raises((ValueError, snapshotstore.CorruptRecordError)) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}: line {line}: ")
+    assert str(err.value).endswith(f"port {port!r} is not ASCII digits")
 
 
 # --- seed bootstrap -------------------------------------------------------------
@@ -585,6 +753,34 @@ def test_crawl_config_validation():
         CrawlConfig(seeds=(ep("10.0.0.1"),), max_inflight=0)
     with pytest.raises(ValueError):
         CrawlConfig(seeds=(ep("10.0.0.1"),), connect_timeout_ms=0)
+
+
+@pytest.mark.parametrize(
+    "setting, value, message",
+    [
+        ("connect_timeout_ms", float("nan"), "connect_timeout_ms must be finite and positive, got nan"),
+        ("connect_timeout_ms", float("inf"), "connect_timeout_ms must be finite and positive, got inf"),
+        ("handshake_timeout_ms", float("nan"), "handshake_timeout_ms must be finite and positive, got nan"),
+        ("handshake_timeout_ms", -1.0, "handshake_timeout_ms must be finite and positive, got -1.0"),
+        ("getaddr_rounds", -1, "getaddr_rounds must be >= 0, got -1"),
+        ("ping_count", -4, "ping_count must be >= 0, got -4"),
+        ("max_frontier", 0, "max_frontier must be >= 1, got 0"),
+        ("max_inflight", 0, "max_inflight must be >= 1, got 0"),
+    ],
+)
+def test_crawl_config_rejects_values_it_cannot_honour(setting, value, message):
+    with pytest.raises(ValueError) as err:
+        CrawlConfig(seeds=(ep("10.0.0.1"),), **{setting: value})
+    assert str(err.value) == message
+
+
+def test_zero_getaddr_rounds_and_pings_still_probe_once():
+    peer = SimPeerProfile(ep("10.0.0.1"), known_peers=(ep("10.0.0.2"),), rtt_ms=30.0)
+    network = simnet.build_network(topology([peer]))
+    record, harvested = crawler.probe_peer(peer.address, config([peer.address], getaddr_rounds=0, ping_count=0), network)
+    assert record.status == STATUS_ACTIVE
+    assert record.min_rtt_ms == pytest.approx(30.0)  # a ping_count of 0 still sends one ping
+    assert harvested == [] and record.addr_count_returned == 0
 
 
 def test_config_digest_is_stable():

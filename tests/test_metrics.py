@@ -172,6 +172,28 @@ def test_height_index_rejects_a_tolerance_that_is_not_positive(tolerance):
             metrics.height_index(height, stats, tolerance)
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"alpha": 0.0}, "alpha must lie in (0, 1], got 0.0"),
+        ({"alpha": 1.5}, "alpha must lie in (0, 1], got 1.5"),
+        ({"alpha": float("nan")}, "alpha must lie in (0, 1], got nan"),
+        ({"tau": -0.1}, "tau must be finite and >= 0, got -0.1"),
+        ({"tau": float("inf")}, "tau must be finite and >= 0, got inf"),
+        ({"tau": float("nan")}, "tau must be finite and >= 0, got nan"),
+    ],
+)
+def test_latency_metrics_reject_an_alpha_or_tau_out_of_range(options, message):
+    with pytest.raises(ValueError) as err:
+        metrics.latency_and_uptime_metrics(timeline([1, 1]), [10.0, 20.0], **options)
+    assert str(err.value) == message
+
+
+def test_latency_metrics_accept_the_ends_of_the_alpha_and_tau_ranges():
+    result = metrics.latency_and_uptime_metrics(timeline([1, 1, 1]), [10.0, 10.0, 10.5], tau=0.0, alpha=1.0)
+    assert result.latency_trend == pytest.approx(2 / 3)  # with tau 0, any rise is an excursion
+
+
 def test_asn_index_formula():
     assert metrics.asn_index(1, 100) == 1.0
     assert metrics.asn_index(100, 100) == 0.0

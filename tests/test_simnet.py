@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainobs import simnet, wirecodec
+from chainobs import crawler, simnet, wirecodec
 from chainobs.simnet import SimPeerProfile, SimTopology
 from chainobs.transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError
 
@@ -337,6 +337,55 @@ def test_addr_payloads_match_the_per_call_reference(seed):
         conn.close()
         checked.add(profile.behavior)
     assert checked == {"normal", "slow", "stale", "empty-addr"}
+
+
+class _RecordingNetwork:
+    """A transport over a simulated network that keeps every byte each peer sends the crawler."""
+
+    def __init__(self, network):
+        self.network = network
+        self.received: dict[Endpoint, bytearray] = {}
+
+    def connect(self, endpoint, timeout):
+        conn = self.network.connect(endpoint, timeout)
+        received = self.received.setdefault(endpoint, bytearray())
+        recv_exact = conn.recv_exact
+
+        def recording_recv_exact(n, deadline):
+            data = recv_exact(n, deadline)
+            received.extend(data)
+            return data
+
+        conn.recv_exact = recording_recv_exact
+        return conn
+
+
+@pytest.mark.parametrize("seed", [11, 404])
+def test_every_addr_payload_of_a_seeded_crawl_encodes_the_entries_a_same_seeded_rng_samples(seed):
+    topo = simnet.random_topology(
+        150, seed, unreachable_fraction=0.1, silent_fraction=0.05, slow_fraction=0.05, stale_fraction=0.05,
+        empty_addr_fraction=0.05, max_known=60,
+    )
+    recording = _RecordingNetwork(simnet.build_network(topo))
+    config = crawler.CrawlConfig(seeds=topo.seed_ids, magic=MAGIC, max_inflight=1)
+    snapshot = crawler.crawl(config, recording)
+    checked = 0
+    for endpoint, received in recording.received.items():
+        profile = topo.profile(endpoint)
+        rng = simnet._peer_rng(topo.rng_seed, endpoint)
+        rng.getrandbits(64)  # the version nonce
+        commands = []
+        while frame := wirecodec.decode_message_prefix(received, MAGIC):
+            command, payload, consumed = frame
+            del received[:consumed]
+            commands.append(command)
+            if command == "addr":
+                assert payload == reference_addr_payload(topo, profile, rng)
+                checked += 1
+        assert not received
+        if profile.behavior != "silent":
+            assert commands.count("addr") == config.getaddr_rounds
+    assert checked == config.getaddr_rounds * snapshot.active_count > 0
 
 
 def test_duplicate_address_rejected():

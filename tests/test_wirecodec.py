@@ -380,6 +380,28 @@ def test_addr_entry_count_limit():
         wc.decode_addr(data)
 
 
+def test_addr_entry_is_a_tuple_of_its_four_fields():
+    entry = wc.AddrEntry(7, 9, "10.0.0.1", 8333)
+    assert entry == (7, 9, "10.0.0.1", 8333)
+    assert hash(entry) == hash((7, 9, "10.0.0.1", 8333))
+    last_seen, services, ip, port = entry
+    assert (last_seen, services, ip, port) == (entry.last_seen, entry.services, entry.ip, entry.port)
+    with pytest.raises(AttributeError):
+        entry.port = 1
+    assert [type(e) for e in wc.decode_addr(wc.encode_addr([entry]))] == [wc.AddrEntry]
+
+
+def test_addr_records_encode_as_their_entries_do():
+    entries = [wc.AddrEntry(1, 2, "10.0.0.1", 8333), wc.AddrEntry(3, 4, "2001:db8::1", 0)]
+    records = [entry.encode() for entry in entries]
+    assert wc.encode_addr_records(records) == wc.encode_addr(entries)
+    assert wc.encode_addr_records([]) == wc.encode_addr([]) == b"\x00"
+    with pytest.raises(wc.TooManyAddrEntriesError):
+        wc.encode_addr_records(records[:1] * 1001)
+    with pytest.raises(ValueError, match="addr records must be 30 bytes each"):
+        wc.encode_addr_records([records[0], records[1][:-1]])
+
+
 def test_addr_truncated_and_trailing():
     entry = wc.AddrEntry(0, 0, "2001:db8::1", 8333)
     data = wc.encode_addr([entry])
