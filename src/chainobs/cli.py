@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import logging
 import os
@@ -23,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import crawler, enrich, ledger, metrics, simnet, snapshotstore, wirecodec
-from .transport import Endpoint, TcpTransport, TransportError
+from .transport import Endpoint, TcpTransport, TransportError, _write_text
 
 log = logging.getLogger(__name__)
 
@@ -52,10 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()  # csv ends each row with \r\n, which _write_text keeps
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, text.getvalue())
 
 
 def _at_least(low: int, convert: type) -> typing.Callable[[str], float]:
@@ -403,6 +405,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "repeat_count", None) is not None and args.repeat is None:
         parser.error("argument --repeat-count: needs --repeat")
+    if args.func in (_cmd_crawl, _cmd_sim):
+        try:  # the crawl settings, before any seed lookup or file read
+            _crawl_config(args, [], wirecodec.MAINNET_MAGIC)
+        except crawler.EmptySeedSetError:
+            pass  # CrawlConfig checks the seeds after every setting, and they are read later
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:

@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .transport import _naming_file, _read_text
+from .transport import _naming_file, _read_text, _write_text
 
 log = logging.getLogger(__name__)
 
@@ -460,7 +460,7 @@ def write_ledger(txs: Iterable[LedgerTx], path: str | Path) -> None:
             f"{tx.txid} {tx.height} {tx.timestamp} {1 if tx.is_coinbase else 0} "
             f"{script} {_format_entries(tx.inputs)} {_format_entries(tx.outputs)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_ledger(path: str | Path) -> list[LedgerTx]:

@@ -37,7 +37,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import wirecodec
-from .transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, _content_lines
+from .transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, _content_lines, _write_text
 from .wirecodec import AddrEntry, NetAddress, VersionPayload
 
 BEHAVIORS = ("normal", "unreachable", "silent", "slow", "stale", "empty-addr")
@@ -304,6 +304,15 @@ def _parse_behavior(token: str) -> tuple[str, float]:
     return name, float(delay) if delay else DEFAULT_SLOW_DELAY_MS
 
 
+def _int(text: str, name: str) -> int:
+    """The ``name`` column as an integer written ``-?[0-9]+`` in ASCII; ``int`` alone
+    would also take ``+1_0``, outer spaces or non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{name} {text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def load_topology(path: str | Path) -> SimTopology:
     peers: list[SimPeerProfile] = []
     seed_ids: tuple[Endpoint, ...] = ()
@@ -315,7 +324,7 @@ def load_topology(path: str | Path) -> SimTopology:
             if line.startswith("@"):
                 directive, _, value = line.partition(" ")
                 if directive == "@rng_seed":
-                    rng_seed = int(value)
+                    rng_seed = _int(value.strip(), "@rng_seed")
                 elif directive == "@seeds":
                     seed_ids = tuple(Endpoint.parse(t) for t in value.split(",") if t.strip())
                     seeds_line = lineno
@@ -333,8 +342,8 @@ def load_topology(path: str | Path) -> SimTopology:
                 SimPeerProfile(
                     address=Endpoint.parse(fields[0]),
                     behavior=behavior,
-                    services=int(fields[2]),
-                    start_height=int(fields[3]),
+                    services=_int(fields[2], "services"),
+                    start_height=_int(fields[3], "start height"),
                     rtt_ms=float(fields[4]),
                     known_peers=known,
                     slow_delay_ms=slow_delay,
@@ -366,7 +375,7 @@ def save_topology(topology: SimTopology, path: str | Path) -> None:
             f"{peer.address} {behavior} {peer.services} {peer.start_height} "
             f"{peer.rtt_ms:g} {known}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def random_topology(

@@ -20,6 +20,11 @@ and names the line of the first.  In the header, ``partial`` is ``0`` or
 missing.  Writes go to a temporary file that is renamed over the target, so
 a crash never leaves a half-written snapshot behind.
 
+The writer builds each record line in one f-string pass over the record:
+only the text values (``addr``, ``status``, ``ua``) can need escaping, and
+each distinct user agent is escaped once per file.  Extra fields replace a
+key of the line in place or are appended after it.
+
 A record line in the shape :func:`write_snapshot` emits (its keys in the
 order below, integers in ASCII digits, no escape in ``addr`` or
 ``minrtt``), optionally followed by the ``country asn org`` keys that
@@ -43,7 +48,6 @@ on read.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,7 +56,7 @@ from urllib.parse import quote, unquote
 
 from .crawler import PeerRecord, Snapshot, STATUS_ACTIVE, STATUS_INACTIVE
 from .enrich import classify_network
-from .transport import Endpoint, _naming_file, _read_text
+from .transport import Endpoint, _naming_file, _read_text, _write_text
 
 SCHEMA_VERSION = 1
 SNAPSHOT_SUFFIX = ".snap.ndrec"
@@ -119,27 +123,39 @@ def _parse_line(line: str, lineno: int) -> dict[str, str]:
     return fields
 
 
-def _record_fields(record: PeerRecord) -> dict[str, str]:
-    fields = {
-        "addr": record.address.ip,
-        "port": str(record.address.port),
-        "net": classify_network(record.address),
-        "status": record.status,
-    }
+def _record_line(record: PeerRecord, user_agents: dict[str, str]) -> str:
+    """The record's line, keys in the order of the module docstring.  Only the text
+    values go through _escape; ``user_agents`` maps each raw user agent the file
+    has written so far to its escaped text."""
+    address = record.address
+    line = (
+        f"addr:{_escape(address.ip)} port:{address.port} net:{classify_network(address)}"
+        f" status:{_escape(record.status)}"
+    )
     if record.services is not None:
-        fields["services"] = str(record.services)
+        line += f" services:{record.services}"
     if record.protocol_version is not None:
-        fields["pver"] = str(record.protocol_version)
-    if record.user_agent is not None:
-        fields["ua"] = record.user_agent
+        line += f" pver:{record.protocol_version}"
+    ua = record.user_agent
+    if ua is not None:
+        text = user_agents.get(ua)
+        if text is None:
+            text = user_agents[ua] = _escape(ua)
+        line += f" ua:{text}"
     if record.start_height is not None:
-        fields["height"] = str(record.start_height)
+        line += f" height:{record.start_height}"
     if record.min_rtt_ms is not None:
-        fields["minrtt"] = repr(record.min_rtt_ms)
-    fields["first_seen"] = str(record.first_seen)
-    fields["last_seen"] = str(record.last_seen)
-    fields["addrs"] = str(record.addr_count_returned)
-    return fields
+        line += f" minrtt:{record.min_rtt_ms!r}"
+    return f"{line} first_seen:{record.first_seen} last_seen:{record.last_seen} addrs:{record.addr_count_returned}"
+
+
+def _with_extra(line: str, extra: Mapping[str, str]) -> str:
+    """``line`` with each ``extra`` key's value replaced in place, or appended for a new key."""
+    # a key holds no ':', so a token's first ':' ends its key
+    fields = dict(token.split(":", 1) for token in line.split(" "))
+    for key, value in extra.items():
+        fields[key] = _escape(value)
+    return " ".join(f"{key}:{value}" for key, value in fields.items())
 
 
 def write_snapshot(
@@ -166,21 +182,15 @@ def write_snapshot(
             ]
         )
     ]
-    for endpoint in sorted(snapshot.records, key=str):
-        fields = _record_fields(snapshot.records[endpoint])
+    # each user agent is escaped once per file: a crawl sees a few dozen distinct ones
+    user_agents: dict[str, str] = {}
+    records = snapshot.records
+    for endpoint in sorted(records, key=str):
+        line = _record_line(records[endpoint], user_agents)
         if extra_fields and endpoint in extra_fields:
-            fields.update(extra_fields[endpoint])
-        lines.append(_emit(fields.items()))
-    path = Path(path)
-    # the temporary name must not match *.snap.ndrec, which load_series globs
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+            line = _with_extra(line, extra_fields[endpoint])
+        lines.append(line)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _require(fields: Mapping[str, str], key: str, lineno: int) -> str:
@@ -234,12 +244,12 @@ def _parse_record(
         raise CorruptRecordError(lineno, str(exc)) from exc
 
 
-# A record line exactly as _record_fields and _emit write it: keys in that
-# order, a known status, integers in ASCII digits, no escape in addr, port or
-# minrtt, and optionally the country/asn/org keys that `chainobs enrich`
-# appends (unknown keys, which the reader ignores).  On such a line
-# _parse_line would keep every value but ua verbatim, so the line skips it and
-# _parse_record; any other line goes through both.
+# A record line exactly as _record_line writes it: keys in that order, a
+# known status, integers in ASCII digits, no escape in addr, port or minrtt,
+# and optionally the country/asn/org keys that `chainobs enrich` appends
+# (unknown keys, which the reader ignores).  On such a line _parse_line would
+# keep every value but ua verbatim, so the line skips it and _parse_record;
+# any other line goes through both.
 _INT = "(-?[0-9]+)"
 _WRITTEN_RECORD = re.compile(
     rf"addr:([^ %]*) port:([0-9]+) net:[^ ]* status:({STATUS_ACTIVE}|{STATUS_INACTIVE})"

@@ -13,11 +13,14 @@ in 0-65535, written in ASCII digits.  An endpoint is a named tuple: it
 iterates as ``ip, port`` and equals the plain tuple of the two.  Every
 reader of an input file decodes it here, so a byte that is not UTF-8 is
 reported with the file and the line, and a line ends only at a newline
-byte, as in ``grep -n``.
+byte, as in ``grep -n``.  Every output file is written here too, through a
+temporary file renamed over the target, so a failed write never leaves a
+half-written file.
 """
 
 from __future__ import annotations
 
+import os
 import socket
 import time
 from contextlib import contextmanager
@@ -112,6 +115,22 @@ def _read_text(path: str | Path, error: Callable[[int, str], Exception] | None =
         if error is not None:
             raise error(lineno, "not UTF-8") from exc
         raise ValueError(f"{path}: line {lineno}: not UTF-8") from exc
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8, line ends as given, through a temporary file renamed
+    over ``path``: a failed or interrupted write leaves the old file, or none, and no
+    temporary file behind."""
+    path = Path(path)
+    # the temporary name must not match *.snap.ndrec, which snapshotstore.load_series globs
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 @contextmanager

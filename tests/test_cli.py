@@ -293,19 +293,24 @@ def test_sim_names_the_topology_line_that_the_wire_cannot_carry(tmp_path, capsys
         ("--getaddr-rounds", "-1", "getaddr_rounds must be >= 0, got -1"),
         ("--ping-count", "-4", "ping_count must be >= 0, got -4"),
         ("--max-frontier", "0", "max_frontier must be >= 1, got 0"),
+        ("--max-inflight", "0", "max_inflight must be >= 1, got 0"),
         ("--handshake-timeout-ms", "nan", "handshake_timeout_ms must be finite and positive, got nan"),
         ("--connect-timeout-ms", "inf", "connect_timeout_ms must be finite and positive, got inf"),
     ],
 )
-def test_sim_rejects_a_crawl_setting_before_any_probe(topo_file, capsys, monkeypatch, flag, value, message):
-    topo_path, _ = topo_file
-
-    def no_probe(*args):
-        raise AssertionError("probed a peer")
-
-    monkeypatch.setattr(crawler, "probe_peer", no_probe)
-    assert cli.main(["sim", "--topology", str(topo_path), flag, value]) == 2
-    assert capsys.readouterr().err == f"chainobs: {message}\n"
+@pytest.mark.parametrize(
+    "argv",
+    [["sim", "--topology", "missing.topo"], ["crawl", "--seeds", "missing.seeds", "--simnet", "missing.topo", "--out", "o"]],
+    ids=["sim", "crawl"],
+)
+def test_crawl_and_sim_reject_a_crawl_setting_before_reading(tmp_path, capsys, monkeypatch, argv, flag, value, message):
+    monkeypatch.chdir(tmp_path)  # the inputs do not exist: reading them would exit 2
+    monkeypatch.setattr(crawler, "bootstrap_seeds", lambda *args: pytest.fail("looked up the seeds"))
+    with pytest.raises(SystemExit) as err:
+        cli.main([*argv, flag, value])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.endswith(f"chainobs: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 _BNI = ["bni", "--snapshots", "s", "--out", "o", "--height-tolerance"]

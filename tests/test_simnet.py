@@ -524,7 +524,7 @@ def test_topology_file_rejects_unknown_behavior(tmp_path):
         (
             b"10.0.0.1:8333 normal 9 600000 25 -\n10.0.0.2:8333 normal x 0 0 -\n",
             2,
-            "invalid literal for int() with base 10: 'x'",
+            "services 'x' is not an integer in ASCII digits",
         ),
         (b"# caf\xe9\n10.0.0.1:8333 normal 9 600000 25 -\n", 1, "not UTF-8"),
         (b"@rng_seed 1\n\n@bogus 2\n", 3, "unknown directive '@bogus'"),
@@ -560,6 +560,33 @@ def test_topology_file_errors_name_the_file_and_the_line(tmp_path, content, line
     with pytest.raises(ValueError) as err:
         simnet.load_topology(path)
     assert str(err.value) == f"{path}: line {line}: {reason}"
+
+
+@pytest.mark.parametrize("token", ["+1_0", "1_0", "+7", "٣", "٣٣", "1.0", "1e3", "--1", "-"])
+@pytest.mark.parametrize(
+    "template, name",
+    [
+        ("@rng_seed {}\n10.0.0.1:8333 normal 9 0 0 -\n", "@rng_seed"),
+        ("@rng_seed 1\n10.0.0.1:8333 normal {} 0 0 -\n", "services"),
+        ("@rng_seed 1\n10.0.0.1:8333 normal 9 {} 0 -\n", "start height"),
+    ],
+    ids=["rng-seed", "services", "start-height"],
+)
+def test_topology_integers_are_ascii_digits_with_an_optional_minus(tmp_path, template, name, token):
+    path = tmp_path / "odd.topo"
+    path.write_text(template.format(token), encoding="utf-8")
+    line = 1 if name == "@rng_seed" else 2
+    with pytest.raises(ValueError) as err:
+        simnet.load_topology(path)
+    assert str(err.value) == f"{path}: line {line}: {name} {token!r} is not an integer in ASCII digits"
+
+
+def test_topology_integers_read_with_a_minus_and_leading_zeros(tmp_path):
+    path = tmp_path / "signed.topo"
+    path.write_text("@rng_seed -0042\n10.0.0.1:8333 normal 0009 -0010 0 -\n")
+    topology = simnet.load_topology(path)
+    assert topology.rng_seed == -42
+    assert (topology.peers[0].services, topology.peers[0].start_height) == (9, -10)
 
 
 def test_peer_profile_accepts_the_wire_bounds():

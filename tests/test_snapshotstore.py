@@ -1,6 +1,7 @@
 """Persistence round trips, corruption reporting, and snapshot diffs."""
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from urllib.parse import quote, unquote
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainobs import cli, ledger, simnet, transport
 from chainobs import snapshotstore as store
 from chainobs.crawler import PeerRecord, STATUS_ACTIVE, STATUS_INACTIVE
 from chainobs.transport import Endpoint
@@ -217,24 +219,52 @@ class _DiskFull:
         raise OSError(28, "No space left on device")
 
 
+def _fail(monkeypatch, failing_step):
+    if failing_step == "write":
+        monkeypatch.setattr(transport, "open", lambda *a, **k: _DiskFull(open(*a, **k)), raising=False)
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(transport.os, "replace", refuse)
+
+
 @pytest.mark.parametrize("failing_step", ["write", "replace"])
 def test_failed_write_keeps_previous_file_and_leaves_no_stray_file(tmp_path, monkeypatch, failing_step):
     path = tmp_path / f"atomic{store.SNAPSHOT_SUFFIX}"
     store.write_snapshot(make_snapshot([make_record("10.0.0.1")]), path)
     before = path.read_bytes()
-    if failing_step == "write":
-        monkeypatch.setattr(store, "open", lambda *a, **k: _DiskFull(open(*a, **k)), raising=False)
-    else:
-        def refuse(src, dst):
-            raise OSError("rename refused")
-
-        monkeypatch.setattr(store.os, "replace", refuse)
+    _fail(monkeypatch, failing_step)
     bigger = make_snapshot([make_record(f"10.0.1.{i}") for i in range(1, 40)], started_at=5)
     with pytest.raises(OSError):
         store.write_snapshot(bigger, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     assert [s.started_at for s in store.load_series(tmp_path)] == [make_snapshot([]).started_at]
+
+
+_WRITERS = {
+    "ledger": lambda path, size: ledger.write_ledger(
+        [ledger.LedgerTx(f"t{i}", i, i, True, (), ((f"a{i}", 50),)) for i in range(size)], path
+    ),
+    "topology": lambda path, size: simnet.save_topology(simnet.random_topology(size + 1, rng_seed=size), path),
+    "csv": lambda path, size: cli._write_csv(path, ["n", "text"], [[i, "a,b"] for i in range(size)]),
+}
+
+
+@pytest.mark.parametrize("failing_step", ["write", "replace"])
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_every_output_file_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch, writer, failing_step):
+    path = tmp_path / f"out.{writer}"
+    _WRITERS[writer](path, 2)
+    before = path.read_bytes()
+    _fail(monkeypatch, failing_step)
+    with pytest.raises(OSError):
+        _WRITERS[writer](path, 40)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    if writer == "csv":
+        assert before == b"n,text\r\n0,\"a,b\"\r\n1,\"a,b\"\r\n"
 
 
 def test_corrupt_file_in_a_series_is_named(tmp_path):
@@ -560,6 +590,57 @@ def _optional(strategy):
     return st.one_of(st.none(), strategy)
 
 
+# --- the record writer against the reference it replaced ---------------------------
+
+
+def _reference_fields(record):
+    """A record's keys and unescaped values, as the writer once built them per record."""
+    fields = {
+        "addr": record.address.ip,
+        "port": str(record.address.port),
+        "net": store.classify_network(record.address),
+        "status": record.status,
+    }
+    if record.services is not None:
+        fields["services"] = str(record.services)
+    if record.protocol_version is not None:
+        fields["pver"] = str(record.protocol_version)
+    if record.user_agent is not None:
+        fields["ua"] = record.user_agent
+    if record.start_height is not None:
+        fields["height"] = str(record.start_height)
+    if record.min_rtt_ms is not None:
+        fields["minrtt"] = repr(record.min_rtt_ms)
+    fields["first_seen"] = str(record.first_seen)
+    fields["last_seen"] = str(record.last_seen)
+    fields["addrs"] = str(record.addr_count_returned)
+    return fields
+
+
+def _reference_emit(pairs):
+    return " ".join(f"{key}:{store._escape(value)}" for key, value in pairs)
+
+
+def _reference_file(snapshot, extra_fields):
+    """The bytes the writer once wrote: every value of every line escaped on its own."""
+    header = [
+        ("schema", str(store.SCHEMA_VERSION)),
+        ("kind", "header"),
+        ("started_at", str(snapshot.started_at)),
+        ("finished_at", str(snapshot.finished_at)),
+        ("seed_count", str(len(snapshot.seeds))),
+        ("seeds", ",".join(str(s) for s in snapshot.seeds)),
+        ("config", snapshot.crawler_config_digest),
+        ("partial", "1" if snapshot.partial else "0"),
+    ]
+    lines = [_reference_emit(header)]
+    for endpoint in sorted(snapshot.records, key=str):
+        fields = _reference_fields(snapshot.records[endpoint])
+        fields.update(extra_fields.get(endpoint, {}))
+        lines.append(_reference_emit(fields.items()))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 _user_agents = st.one_of(
     st.text(max_size=30),
     st.text(alphabet=" %:~/é節\U0001f600aZ09", max_size=20),
@@ -600,7 +681,7 @@ _ODD_VALUES = [
 
 @st.composite
 def _record_lines(draw):
-    fields = store._record_fields(draw(_written_records))
+    fields = _reference_fields(draw(_written_records))
     shape = draw(st.sampled_from(["written", "enriched", "mutated"]))
     if shape == "enriched" or (shape == "mutated" and draw(st.booleans())):
         fields.update(draw(_enrichments))
@@ -662,6 +743,32 @@ def test_every_written_record_line_takes_the_fast_path(property_path, records):
     assert store.read_snapshot(property_path) == snapshot
 
 
+# keys that replace one the writer wrote, and keys it appends
+_extra_fields = st.dictionaries(
+    st.sampled_from(["net", "ua", "status", "country", "asn", "org", "note"]), _user_agents, max_size=4
+)
+
+
+@settings(max_examples=200)
+@given(records=st.lists(_written_records, max_size=8), data=st.data())
+def test_write_matches_the_reference_writer(property_path, records, data):
+    # a few user agents shared across records, as in a crawl, so the per-file table is reused
+    shared = data.draw(st.lists(st.one_of(_user_agents, st.just("/a b:1%\x00\t/é")), min_size=1, max_size=3))
+    records = [
+        replace(record, user_agent=data.draw(st.sampled_from(shared))) if data.draw(st.booleans()) else record
+        for record in records
+    ]
+    snapshot = make_snapshot(
+        list({r.address: r for r in records}.values()),
+        seeds=data.draw(st.lists(_written_records.map(lambda r: r.address), max_size=3)),
+        digest=data.draw(_user_agents),
+    )
+    snapshot.partial = data.draw(st.booleans())
+    extra_fields = {endpoint: data.draw(_extra_fields) for endpoint in snapshot.records if data.draw(st.booleans())}
+    store.write_snapshot(snapshot, property_path, extra_fields=extra_fields)
+    assert property_path.read_bytes() == _reference_file(snapshot, extra_fields)
+
+
 _FULL_RECORD = make_record("2001:db8::7", user_agent="/a b:1%/", min_rtt_ms=12.5, addr_count=3)
 # values that fail in both paths, for trying which of two bad fields is reported
 _failing_values = ["x", "", "9" * 5000, "65536"]
@@ -669,7 +776,7 @@ _failing_values = ["x", "", "9" * 5000, "65536"]
 
 @pytest.mark.parametrize("enriched", [False, True], ids=["written", "enriched"])
 def test_fast_path_matches_the_general_tokenizer_on_every_substitution(enriched):
-    fields = store._record_fields(_FULL_RECORD)
+    fields = _reference_fields(_FULL_RECORD)
     if enriched:
         fields.update(country="DE", asn="64500", org="Example Org")
     pairs = [(key, store._escape(value)) for key, value in fields.items()]
