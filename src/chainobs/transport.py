@@ -120,8 +120,14 @@ def _read_text(path: str | Path, error: Callable[[int, str], Exception] | None =
 def _write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8, line ends as given, through a temporary file renamed
     over ``path``: a failed or interrupted write leaves the old file, or none, and no
-    temporary file behind."""
+    temporary file behind.  A symlink keeps pointing at the file it names, which is
+    the one replaced; a pipe or device such as ``/dev/stdout`` is written in place."""
     path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    path = Path(os.path.realpath(path))
     # the temporary name must not match *.snap.ndrec, which snapshotstore.load_series globs
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

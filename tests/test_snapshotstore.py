@@ -1,6 +1,8 @@
 """Persistence round trips, corruption reporting, and snapshot diffs."""
 
+import os
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 from urllib.parse import quote, unquote
@@ -265,6 +267,33 @@ def test_every_output_file_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     if writer == "csv":
         assert before == b"n,text\r\n0,\"a,b\"\r\n1,\"a,b\"\r\n"
+
+
+def test_a_write_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    target = tmp_path / "real.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    cli._write_csv(link, ["n"], [[1]])
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == b"n\r\n1\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_a_write_to_a_pipe_goes_into_the_pipe(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        transport._write_text(fifo, "kind:header\n")
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [b"kind:header\n"]
+    assert fifo.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
 
 def test_corrupt_file_in_a_series_is_named(tmp_path):
