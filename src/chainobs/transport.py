@@ -120,8 +120,9 @@ def _read_text(path: str | Path, error: Callable[[int, str], Exception] | None =
 def _write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8, line ends as given, through a temporary file renamed
     over ``path``: a failed or interrupted write leaves the old file, or none, and no
-    temporary file behind.  A symlink keeps pointing at the file it names, which is
-    the one replaced; a pipe or device such as ``/dev/stdout`` is written in place."""
+    temporary file behind.  A replaced file keeps its permission bits.  A symlink keeps
+    pointing at the file it names, which is the one replaced; a pipe or device such as
+    ``/dev/stdout`` is written in place."""
     path = Path(path)
     if path.exists() and not path.is_file():
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -133,6 +134,8 @@ def _write_text(path: str | Path, text: str) -> None:
     try:
         with open(partial, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        if path.exists():
+            os.chmod(partial, path.stat().st_mode & 0o7777)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

@@ -269,6 +269,15 @@ def test_every_output_file_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch
         assert before == b"n,text\r\n0,\"a,b\"\r\n1,\"a,b\"\r\n"
 
 
+def test_a_replaced_file_keeps_its_permission_bits(tmp_path):
+    path = tmp_path / "private.ldg"
+    path.write_text("")
+    path.chmod(0o600)
+    ledger.write_ledger([ledger.LedgerTx("t", 1, 1, True, (), (("a", 50),))], path)
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert path.read_text() == "t 1 1 1 - - a:50\n"
+
+
 def test_a_write_through_a_symlink_replaces_the_file_it_names(tmp_path):
     target = tmp_path / "real.csv"
     target.write_text("old\n")
