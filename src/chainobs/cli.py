@@ -396,6 +396,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_settings(args: argparse.Namespace) -> None:
+    """Raise ValueError for a setting that argparse let through, before any seed
+    lookup or file read."""
+    if getattr(args, "repeat_count", None) is not None and args.repeat is None:
+        raise ValueError("argument --repeat-count: needs --repeat")
+    if args.func in (_cmd_crawl, _cmd_sim):
+        try:
+            _crawl_config(args, [], wirecodec.MAINNET_MAGIC)
+        except crawler.EmptySeedSetError:
+            pass  # CrawlConfig checks the seeds after every setting, and they are read later
+    elif args.func in (_cmd_cluster, _cmd_report):
+        _coinjoin_params(args)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("CHAINOBS_LOG", "WARNING").upper(),
@@ -403,15 +417,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "repeat_count", None) is not None and args.repeat is None:
-        parser.error("argument --repeat-count: needs --repeat")
-    if args.func in (_cmd_crawl, _cmd_sim):
-        try:  # the crawl settings, before any seed lookup or file read
-            _crawl_config(args, [], wirecodec.MAINNET_MAGIC)
-        except crawler.EmptySeedSetError:
-            pass  # CrawlConfig checks the seeds after every setting, and they are read later
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        _check_settings(args)
+    except ValueError as exc:  # reported under the usage line of the command
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        subparsers.choices[args.command].error(str(exc))
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:

@@ -24,6 +24,11 @@ stands for an empty column; height, timestamp and values are non-negative
 decimal integers, and coinbase_flag is ``0`` or ``1``.  Input entries carry
 resolved previous-output addresses and values; no UTXO resolution happens
 here.
+
+A read parses each address once: every entry of one :func:`read_ledger`
+call with the same address text holds the same ``str`` object, so the dict
+lookups of clustering and balances match on identity.  The table lives only
+as long as the call, as in ``snapshotstore.load_series``.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,10 +81,10 @@ class AllZeroDistributionError(LedgerError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerTx:
-    """One transaction with inputs resolved to (address, satoshi) pairs."""
+_value = itemgetter(1)  # the satoshi of an (address, satoshi) entry
 
+
+class _LedgerTxFields(NamedTuple):
     txid: str
     height: int
     timestamp: int
@@ -87,20 +93,46 @@ class LedgerTx:
     outputs: tuple[tuple[str, int], ...]
     coinbase_script: bytes = b""
 
-    def __post_init__(self) -> None:
-        if self.is_coinbase:
-            if self.inputs:
-                raise ValueError(f"{self.txid}: coinbase with inputs")
-        elif sum(value for _, value in self.outputs) > sum(value for _, value in self.inputs):
-            raise ValueError(f"{self.txid}: outputs exceed inputs")
+
+class LedgerTx(_LedgerTxFields):
+    """One transaction with inputs resolved to (address, satoshi) pairs.
+
+    A transaction is a tuple: it equals and hashes as the plain tuple of its
+    fields.  Construction rejects a coinbase with inputs and a spend whose
+    outputs exceed its inputs; ``_replace``, ``copy`` and ``pickle`` build
+    through the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        txid: str,
+        height: int,
+        timestamp: int,
+        is_coinbase: bool,
+        inputs: tuple[tuple[str, int], ...],
+        outputs: tuple[tuple[str, int], ...],
+        coinbase_script: bytes = b"",
+    ) -> "LedgerTx":
+        if is_coinbase:
+            if inputs:
+                raise ValueError(f"{txid}: coinbase with inputs")
+        elif sum(map(_value, outputs)) > sum(map(_value, inputs)):
+            raise ValueError(f"{txid}: outputs exceed inputs")
+        return tuple.__new__(cls, (txid, height, timestamp, is_coinbase, inputs, outputs, coinbase_script))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "LedgerTx":
+        return cls(*iterable)
 
     @property
     def input_total(self) -> int:
-        return sum(value for _, value in self.inputs)
+        return sum(map(_value, self.inputs))
 
     @property
     def output_total(self) -> int:
-        return sum(value for _, value in self.outputs)
+        return sum(map(_value, self.outputs))
 
     @property
     def fee(self) -> int:
@@ -109,8 +141,18 @@ class LedgerTx:
 
 @dataclass(frozen=True)
 class CoinJoinParams:
+    """A transaction with at least ``min_inputs`` inputs and at least
+    ``equal_output_count`` outputs of one value is taken for a CoinJoin.  A
+    burst needs two equal outputs, so ``equal_output_count`` is at least 2."""
+
     min_inputs: int = 2
     equal_output_count: int = 3
+
+    def __post_init__(self) -> None:
+        for name, low in (("min_inputs", 1), ("equal_output_count", 2)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 DEFAULT_COINJOIN_PARAMS = CoinJoinParams()
@@ -184,10 +226,14 @@ class EntityPartition:
 
     def entities(self) -> dict[str, frozenset[str]]:
         """Stable entity id -> member addresses."""
-        members: dict[str, list[str]] = defaultdict(list)
+        members: dict[str, list[str]] = {}
         for address, entity in self._flattened().items():
-            members[entity].append(address)
-        return {entity: frozenset(group) for entity, group in members.items()}
+            group = members.get(entity)
+            if group is None:
+                members[entity] = [address]
+            else:
+                group.append(address)
+        return dict(zip(members, map(frozenset, members.values())))
 
     def stable_ids(self) -> dict[str, str]:
         """Address -> stable entity id, for every address in the partition."""
@@ -215,14 +261,13 @@ def build_partition(
     for tx in txs:
         for address, _ in tx.outputs:
             add(address, address)
-        if tx.is_coinbase:
-            continue
-        for address, _ in tx.inputs:
+        inputs = tx.inputs
+        for address, _ in inputs:
             add(address, address)
-        if is_coinjoin(tx, params):
+        if len(inputs) < 2 or is_coinjoin(tx, params):  # one input, or none (a coinbase), links nothing
             continue
-        first = tx.inputs[0][0]
-        for address, _ in tx.inputs[1:]:
+        first = inputs[0][0]
+        for address, _ in inputs[1:]:
             union(first, address)
     return partition
 
@@ -438,9 +483,14 @@ def _format_entries(entries: tuple[tuple[str, int], ...]) -> str:
     return ";".join(f"{address}:{value}" for address, value in entries) or "-"
 
 
-def _parse_entries(column: str, lineno: int) -> tuple[tuple[str, int], ...]:
+def _parse_entries(
+    column: str, lineno: int, names: dict[str, str] | None = None
+) -> tuple[tuple[str, int], ...]:
+    """The ``addr:value`` entries of a column; ``names`` maps address text to the
+    one ``str`` that every entry of a read holds."""
     if column == "-":
         return ()
+    shared = (names if names is not None else {}).setdefault
     entries = []
     for token in column.split(";"):
         address, sep, value = token.rpartition(":")
@@ -448,7 +498,7 @@ def _parse_entries(column: str, lineno: int) -> tuple[tuple[str, int], ...]:
             raise LedgerFormatError(lineno, f"bad addr:value pair {token!r}")
         if not (value.isascii() and value.isdigit()):
             raise LedgerFormatError(lineno, f"value is not a non-negative decimal in {token!r}")
-        entries.append((address, int(value)))
+        entries.append((shared(address, address), int(value)))
     return tuple(entries)
 
 
@@ -470,6 +520,7 @@ def read_ledger(path: str | Path) -> list[LedgerTx]:
 
 def _parse_ledger(text: str) -> list[LedgerTx]:
     txs = []
+    names: dict[str, str] = {}  # each address text is parsed once per read
     for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -489,13 +540,13 @@ def _parse_ledger(text: str) -> list[LedgerTx]:
             script = b"" if fields[4] == "-" else bytes.fromhex(fields[4])
             txs.append(
                 LedgerTx(
-                    txid=fields[0],
-                    height=int(height),
-                    timestamp=int(timestamp),
-                    is_coinbase=flag == "1",
-                    inputs=_parse_entries(fields[5], lineno),
-                    outputs=_parse_entries(fields[6], lineno),
-                    coinbase_script=script,
+                    fields[0],
+                    int(height),
+                    int(timestamp),
+                    flag == "1",
+                    _parse_entries(fields[5], lineno, names),
+                    _parse_entries(fields[6], lineno, names),
+                    script,
                 )
             )
         except LedgerFormatError:

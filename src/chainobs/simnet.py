@@ -37,7 +37,9 @@ from functools import cached_property
 from pathlib import Path
 
 from . import wirecodec
-from .transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, _content_lines, _write_text
+from .transport import (
+    ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, _content_lines, _int, _write_text
+)
 from .wirecodec import AddrEntry, NetAddress, VersionPayload
 
 BEHAVIORS = ("normal", "unreachable", "silent", "slow", "stale", "empty-addr")
@@ -302,15 +304,6 @@ def _parse_behavior(token: str) -> tuple[str, float]:
     if delay and name != "slow":
         raise ValueError(f"only slow takes a delay parameter: {token!r}")
     return name, float(delay) if delay else DEFAULT_SLOW_DELAY_MS
-
-
-def _int(text: str, name: str) -> int:
-    """The ``name`` column as an integer written ``-?[0-9]+`` in ASCII; ``int`` alone
-    would also take ``+1_0``, outer spaces or non-ASCII digits."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{name} {text!r} is not an integer in ASCII digits")
-    return int(text)
 
 
 def load_topology(path: str | Path) -> SimTopology:

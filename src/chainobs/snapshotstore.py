@@ -17,8 +17,11 @@ and the error names the file and the line.  A snapshot holds each endpoint
 once: a second record for it, in any spelling of the address, is corrupt
 and names the line of the first.  In the header, ``partial`` is ``0`` or
 ``1`` and ``seed_count`` equals the number of seeds; either key may be
-missing.  Writes go to a temporary file that is renamed over the target, so
-a crash never leaves a half-written snapshot behind.
+missing.  Every integer, in a record or the header, is written ``-?[0-9]+``
+in ASCII and a port in ASCII digits; ``+5``, ``1_0`` or ``٣``, which ``int``
+would take, make the line corrupt.  Writes go to a temporary file that is
+renamed over the target, so a crash never leaves a half-written snapshot
+behind.
 
 The writer builds each record line in one f-string pass over the record:
 only the text values (``addr``, ``status``, ``ua``) can need escaping, and
@@ -56,7 +59,7 @@ from urllib.parse import quote, unquote
 
 from .crawler import PeerRecord, Snapshot, STATUS_ACTIVE, STATUS_INACTIVE
 from .enrich import classify_network
-from .transport import Endpoint, _naming_file, _read_text, _write_text
+from .transport import Endpoint, _int, _naming_file, _port, _read_text, _write_text
 
 SCHEMA_VERSION = 1
 SNAPSHOT_SUFFIX = ".snap.ndrec"
@@ -216,7 +219,7 @@ def _endpoint(addr: str, port: str, endpoints: dict[tuple[str, str], Endpoint]) 
     endpoint = endpoints.get((addr, port))
     if endpoint is None:
         # a bad address or port raises here, so the table holds only valid endpoints
-        endpoint = endpoints[addr, port] = Endpoint.make(addr, int(port))
+        endpoint = endpoints[addr, port] = Endpoint.make(addr, _port(port))
     return endpoint
 
 
@@ -231,14 +234,14 @@ def _parse_record(
         return PeerRecord(
             address=endpoint,
             status=status,
-            first_seen=int(_require(fields, "first_seen", lineno)),
-            last_seen=int(_require(fields, "last_seen", lineno)),
-            services=int(fields["services"]) if "services" in fields else None,
-            protocol_version=int(fields["pver"]) if "pver" in fields else None,
+            first_seen=_int(_require(fields, "first_seen", lineno), "first_seen"),
+            last_seen=_int(_require(fields, "last_seen", lineno), "last_seen"),
+            services=_int(fields["services"], "services") if "services" in fields else None,
+            protocol_version=_int(fields["pver"], "pver") if "pver" in fields else None,
             user_agent=fields.get("ua"),
-            start_height=int(fields["height"]) if "height" in fields else None,
+            start_height=_int(fields["height"], "height") if "height" in fields else None,
             min_rtt_ms=float(fields["minrtt"]) if "minrtt" in fields else None,
-            addr_count_returned=int(fields.get("addrs", "0")),
+            addr_count_returned=_int(fields.get("addrs", "0"), "addrs"),
         )
     except ValueError as exc:
         raise CorruptRecordError(lineno, str(exc)) from exc
@@ -336,14 +339,14 @@ def _snapshot(header: Mapping[str, str], lineno: int, records: dict[Endpoint, Pe
             for token in header.get("seeds", "").split(",")
             if token.strip()
         )
-        if "seed_count" in header and int(header["seed_count"]) != len(seeds):
+        if "seed_count" in header and _int(header["seed_count"], "seed_count") != len(seeds):
             raise ValueError(f"seed_count {header['seed_count']} but seeds lists {len(seeds)}")
         partial = header.get("partial", "0")
         if partial not in ("0", "1"):
             raise ValueError(f"partial {partial!r} is not 0 or 1")
         return Snapshot(
-            started_at=int(header["started_at"]),
-            finished_at=int(header["finished_at"]),
+            started_at=_int(header["started_at"], "started_at"),
+            finished_at=_int(header["finished_at"], "finished_at"),
             seeds=seeds,
             records=records,
             crawler_config_digest=header.get("config", ""),

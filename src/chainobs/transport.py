@@ -104,6 +104,15 @@ def _port(text: str) -> int:
     return int(text)
 
 
+def _int(text: str, name: str) -> int:
+    """The ``name`` value as an integer written ``-?[0-9]+`` in ASCII; ``int`` alone
+    would also take ``+1_0``, outer spaces or non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{name} {text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def _read_text(path: str | Path, error: Callable[[int, str], Exception] | None = None) -> str:
     """Decode a UTF-8 file.  A byte that is not UTF-8 raises ``error(line, "not UTF-8")``,
     or without ``error`` a ValueError naming the file and the line."""

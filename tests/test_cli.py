@@ -309,8 +309,67 @@ def test_crawl_and_sim_reject_a_crawl_setting_before_reading(tmp_path, capsys, m
     with pytest.raises(SystemExit) as err:
         cli.main([*argv, flag, value])
     assert err.value.code == 1
-    assert capsys.readouterr().err.endswith(f"chainobs: error: {message}\n")
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"usage: chainobs {argv[0]} [-h]")
+    assert err_text.endswith(f"chainobs {argv[0]}: error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_repeat_count_without_repeat_is_reported_under_the_crawl_usage(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["crawl", "--seeds", "missing.seeds", "--out", "o", "--repeat-count", "2"])
+    assert err.value.code == 1
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage: chainobs crawl [-h]")
+    assert err_text.endswith("chainobs crawl: error: argument --repeat-count: needs --repeat\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--coinjoin-min-inputs", "0", "min_inputs must be >= 1, got 0"),
+        ("--coinjoin-min-inputs", "-3", "min_inputs must be >= 1, got -3"),
+        ("--coinjoin-equal-outputs", "1", "equal_output_count must be >= 2, got 1"),
+        ("--coinjoin-equal-outputs", "0", "equal_output_count must be >= 2, got 0"),
+        ("--coinjoin-equal-outputs", "-1", "equal_output_count must be >= 2, got -1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--ledger", "missing.ldg", "--out", "o.csv"],
+        ["report", "--ledger", "missing.ldg", "--lorenz-out", "l.csv"],
+    ],
+    ids=["cluster", "report"],
+)
+def test_cluster_and_report_reject_a_coinjoin_setting_before_reading(
+    tmp_path, capsys, monkeypatch, argv, flag, value, message
+):
+    monkeypatch.chdir(tmp_path)  # the ledger does not exist: reading it would exit 2
+    monkeypatch.setattr(ledger, "read_ledger", lambda *args: pytest.fail("read the ledger"))
+    with pytest.raises(SystemExit) as err:
+        cli.main([*argv, flag, value])
+    assert err.value.code == 1
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"usage: chainobs {argv[0]} [-h]")
+    assert err_text.endswith(f"chainobs {argv[0]}: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cluster_with_the_smallest_coinjoin_settings_still_merges_a_two_input_spend(tmp_path):
+    ledger_path, out = tmp_path / "l.ldg", tmp_path / "o.csv"
+    ledger.write_ledger(
+        [
+            LedgerTx("cb", 0, BASE_TS, True, (), (("A1", 10), ("B1", 10))),
+            LedgerTx("t1", 1, BASE_TS, False, (("A1", 10), ("B1", 10)), (("C1", 20),)),
+        ],
+        ledger_path,
+    )
+    argv = ["cluster", "--ledger", str(ledger_path), "--out", str(out)]
+    assert cli.main([*argv, "--coinjoin-min-inputs", "1", "--coinjoin-equal-outputs", "2"]) == 0
+    assert out.read_text().splitlines()[1:] == ["C1,1,20", "A1,2,0"]
 
 
 _BNI = ["bni", "--snapshots", "s", "--out", "o", "--height-tolerance"]

@@ -1,8 +1,11 @@
 """Clustering, balances, concentration statistics, and miner attribution."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from chainobs import ledger
 from chainobs.ledger import COIN, CoinJoinParams, LedgerTx, PoolTagMap
+from chainobs.transport import _naming_file, _read_text
 from helpers import BASE_TS, components_oracle, concentrated_ledger, cospend_txs, zero_fee_ledger
 
 
@@ -53,6 +57,49 @@ def test_coinjoin_params_configurable():
     candidate = tx("t1", [("a", 2 * COIN), ("b", 2 * COIN)], [("x", COIN), ("y", COIN)])
     assert not ledger.is_coinjoin(candidate)
     assert ledger.is_coinjoin(candidate, CoinJoinParams(min_inputs=2, equal_output_count=2))
+
+
+@pytest.mark.parametrize(
+    "min_inputs, equal_output_count, message",
+    [
+        (0, 3, "min_inputs must be >= 1, got 0"),
+        (-1, 3, "min_inputs must be >= 1, got -1"),
+        (2, 1, "equal_output_count must be >= 2, got 1"),
+        (2, 0, "equal_output_count must be >= 2, got 0"),
+        (2, -1, "equal_output_count must be >= 2, got -1"),
+    ],
+)
+def test_coinjoin_params_are_ranged(min_inputs, equal_output_count, message):
+    with pytest.raises(ValueError) as err:
+        CoinJoinParams(min_inputs, equal_output_count)
+    assert str(err.value) == message
+
+
+def test_the_smallest_coinjoin_params_still_link_a_two_input_spend():
+    spend = tx("t1", [("A1", COIN), ("B1", COIN)], [("C1", COIN)])
+    assert ledger.build_partition([spend], CoinJoinParams(1, 2)).entity_of("B1") == "A1"
+
+
+def test_build_partition_asks_about_coinjoins_only_for_spends_with_two_inputs(monkeypatch):
+    asked, unions = [], []
+    is_coinjoin, union = ledger.is_coinjoin, ledger.EntityPartition.union
+
+    def counting_is_coinjoin(candidate, params=ledger.DEFAULT_COINJOIN_PARAMS):
+        asked.append(candidate.txid)
+        return is_coinjoin(candidate, params)
+
+    def counting_union(partition, a, b):
+        unions.append((a, b))
+        union(partition, a, b)
+
+    # the names the bench tracer patches: the module-level function and the class attribute
+    monkeypatch.setattr(ledger, "is_coinjoin", counting_is_coinjoin)
+    monkeypatch.setattr(ledger.EntityPartition, "union", counting_union)
+    single = tx("t3", [("A", COIN)], [("E", COIN)], height=3)
+    partition = ledger.build_partition([*_fig10_fixture(), single])
+    assert asked == ["t1", "t2"]
+    assert unions == [("A", "B"), ("A", "C"), ("C", "D")]
+    assert partition.entities() == {"A": frozenset("ABCD"), "E": frozenset("E")}
 
 
 # --- clustering -------------------------------------------------------------------
@@ -122,6 +169,20 @@ def test_partition_is_order_independent():
     components = components_oracle(txs)
     for order in (txs, shuffled):
         _assert_every_address_maps_to_its_component_minimum(ledger.build_partition(order), components)
+
+
+def _entities_reference(partition):
+    """``entities`` as it grouped members before: a defaultdict of lists."""
+    members = defaultdict(list)
+    for address, entity in partition.stable_ids().items():
+        members[entity].append(address)
+    return {entity: frozenset(group) for entity, group in members.items()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_entities_keep_the_order_and_members_of_the_reference(seed):
+    partition = ledger.build_partition(cospend_txs(random.Random(seed), 300))
+    assert list(partition.entities().items()) == list(_entities_reference(partition).items())
 
 
 def test_find_is_idempotent():
@@ -716,6 +777,288 @@ def test_ledger_tx_validation():
         tx("cb", [("A", COIN)], [("B", COIN)], coinbase=True)
     with pytest.raises(ValueError):
         tx("t", [("A", COIN)], [("B", 2 * COIN)])
+
+
+# --- the tuple LedgerTx and the reader against the dataclass they replaced ----------------
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ReferenceLedgerTx:
+    """LedgerTx as a frozen dataclass, as it was before it became a tuple."""
+
+    txid: str
+    height: int
+    timestamp: int
+    is_coinbase: bool
+    inputs: tuple[tuple[str, int], ...]
+    outputs: tuple[tuple[str, int], ...]
+    coinbase_script: bytes = b""
+
+    def __post_init__(self) -> None:
+        if self.is_coinbase:
+            if self.inputs:
+                raise ValueError(f"{self.txid}: coinbase with inputs")
+        elif sum(value for _, value in self.outputs) > sum(value for _, value in self.inputs):
+            raise ValueError(f"{self.txid}: outputs exceed inputs")
+
+    @property
+    def input_total(self) -> int:
+        return sum(value for _, value in self.inputs)
+
+    @property
+    def output_total(self) -> int:
+        return sum(value for _, value in self.outputs)
+
+    @property
+    def fee(self) -> int:
+        return 0 if self.is_coinbase else self.input_total - self.output_total
+
+
+def _reference_parse_entries(column, lineno):
+    if column == "-":
+        return ()
+    entries = []
+    for token in column.split(";"):
+        address, sep, value = token.rpartition(":")
+        if not sep or not address:
+            raise ledger.LedgerFormatError(lineno, f"bad addr:value pair {token!r}")
+        if not (value.isascii() and value.isdigit()):
+            raise ledger.LedgerFormatError(lineno, f"value is not a non-negative decimal in {token!r}")
+        entries.append((address, int(value)))
+    return tuple(entries)
+
+
+def _reference_parse_ledger(text):
+    """The reader as it was before addresses were shared, building the dataclass."""
+    txs = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 7:
+            raise ledger.LedgerFormatError(lineno, f"expected 7 columns, got {len(fields)}")
+        height, timestamp, flag = fields[1], fields[2], fields[3]
+        if not (height.isascii() and height.isdigit() and timestamp.isascii() and timestamp.isdigit()):
+            raise ledger.LedgerFormatError(
+                lineno, f"height {height!r} or timestamp {timestamp!r} is not a non-negative decimal"
+            )
+        if flag not in ("0", "1"):
+            raise ledger.LedgerFormatError(lineno, f"coinbase flag is not 0 or 1: {flag!r}")
+        try:
+            script = b"" if fields[4] == "-" else bytes.fromhex(fields[4])
+            txs.append(
+                _ReferenceLedgerTx(
+                    txid=fields[0],
+                    height=int(height),
+                    timestamp=int(timestamp),
+                    is_coinbase=flag == "1",
+                    inputs=_reference_parse_entries(fields[5], lineno),
+                    outputs=_reference_parse_entries(fields[6], lineno),
+                    coinbase_script=script,
+                )
+            )
+        except ledger.LedgerFormatError:
+            raise
+        except ValueError as exc:
+            raise ledger.LedgerFormatError(lineno, str(exc)) from exc
+    return txs
+
+
+def _fields_of(reference):
+    return tuple(getattr(reference, field.name) for field in dataclasses.fields(reference))
+
+
+def _outcome(read, path):
+    """The transactions as tuples of their fields, or the line and message of the format error."""
+    try:
+        return [tuple(t) if isinstance(t, tuple) else _fields_of(t) for t in read(path)]
+    except ledger.LedgerFormatError as exc:
+        return exc.line_number, str(exc)
+
+
+def _read_with_reference(path):
+    with _naming_file(path, ledger.LedgerFormatError):
+        return _reference_parse_ledger(_read_text(path, ledger.LedgerFormatError))
+
+
+def _assert_reads_like_the_reference(path, data):
+    path.write_bytes(data)
+    assert _outcome(ledger.read_ledger, path) == _outcome(_read_with_reference, path)
+
+
+_ADDRESSES = ["1Alpha", "1Beta", "bc1q:gamma", "3Delta", "1Alpha1", ""]
+_DIGITS = st.one_of(
+    st.integers(0, 10**6).map(str), st.sampled_from(["007", "-1", "+7", "1_0", "\u0663", "", "x", "1.5"])
+)
+_entry_columns = st.one_of(
+    st.just("-"),
+    st.lists(st.tuples(st.sampled_from(_ADDRESSES), _DIGITS).map(":".join), min_size=1, max_size=4).map(";".join),
+    st.sampled_from(["", ";", "-;-", "a1", ":5"]),
+)
+_odd_lines = st.one_of(
+    st.tuples(
+        st.sampled_from(["t1", "t2", "cb", "t#1"]),
+        _DIGITS,
+        _DIGITS,
+        st.sampled_from(["0", "1", "2", "01", ""]),
+        st.sampled_from(["-", "00ff", "2f70", "0", "zz", ""]),
+        _entry_columns,
+        _entry_columns,
+    ).map(" ".join),
+    st.sampled_from(["", "   ", "# a comment", "\t", "t1 1 2"]),
+)
+_entries = st.lists(st.tuples(st.sampled_from(_ADDRESSES[:-1]), st.integers(0, 10**6)), min_size=1, max_size=4)
+
+
+def _column(entries):
+    return ";".join(f"{address}:{value}" for address, value in entries) or "-"
+
+
+_valid_lines = st.one_of(
+    st.builds(
+        lambda outputs, script: f"cb 0 1600 1 {script} - {_column(outputs)}", _entries, st.sampled_from(["-", "2f70"])
+    ),
+    # a spend pays half of each input to some address: outputs never exceed inputs
+    st.builds(
+        lambda inputs, payees: f"t1 7 1601 0 - {_column(inputs)} {_column(zip(payees, (v // 2 for _, v in inputs)))}",
+        _entries,
+        st.lists(st.sampled_from(_ADDRESSES[:-1]), max_size=4),
+    ),
+)
+# mostly valid lines, so that whole ledgers read and the shared addresses are compared too
+_ledger_lines = st.one_of(_valid_lines, _valid_lines, _valid_lines, _odd_lines)
+
+
+@pytest.fixture(scope="module")
+def cospend_ledger_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ledger-cospend") / "cospend.ldg"
+    funding = [tx(f"cb{i}", [], [(f"a{i:05d}", 50 * COIN)], coinbase=True, script=b"/p/") for i in range(3)]
+    ledger.write_ledger(funding + cospend_txs(random.Random(7), 30, address_pool=12), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(_ledger_lines, max_size=8), end=st.sampled_from(["\n", "\r\n"]))
+def test_reader_matches_the_reference_on_generated_ledgers(fuzz_path, lines, end):
+    _assert_reads_like_the_reference(fuzz_path, end.join(lines).encode())
+
+
+@settings(max_examples=300)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 2_000),
+            st.sampled_from(["put", "insert", "delete"]),
+            st.one_of(st.binary(max_size=4), st.sampled_from([b"+", b"_", b"-", b":", b";", b" ", b"#", b"\n", b"A"])),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_reader_matches_the_reference_on_mutated_ledgers(cospend_ledger_bytes, fuzz_path, edits):
+    data = bytearray(cospend_ledger_bytes)
+    for where, action, chunk in edits:
+        where = min(where, len(data))
+        if action == "insert":
+            data[where:where] = chunk
+        elif action == "delete":
+            del data[where : where + 1 + len(chunk)]
+        else:
+            data[where : where + len(chunk)] = chunk
+    _assert_reads_like_the_reference(fuzz_path, bytes(data))
+
+
+def test_each_distinct_address_is_one_str_across_a_read(tmp_path):
+    txs = concentrated_ledger()[0]
+    path = tmp_path / "concentrated.ldg"
+    ledger.write_ledger(txs, path)
+    shared: dict[str, str] = {}
+    entries = 0
+    for read in ledger.read_ledger(path):
+        for address, _ in read.inputs + read.outputs:
+            assert shared.setdefault(address, address) is address
+            entries += 1
+    assert len(shared) == len({a for t in txs for a, _ in t.inputs + t.outputs})
+    assert entries > len(shared)  # some addresses repeat, so sharing was tested
+
+
+def test_parse_entries_shares_addresses_through_the_table_it_is_given():
+    names = {}
+    first = ledger._parse_entries("address1:5", 1, names)
+    second = ledger._parse_entries("other:1;address1:7", 2, names)
+    assert first[0][0] is second[1][0]
+    assert names == {"address1": "address1", "other": "other"}
+    assert ledger._parse_entries("address1:5", 1) == (("address1", 5),)  # the table is optional
+
+
+_TX_VALUES = [
+    ("t7", 7, 1600, False, (("1Alpha", 5), ("1Beta", 6)), (("1Gamma", 9),)),
+    ("cb", 0, 1600, True, (), (("1Alpha", 50),), b"/pool/"),
+    ("t8", 8, 1601, False, (), ()),
+]
+
+
+def test_ledger_tx_has_the_fields_and_defaults_of_the_dataclass():
+    fields = dataclasses.fields(_ReferenceLedgerTx)
+    assert LedgerTx._fields == tuple(field.name for field in fields)
+    assert LedgerTx._field_defaults == {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+    assert LedgerTx("t", 1, 2, False, (), ()).coinbase_script == b""
+
+
+@pytest.mark.parametrize("values", _TX_VALUES, ids=["spend", "coinbase", "empty"])
+def test_ledger_tx_equality_hash_and_repr_match_the_dataclass(values):
+    built, reference = LedgerTx(*values), _ReferenceLedgerTx(*values)
+    assert tuple(built) == _fields_of(reference)
+    assert hash(built) == hash(reference)
+    assert repr(built) == repr(reference).replace("_ReferenceLedgerTx", "LedgerTx")
+    assert (built.input_total, built.output_total, built.fee) == (
+        reference.input_total,
+        reference.output_total,
+        reference.fee,
+    )
+    assert built == LedgerTx(**dict(zip(LedgerTx._fields, values)))
+    assert built == tuple(built)  # a transaction equals the plain tuple of its fields
+    assert built != LedgerTx(values[0] + "x", *values[1:])
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (("cb", 0, 0, True, (("A1", 1),), ()), "cb: coinbase with inputs"),
+        (("t9", 0, 0, False, (("A1", 1),), (("B1", 2),)), "t9: outputs exceed inputs"),
+    ],
+)
+def test_ledger_tx_rejects_what_the_dataclass_rejects(values, message):
+    for cls in (LedgerTx, _ReferenceLedgerTx):
+        with pytest.raises(ValueError) as err:
+            cls(*values)
+        assert str(err.value) == message
+
+
+def test_ledger_tx_fields_are_read_only():
+    built, reference = LedgerTx(*_TX_VALUES[0]), _ReferenceLedgerTx(*_TX_VALUES[0])
+    for name in LedgerTx._fields:
+        for obj in (built, reference):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        built.note = "x"
+    assert tuple(built) == _TX_VALUES[0] + (b"",)
+
+
+def test_copy_pickle_and_replace_build_through_the_checks():
+    good = LedgerTx(*_TX_VALUES[1])
+    for rebuilt in (copy.copy(good), copy.deepcopy(good), pickle.loads(pickle.dumps(good))):
+        assert type(rebuilt) is LedgerTx and rebuilt == good
+    assert good._replace(height=9) == LedgerTx("cb", 9, 1600, True, (), (("1Alpha", 50),), b"/pool/")
+    bad = tuple.__new__(LedgerTx, ("cb", 0, 0, True, (("A1", 1),), (), b""))  # skips the checks
+    for rebuild in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)), lambda t: t._replace(height=1)):
+        with pytest.raises(ValueError, match="cb: coinbase with inputs"):
+            rebuild(bad)
+    with pytest.raises(ValueError, match="t7: outputs exceed inputs"):
+        LedgerTx(*_TX_VALUES[0])._replace(outputs=(("1Gamma", 12),))
 
 
 # --- fuzz: the reader raises only its declared errors ----------------------------------

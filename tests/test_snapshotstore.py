@@ -180,7 +180,9 @@ def test_repeated_endpoint_is_corrupt(tmp_path, written_shape, second):
         (("partial:0", "partial:"), "partial '' is not 0 or 1"),
         (("seed_count:1", "seed_count:2"), "seed_count 2 but seeds lists 1"),
         (("seed_count:1", "seed_count:0"), "seed_count 0 but seeds lists 1"),
-        (("seed_count:1", "seed_count:one"), "invalid literal for int() with base 10: 'one'"),
+        (("seed_count:1", "seed_count:one"), "seed_count 'one' is not an integer in ASCII digits"),
+        (("seed_count:1", "seed_count:+1"), "seed_count '+1' is not an integer in ASCII digits"),
+        (("seed_count:1", "seed_count:\u0661"), "seed_count '\u0661' is not an integer in ASCII digits"),
     ],
 )
 def test_bad_partial_or_seed_count_is_corrupt(tmp_path, edit, reason):
@@ -194,6 +196,45 @@ def test_bad_partial_or_seed_count_is_corrupt(tmp_path, edit, reason):
     with pytest.raises(store.CorruptRecordError) as err:
         store.read_snapshot(path)
     assert str(err.value) == f"{path}: line 2: bad header: {reason}"
+
+
+@pytest.mark.parametrize("key", ["port", "services", "pver", "height", "first_seen", "last_seen", "addrs"])
+@pytest.mark.parametrize("value", ["+5", "1_0", "\u0663", "0x5", "5.0", "--5", "-", ""])
+def test_general_path_reads_record_integers_in_ascii_digits_only(tmp_path, key, value):
+    path = tmp_path / f"ints{store.SNAPSHOT_SUFFIX}"
+    # the note key moves the record off the fast path, onto the general tokenizer
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1")]), path, {Endpoint.make("10.0.0.1"): {"note": "x"}})
+    lines = path.read_text().split("\n")
+    lines[1] = " ".join(f"{key}:{value}" if token.startswith(f"{key}:") else token for token in lines[1].split(" "))
+    path.write_text("\n".join(lines))
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.read_snapshot(path)
+    form = "ASCII digits" if key == "port" else "an integer in ASCII digits"
+    assert str(err.value) == f"{path}: line 2: {key} {value!r} is not {form}"
+
+
+@pytest.mark.parametrize("key", ["started_at", "finished_at"])
+@pytest.mark.parametrize("value", ["+5", "1_0", "\u0663", "5.0", ""])
+def test_header_times_are_integers_in_ascii_digits(tmp_path, key, value):
+    path = tmp_path / f"hdr{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1")]), path)
+    lines = path.read_text().split("\n")
+    lines[0] = " ".join(f"{key}:{value}" if token.startswith(f"{key}:") else token for token in lines[0].split(" "))
+    path.write_text("\n".join(lines))
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.read_snapshot(path)
+    assert str(err.value) == f"{path}: line 1: bad header: {key} {value!r} is not an integer in ASCII digits"
+
+
+def test_negative_and_zero_padded_integers_read_on_both_paths(tmp_path):
+    path = tmp_path / f"ints{store.SNAPSHOT_SUFFIX}"
+    record = make_record("10.0.0.1", start_height=-7)
+    snapshot = make_snapshot([record], started_at=-60)
+    for extra in (None, {record.address: {"note": "x"}}):
+        store.write_snapshot(snapshot, path, extra)
+        path.write_text(path.read_text().replace("addrs:0", "addrs:007"))
+        read = store.read_snapshot(path)
+        assert read == replace(snapshot, records={record.address: replace(record, addr_count_returned=7)})
 
 
 def test_header_without_partial_or_seed_count_reads_with_defaults(tmp_path):
