@@ -10,10 +10,18 @@ cap trips, which flags the snapshot as partial).
 Each phase waits under its own deadline of one handshake timeout on the
 connection's clock: the whole handshake, each ping, and each getaddr round.
 Every read is handed its phase deadline, and the connection checks it.
-Pings from the peer are answered with a pong in every phase.  A frame whose
-header announces more payload than its command can carry (this frame pump
-alone enforces ``wirecodec.MAX_PAYLOAD_BY_COMMAND``) is rejected before its
-payload is read; any other command may announce up to the 4 MiB frame limit.
+Pings from the peer are answered with a pong in every phase.  The frame pump
+decodes each header once: a frame whose header announces more payload than
+its command can carry (this pump alone enforces
+``wirecodec.MAX_PAYLOAD_BY_COMMAND``) is rejected before its payload is read,
+any other command may announce up to the 4 MiB frame limit, and the payload
+read is checked against the header's checksum by ``wirecodec.check_payload``.
+
+A crawl that probes one peer at a time keeps one table from 16-byte wire
+address to IP text, so an address gossiped by many peers is rendered once;
+the table stops growing before it could pass ``max_frontier`` entries.  The
+thread pool keeps none: its cap would need a lock, and a TCP crawl spends its
+time waiting on the network.
 
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  From ``connect`` on, a
@@ -199,14 +207,16 @@ def _next_frame(conn: Connection, magic: bytes, deadline: float) -> tuple[str, b
     Pings met on the way are answered with a pong echoing their nonce.  A
     header announcing more payload than its command can carry raises
     :class:`~chainobs.wirecodec.OversizedPayloadError` before any of the
-    payload is read.
+    payload is read, and a payload that does not match its header's checksum
+    raises :class:`~chainobs.wirecodec.BadChecksumError`.
     """
     while True:
         header = conn.recv_exact(wirecodec.HEADER_SIZE, deadline)
-        command, length, _ = wirecodec.decode_header(header, magic)
+        command, length, check = wirecodec.decode_header(header, magic)
         if length > wirecodec.MAX_PAYLOAD_BY_COMMAND.get(command, wirecodec.MAX_PAYLOAD_SIZE):
             raise wirecodec.OversizedPayloadError(f"{length} byte {command} payload")
-        command, payload = wirecodec.decode_message(header + conn.recv_exact(length, deadline), magic)
+        payload = conn.recv_exact(length, deadline)
+        wirecodec.check_payload(command, payload, check)
         if command != "ping":
             return command, payload
         pong = wirecodec.encode_pong(wirecodec.decode_ping(payload))
@@ -265,9 +275,12 @@ def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) 
     return max(min(samples), 1e-6) if samples else None
 
 
-def _harvest(conn: Connection, config: CrawlConfig) -> tuple[list[Endpoint], int]:
-    # decode_addr already yields canonical IP text, so entries become
-    # endpoints without another trip through canonical_ip
+def _harvest(
+    conn: Connection, config: CrawlConfig, ips: dict[bytes, str] | None
+) -> tuple[list[Endpoint], int]:
+    # bytes16_to_ip renders canonical IP text, so entries become endpoints
+    # without another trip through canonical_ip; ips holds what earlier
+    # messages rendered
     harvested: dict[Endpoint, None] = {}
     entries_received = 0
     for _ in range(config.getaddr_rounds):
@@ -277,7 +290,9 @@ def _harvest(conn: Connection, config: CrawlConfig) -> tuple[list[Endpoint], int
             command, payload = _next_frame(conn, config.magic, deadline)
             while command != "addr":
                 command, payload = _next_frame(conn, config.magic, deadline)
-            entries = wirecodec.decode_addr(payload)
+            if ips is not None and len(ips) > config.max_frontier - wirecodec.MAX_ADDR_ENTRIES:
+                ips = None  # one more full message could take the table past max_frontier
+            entries = wirecodec.decode_addr(payload, ips)
         except (TransportError, wirecodec.CodecError) as exc:
             log.debug("getaddr round failed: %s", exc)
             continue
@@ -287,16 +302,19 @@ def _harvest(conn: Connection, config: CrawlConfig) -> tuple[list[Endpoint], int
 
 
 def probe_peer(
-    endpoint: Endpoint, config: CrawlConfig, transport: Transport
+    endpoint: Endpoint, config: CrawlConfig, transport: Transport, *, _ips: dict[bytes, str] | None = None
 ) -> tuple[PeerRecord, list[Endpoint]]:
-    """Probe one endpoint; a failure from ``connect`` on gives an inactive record, never a raise."""
+    """Probe one endpoint; a failure from ``connect`` on gives an inactive record, never a raise.
+
+    ``_ips`` is the crawl's table of rendered wire addresses (see :func:`crawl`).
+    """
     now = int(time.time())
     conn = None
     try:
         conn = transport.connect(endpoint, config.connect_timeout_ms / 1000.0)
         version = _handshake(conn, endpoint, config)
         min_rtt = measure_min_rtt(conn, config.magic, config.ping_count, config.handshake_timeout_ms / 1000.0)
-        harvested, entries_received = _harvest(conn, config)
+        harvested, entries_received = _harvest(conn, config, _ips)
         done = int(time.time())
         record = PeerRecord(
             address=endpoint,
@@ -352,9 +370,10 @@ def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
             frontier.append(endpoint)
 
     if config.max_inflight == 1 or not isinstance(transport, TcpTransport):
+        ips: dict[bytes, str] = {}  # wire address -> text, shared by the probes
         while frontier:
             endpoint = frontier.popleft()
-            absorb(*probe_peer(endpoint, config, transport))
+            absorb(*probe_peer(endpoint, config, transport, _ips=ips))
     else:
         with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
             pending: set[Future] = set()

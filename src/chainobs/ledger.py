@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import re
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -385,7 +386,7 @@ class PoolTagMap:
 
     File format: ``[tags]`` and ``[addresses]`` sections of tab-separated
     ``key<TAB>pool`` lines; ``#`` comments allowed.  The tags are encoded
-    and put in matching order once, on first use, so the maps must not
+    and compiled into one pattern once, on first use, so the maps must not
     change after that.
     """
 
@@ -398,10 +399,22 @@ class PoolTagMap:
                 raise ValueError("empty coinbase tag")
 
     @cached_property
-    def _tags_by_preference(self) -> tuple[tuple[bytes, str], ...]:
-        """(tag bytes, pool), longest tag first, ties in tag order; built on first use."""
+    def _tag_pattern(self) -> tuple[re.Pattern[bytes] | None, dict[bytes, tuple[int, str]]]:
+        """A pattern that captures a tag at every position where one starts, and the
+        (rank, pool) of each tag's bytes; built on first use.
+
+        Ranks follow preference, longest tag first and ties in tag order, and the
+        pattern tries the tags in rank order, so the lowest rank captured
+        anywhere is the preferred tag.  Tags that encode to the same bytes (lone
+        surrogates become ``?``) keep the rank of the first.
+        """
         ordered = sorted(self.coinbase_tags, key=lambda tag: (-len(tag), tag))
-        return tuple((tag.encode("utf-8", "replace"), self.coinbase_tags[tag]) for tag in ordered)
+        ranked: dict[bytes, tuple[int, str]] = {}
+        for tag in ordered:
+            ranked.setdefault(tag.encode("utf-8", "replace"), (len(ranked), self.coinbase_tags[tag]))
+        if not ranked:  # an empty alternation would match everywhere
+            return None, ranked
+        return re.compile(b"(?=(" + b"|".join(map(re.escape, ranked)) + b"))"), ranked
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PoolTagMap":
@@ -435,9 +448,11 @@ def attribute_miner(
     matching tag wins, ties broken lexicographically.  Payout addresses are
     only consulted when no tag matches.
     """
-    for tag, pool in tagmap._tags_by_preference:
-        if tag in coinbase_script:
-            return pool
+    pattern, ranked = tagmap._tag_pattern
+    if pattern is not None:
+        best = min((ranked[match[1]] for match in pattern.finditer(coinbase_script)), default=None)
+        if best is not None:
+            return best[1]
     for address in output_addresses:
         pool = tagmap.payout_addresses.get(address)
         if pool is not None:

@@ -16,6 +16,8 @@ A connection builds its peer's gossip once, on the first getaddr, as the
 30-byte wire record of each entry, and each getaddr samples those records
 with the peer's RNG and joins them into the reply, so ``topology.rng_seed``
 fully determines gossip: equal topologies give byte-identical addr messages.
+The network encodes each endpoint's record once, the first time a peer
+gossips it, and every peer that knows the endpoint shares those bytes.
 
 Topology file format (one peer per line, ``#`` starts a comment)::
 
@@ -237,6 +239,7 @@ class SimNetwork:
         self.peak_connections = 0
         self.connects_attempted = 0
         self._rngs = {p.address: _peer_rng(topology.rng_seed, p.address) for p in topology.peers}
+        self._records: dict[Endpoint, bytes] = {}  # addr record per gossiped endpoint, filled on first use
 
     def connect(self, endpoint: Endpoint, timeout: float) -> _SimConnection:
         profile = self.topology.profile(endpoint)
@@ -249,11 +252,16 @@ class SimNetwork:
 
     def _gossip_records(self, profile: SimPeerProfile) -> list[bytes]:
         """Each known peer's ``addr`` record, in ``known_peers`` order."""
+        encoded = self._records
         records = []
         for endpoint in profile.known_peers:
-            known = self.topology.profile(endpoint)
-            services = known.services if known is not None else 0
-            records.append(AddrEntry(BASE_TIME, services, endpoint.ip, endpoint.port).encode())
+            record = encoded.get(endpoint)
+            if record is None:
+                known = self.topology.profile(endpoint)
+                services = known.services if known is not None else 0
+                record = AddrEntry(BASE_TIME, services, endpoint.ip, endpoint.port).encode()
+                encoded[endpoint] = record
+            records.append(record)
         return records
 
 

@@ -17,14 +17,20 @@ Each fixed layout (frame header, the 80 bytes of ``version`` before the user
 agent, address records, ping nonce) is one ``struct.Struct`` shared by its
 encoder and decoder.  :func:`decode_header` judges a header from its 24 bytes
 alone; a frame pump checks the length it returns against
-``MAX_PAYLOAD_BY_COMMAND`` before buffering the payload, while the frame
-decoders keep only the 4 MiB frame limit.
+``MAX_PAYLOAD_BY_COMMAND`` before buffering the payload, then hands the
+payload and the header's checksum to :func:`check_payload`, the one checksum
+test, which :func:`decode_message_prefix` applies too.  The frame decoders
+keep only the 4 MiB frame limit.  The six commands of
+``MAX_PAYLOAD_BY_COMMAND`` are encoded and decoded by table lookup; any
+other name or field goes through the full validation.
 
 :class:`AddrEntry` is a named tuple, iterable and equal to the plain tuple
 ``(last_seen, services, ip, port)``.  :func:`encode_addr_records` frames
 entries that are already encoded (the simulated peer keeps its gossip that
 way), and :func:`encode_addr` encodes each entry and ends in it, so the
-count cap and the CompactSize prefix are written once.
+count cap and the CompactSize prefix are written once.  :func:`decode_addr`
+may be handed a table from wire address to text that a caller keeps across
+messages, so an address gossiped again is not rendered again.
 
 Everything here is a pure function over byte sequences: no sockets, no
 clocks, no shared state, safe from any number of threads.  Decoders either
@@ -208,6 +214,9 @@ def canonical_ip(ip: str) -> str:
 
 
 def _encode_command(command: str) -> bytes:
+    field = _KNOWN_COMMAND_FIELDS.get(command)
+    if field is not None:
+        return field
     if not command.isascii():
         raise BadCommandError(f"non-ASCII command {command!r}")
     if len(command) > MAX_COMMAND_SIZE:
@@ -218,6 +227,9 @@ def _encode_command(command: str) -> bytes:
 
 
 def _decode_command(field: bytes) -> str:
+    name = _KNOWN_COMMAND_NAMES.get(field)
+    if name is not None:
+        return name
     name, _, padding = field.decode("latin-1").partition("\x00")  # one character per byte
     if padding.strip("\x00"):
         raise BadCommandError("bytes after first NUL must be NUL")
@@ -263,9 +275,14 @@ def decode_message_prefix(data: bytes, magic: bytes) -> tuple[str, bytes, int] |
     if len(data) < end:
         return None
     payload = bytes(data[HEADER_SIZE:end])
+    check_payload(command, payload, check)
+    return command, payload, end
+
+
+def check_payload(command: str, payload: bytes, check: bytes) -> None:
+    """Raise :class:`BadChecksumError` unless ``check`` is the checksum of ``payload``."""
     if checksum(payload) != check:
         raise BadChecksumError(command or "<empty>")
-    return command, payload, end
 
 
 def decode_message(data: bytes, magic: bytes) -> tuple[str, bytes]:
@@ -298,6 +315,11 @@ _PING = struct.Struct("<Q")  # nonce; pong echoes it
 MAX_PAYLOAD_BY_COMMAND = {
     "addr": 3 + _ADDR_ENTRY.size * MAX_ADDR_ENTRIES, "version": MAX_VERSION_PAYLOAD_SIZE,
     "ping": _PING.size, "pong": _PING.size, "verack": 0, "getaddr": 0,
+}
+# The known commands by name and by their NUL-padded 12-byte header field.
+_KNOWN_COMMAND_FIELDS = {name: name.encode("ascii") for name in MAX_PAYLOAD_BY_COMMAND}
+_KNOWN_COMMAND_NAMES = {
+    field.ljust(MAX_COMMAND_SIZE, b"\x00"): name for name, field in _KNOWN_COMMAND_FIELDS.items()
 }
 
 
@@ -416,7 +438,13 @@ def encode_addr_records(records: Sequence[bytes]) -> bytes:
     return encode_varint(len(records)) + body
 
 
-def decode_addr(data: bytes) -> list[AddrEntry]:
+def decode_addr(data: bytes, ips: dict[bytes, str] | None = None) -> list[AddrEntry]:
+    """The entries of an ``addr`` payload.
+
+    ``ips`` maps 16-byte wire addresses to their text: an address found
+    there is not rendered again, and one that is not is rendered by
+    :func:`bytes16_to_ip` and added.
+    """
     count, offset = decode_varint(data, 0)
     if count > MAX_ADDR_ENTRIES:
         raise TooManyAddrEntriesError(str(count))
@@ -425,9 +453,18 @@ def decode_addr(data: bytes) -> list[AddrEntry]:
         raise TruncatedError("addr entry cut short")
     if end != len(data):
         raise TrailingDataError(f"{len(data) - end} bytes after addr entries")
+    records = _ADDR_ENTRY.iter_unpack(data[offset:end])
+    if ips is None:
+        return [
+            AddrEntry(last_seen, services, bytes16_to_ip(ip), int.from_bytes(port, "big"))
+            for last_seen, services, ip, port in records
+        ]
+    known = ips.get  # the text is never empty, so only a miss reaches setdefault
     return [
-        AddrEntry(last_seen, services, bytes16_to_ip(ip), int.from_bytes(port, "big"))
-        for last_seen, services, ip, port in _ADDR_ENTRY.iter_unpack(data[offset:end])
+        AddrEntry(
+            last_seen, services, known(ip) or ips.setdefault(ip, bytes16_to_ip(ip)), int.from_bytes(port, "big")
+        )
+        for last_seen, services, ip, port in records
     ]
 
 

@@ -461,6 +461,52 @@ def _geo_csv(tmp_path):
     return path
 
 
+_GOOD_INPUTS = {"table": "10.0.0.0/8,US,64500,Alpha\n", "tor": "10.0.0.9\n"}
+# each secondary input with a bad second line: (subcommand, the flag that names it, its text)
+_BAD_SECOND_INPUTS = {
+    "enrich --table": ("enrich", "--table", "10.0.0.0/8,US,64500,Alpha\nnot-a-prefix,US,1,X\n"),
+    "enrich --tor-exits": ("enrich", "--tor-exits", "10.0.0.9\nnot-an-ip\n"),
+    "bni --table": ("bni", "--table", "10.0.0.0/8,US,64500,Alpha\n20.0.0.0/8,DE,many,Beta\n"),
+    "bni --tor-exits": ("bni", "--tor-exits", "10.0.0.9\n10.0.0.300\n"),
+    "crawl --simnet": ("crawl", "--simnet", "@rng_seed 1\n10.0.0.1:8333 normal 9 600000\n"),
+    "sim --seeds": ("sim", "--seeds", "10.0.0.1\nnot an endpoint\n"),
+}
+
+
+def _tree(directory):
+    return sorted(path.relative_to(directory) for path in directory.rglob("*"))
+
+
+@pytest.mark.parametrize("case", list(_BAD_SECOND_INPUTS))
+def test_every_subcommand_reads_all_its_inputs_before_its_first_write(tmp_path, topo_file, seeds_file, capsys, case):
+    command, flag, text = _BAD_SECOND_INPUTS[case]
+    series = _write_snapshot_series(tmp_path)
+    inputs = {"--table": tmp_path / "geo.csv", "--tor-exits": tmp_path / "exits.txt"}
+    inputs["--table"].write_text(_GOOD_INPUTS["table"])
+    inputs["--tor-exits"].write_text(_GOOD_INPUTS["tor"])
+    bad = tmp_path / "bad.input"
+    bad.write_text(text)
+    out, extra_out = tmp_path / "out" / "o.file", tmp_path / "out" / "extra.csv"
+    if command in ("enrich", "bni"):
+        inputs[flag] = bad
+        argv = [command, "--out", str(out)]
+        argv += ["--table", str(inputs["--table"]), "--tor-exits", str(inputs["--tor-exits"])]
+        if command == "enrich":
+            argv += ["--snapshot", str(sorted(series.iterdir())[-1]), "--shares-out", str(extra_out)]
+        else:
+            argv += ["--snapshots", str(series)]
+    elif command == "crawl":
+        argv = ["crawl", "--seeds", str(seeds_file), "--simnet", str(bad), "--out", str(out)]
+    else:
+        argv = ["sim", "--topology", str(topo_file[0]), "--seeds", str(bad), "--out", str(out)]
+    before = _tree(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{bad}: line 2" in captured.err
+    assert captured.out == ""
+    assert _tree(tmp_path) == before  # no output, and no temporary file either
+
+
 def test_enrich_subcommand(tmp_path, capsys):
     directory = _write_snapshot_series(tmp_path)
     snapshot_path = next(iter(sorted(directory.glob("*"))))

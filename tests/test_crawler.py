@@ -592,6 +592,18 @@ def test_frame_pump_leaves_unknown_commands_at_the_frame_limit():
     assert peer.requested == [wirecodec.HEADER_SIZE, 40_000]
 
 
+def test_frame_pump_checks_the_checksum_of_the_header_it_decoded():
+    peer = _OversizedAddrPeer()
+    frame = bytearray(wirecodec.encode_message("addr", wirecodec.encode_addr([]), MAGIC))
+    frame[20] ^= 0xFF
+    peer._pending = bytes(frame)
+    with pytest.raises(wirecodec.BadChecksumError, match="^addr$"):
+        crawler._next_frame(peer, MAGIC, deadline=1.0)
+    assert peer.requested == [wirecodec.HEADER_SIZE, 1]  # one header read, then the payload
+    peer._pending = wirecodec.encode_message("verack", b"", MAGIC)
+    assert crawler._next_frame(peer, MAGIC, deadline=1.0) == ("verack", b"")
+
+
 class _ChattyPeer(_PingingPeer):
     """Scripted peer that sends ``chatter`` ahead of each addr."""
 
@@ -744,6 +756,56 @@ def test_crawl_frontier_cap_flags_partial_snapshot():
     snapshot = crawler.crawl(config(topo.seed_ids, max_frontier=10), network)
     assert snapshot.partial
     assert snapshot.total_count <= 10
+
+
+def _recording_ip_tables(monkeypatch):
+    """Patch ``crawler.probe_peer`` to keep the table each probe is handed, and its size after."""
+    tables, sizes = [], []
+    probe = crawler.probe_peer
+
+    def recording_probe(endpoint, config, transport, *, _ips=None):
+        result = probe(endpoint, config, transport, _ips=_ips)
+        tables.append(_ips)
+        sizes.append(len(_ips))
+        return result
+
+    monkeypatch.setattr(crawler, "probe_peer", recording_probe)
+    return tables, sizes
+
+
+def test_crawl_ip_table_stays_within_the_frontier_cap(monkeypatch):
+    gossip = tuple(ep(f"10.1.{i // 256}.{i % 256}") for i in range(simnet.MAX_KNOWN_PEERS))
+    topo = topology([SimPeerProfile(ep("10.0.0.1"), known_peers=gossip)])
+    tables, sizes = _recording_ip_tables(monkeypatch)
+    snapshot = crawler.crawl(config(topo.seed_ids, max_frontier=1500), simnet.build_network(topo))
+    assert snapshot.partial and snapshot.total_count == 1500
+    assert len({id(table) for table in tables}) == 1  # one table for the crawl
+    assert sizes[0] == wirecodec.MAX_ADDR_ENTRIES  # the first round used it; later rounds would overfill it
+    assert max(sizes) <= 1500
+
+
+def test_crawl_with_the_ip_table_equals_the_crawl_without_it(monkeypatch):
+    topo = simnet.random_topology(200, rng_seed=21, unreachable_fraction=0.2, silent_fraction=0.05, max_known=60)
+
+    def run():
+        snapshot = crawler.crawl(config(topo.seed_ids), simnet.build_network(topo))
+        fields = [
+            (r.address, r.status, r.services, r.user_agent, r.start_height, r.min_rtt_ms, r.addr_count_returned)
+            for r in snapshot.records.values()
+        ]
+        return snapshot.partial, fields  # in probe order
+
+    sizes = _recording_ip_tables(monkeypatch)[1]
+    with_table = run()
+    assert sizes[-1] > 0
+    monkeypatch.undo()
+    probe = crawler.probe_peer
+
+    def without_table(endpoint, cfg, transport, *, _ips=None):
+        return probe(endpoint, cfg, transport)
+
+    monkeypatch.setattr(crawler, "probe_peer", without_table)
+    assert run() == with_table
 
 
 def test_crawl_config_validation():

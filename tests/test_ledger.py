@@ -550,6 +550,56 @@ def test_attribute_miner_matches_sorting_every_match(data):
         assert ledger.attribute_miner(script, outputs, tagmap) == _attribute_miner_reference(script, outputs, tagmap)
 
 
+def _attribute_miner_loop(coinbase_script, output_addresses, tagmap):
+    """The per-tag loop that one lookahead pattern replaced: an ``in`` test per tag, best first."""
+    for tag in sorted(tagmap.coinbase_tags, key=lambda tag: (-len(tag), tag)):
+        if tag.encode("utf-8", "replace") in coinbase_script:
+            return tagmap.coinbase_tags[tag]
+    for address in output_addresses:
+        if address in tagmap.payout_addresses:
+            return tagmap.payout_addresses[address]
+    return ledger.UNKNOWN_MINER
+
+
+# regex metacharacters, nesting and overlap (a, ab, aba), and two lone surrogates that both encode as "?"
+_PATTERN_TAG_TEXT = st.text(
+    st.sampled_from(
+        ["a", "b", "é", "?", "\ud800", "\udfff", ".", "*", "+", "(", ")", "[", "]", "{", "|", "\\", "^", "$"]
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_attribute_miner_pattern_matches_the_per_tag_loop(data):
+    tags = data.draw(st.dictionaries(_PATTERN_TAG_TEXT, st.sampled_from(["P1", "P2", "P3", "P4"]), max_size=16))
+    tagmap = PoolTagMap(coinbase_tags=tags, payout_addresses={"1Pay": "PayPool"})
+    pieces = st.one_of(
+        st.sampled_from(sorted(tags) or ["a"]).map(lambda tag: tag.encode("utf-8", "replace")),
+        st.sampled_from(sorted(tags) or ["a"]).map(lambda tag: tag.encode("utf-8", "replace")[1:]),
+        st.binary(max_size=3),
+    )
+    for _ in range(5):
+        script = b"".join(data.draw(st.lists(pieces, max_size=6)))
+        outputs = data.draw(st.lists(st.sampled_from(["1Pay", "1Other"]), max_size=2))
+        expected = _attribute_miner_loop(script, outputs, tagmap)
+        assert ledger.attribute_miner(script, outputs, tagmap) == expected
+        assert ledger.attribute_miner(bytearray(script), outputs, tagmap) == expected
+
+
+def test_attribute_miner_builds_its_pattern_on_first_use(tmp_path):
+    path = tmp_path / "pools.tags"
+    path.write_text("[tags]\n/a.b/\tDotted\n/a/\tShort\n")
+    tagmap = PoolTagMap.from_file(path)
+    assert "_tag_pattern" not in vars(tagmap)
+    assert ledger.attribute_miner(b"x/axb/ /a/", [], tagmap) == "Short"  # "." is no wildcard
+    assert ledger.attribute_miner(b"/a.b/", [], tagmap) == "Dotted"
+    assert "_tag_pattern" in vars(tagmap)
+    assert ledger.attribute_miner(b"/a/", [], PoolTagMap(coinbase_tags={}, payout_addresses={})) == "Unknown"
+
+
 def test_attribute_miner_breaks_equal_length_ties_by_tag():
     tagmap = PoolTagMap(coinbase_tags={"/b/": "B", "/a/": "A", "/a/b/": "AB"}, payout_addresses={})
     assert ledger.attribute_miner(b"/b/ /a/", [], tagmap) == "A"

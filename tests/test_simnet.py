@@ -339,6 +339,28 @@ def test_addr_payloads_match_the_per_call_reference(seed):
     assert checked == {"normal", "slow", "stale", "empty-addr"}
 
 
+@pytest.mark.parametrize("seed", [3, 2024])
+def test_network_record_table_gives_the_bytes_of_fresh_entries(seed):
+    topo = gossip_topology(seed)
+    network = simnet.build_network(topo)
+    assert network._records == {}  # filled on first gossip, not while the network is built
+    shared = {}
+    for profile in topo.peers:
+        records = network._gossip_records(profile)
+        fresh = []
+        for endpoint in profile.known_peers:
+            known = topo.profile(endpoint)
+            services = known.services if known is not None else 0
+            fresh.append(wirecodec.AddrEntry(simnet.BASE_TIME, services, endpoint.ip, endpoint.port))
+        assert records == [entry.encode() for entry in fresh]
+        for chunk in range(0, len(fresh), wirecodec.MAX_ADDR_ENTRIES):
+            window = slice(chunk, chunk + wirecodec.MAX_ADDR_ENTRIES)
+            assert wirecodec.encode_addr_records(records[window]) == wirecodec.encode_addr(fresh[window])
+        for endpoint, record in zip(profile.known_peers, records):
+            assert shared.setdefault(endpoint, record) is record  # one bytes object per endpoint
+    assert set(network._records) == set(shared)
+
+
 class _RecordingNetwork:
     """A transport over a simulated network that keeps every byte each peer sends the crawler."""
 
