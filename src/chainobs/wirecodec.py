@@ -20,9 +20,7 @@ alone; a frame pump checks the length it returns against
 ``MAX_PAYLOAD_BY_COMMAND`` before buffering the payload, then hands the
 payload and the header's checksum to :func:`check_payload`, the one checksum
 test, which :func:`decode_message_prefix` applies too.  The frame decoders
-keep only the 4 MiB frame limit.  The six commands of
-``MAX_PAYLOAD_BY_COMMAND`` are encoded and decoded by table lookup; any
-other name or field goes through the full validation.
+keep only the 4 MiB frame limit.
 
 :class:`AddrEntry` is a named tuple, iterable and equal to the plain tuple
 ``(last_seen, services, ip, port)``.  :func:`encode_addr_records` frames
@@ -214,9 +212,6 @@ def canonical_ip(ip: str) -> str:
 
 
 def _encode_command(command: str) -> bytes:
-    field = _KNOWN_COMMAND_FIELDS.get(command)
-    if field is not None:
-        return field
     if not command.isascii():
         raise BadCommandError(f"non-ASCII command {command!r}")
     if len(command) > MAX_COMMAND_SIZE:
@@ -227,9 +222,6 @@ def _encode_command(command: str) -> bytes:
 
 
 def _decode_command(field: bytes) -> str:
-    name = _KNOWN_COMMAND_NAMES.get(field)
-    if name is not None:
-        return name
     name, _, padding = field.decode("latin-1").partition("\x00")  # one character per byte
     if padding.strip("\x00"):
         raise BadCommandError("bytes after first NUL must be NUL")
@@ -315,11 +307,6 @@ _PING = struct.Struct("<Q")  # nonce; pong echoes it
 MAX_PAYLOAD_BY_COMMAND = {
     "addr": 3 + _ADDR_ENTRY.size * MAX_ADDR_ENTRIES, "version": MAX_VERSION_PAYLOAD_SIZE,
     "ping": _PING.size, "pong": _PING.size, "verack": 0, "getaddr": 0,
-}
-# The known commands by name and by their NUL-padded 12-byte header field.
-_KNOWN_COMMAND_FIELDS = {name: name.encode("ascii") for name in MAX_PAYLOAD_BY_COMMAND}
-_KNOWN_COMMAND_NAMES = {
-    field.ljust(MAX_COMMAND_SIZE, b"\x00"): name for name, field in _KNOWN_COMMAND_FIELDS.items()
 }
 
 
@@ -443,7 +430,7 @@ def decode_addr(data: bytes, ips: dict[bytes, str] | None = None) -> list[AddrEn
 
     ``ips`` maps 16-byte wire addresses to their text: an address found
     there is not rendered again, and one that is not is rendered by
-    :func:`bytes16_to_ip` and added.
+    :func:`bytes16_to_ip` and added.  Without it the call uses a fresh table.
     """
     count, offset = decode_varint(data, 0)
     if count > MAX_ADDR_ENTRIES:
@@ -453,18 +440,13 @@ def decode_addr(data: bytes, ips: dict[bytes, str] | None = None) -> list[AddrEn
         raise TruncatedError("addr entry cut short")
     if end != len(data):
         raise TrailingDataError(f"{len(data) - end} bytes after addr entries")
-    records = _ADDR_ENTRY.iter_unpack(data[offset:end])
-    if ips is None:
-        return [
-            AddrEntry(last_seen, services, bytes16_to_ip(ip), int.from_bytes(port, "big"))
-            for last_seen, services, ip, port in records
-        ]
+    ips = {} if ips is None else ips
     known = ips.get  # the text is never empty, so only a miss reaches setdefault
     return [
         AddrEntry(
             last_seen, services, known(ip) or ips.setdefault(ip, bytes16_to_ip(ip)), int.from_bytes(port, "big")
         )
-        for last_seen, services, ip, port in records
+        for last_seen, services, ip, port in _ADDR_ENTRY.iter_unpack(data[offset:end])
     ]
 
 
