@@ -17,11 +17,13 @@ its command can carry (this pump alone enforces
 any other command may announce up to the 4 MiB frame limit, and the payload
 read is checked against the header's checksum by ``wirecodec.check_payload``.
 
-A crawl that probes one peer at a time keeps one table from 16-byte wire
-address to IP text, so an address gossiped by many peers is rendered once;
-the table stops growing before it could pass ``max_frontier`` entries.  The
-thread pool keeps none: its cap would need a lock, and a TCP crawl spends its
-time waiting on the network.
+A crawl that probes one peer at a time keeps one table from each ``addr``
+entry's 18 wire bytes of IP and port (``wirecodec.addr_keys``) to its
+:class:`Endpoint`, so an endpoint gossiped by many peers is rendered and
+built once; the table stops growing before it could pass ``max_frontier``
+entries.  The thread pool gives each probe a fresh table: a shared one would
+need a lock for its cap, and a TCP crawl spends its time waiting on the
+network.
 
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  From ``connect`` on, a
@@ -44,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import wirecodec
 from .transport import Connection, Endpoint, TcpTransport, Transport, TransportError, _content_lines
-from .wirecodec import DEFAULT_PORT, MAINNET_MAGIC, VersionPayload
+from .wirecodec import DEFAULT_PORT, MAINNET_MAGIC, VersionPayload, bytes16_to_ip
 
 log = logging.getLogger(__name__)
 
@@ -276,11 +278,10 @@ def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) 
 
 
 def _harvest(
-    conn: Connection, config: CrawlConfig, ips: dict[bytes, str] | None
+    conn: Connection, config: CrawlConfig, endpoints: dict[bytes, Endpoint]
 ) -> tuple[list[Endpoint], int]:
-    # bytes16_to_ip renders canonical IP text, so entries become endpoints
-    # without another trip through canonical_ip; ips holds what earlier
-    # messages rendered
+    # endpoints maps an entry's wire key (IP and port bytes) to its Endpoint, built
+    # once; bytes16_to_ip renders canonical IP text, so no trip through canonical_ip
     harvested: dict[Endpoint, None] = {}
     entries_received = 0
     for _ in range(config.getaddr_rounds):
@@ -290,23 +291,28 @@ def _harvest(
             command, payload = _next_frame(conn, config.magic, deadline)
             while command != "addr":
                 command, payload = _next_frame(conn, config.magic, deadline)
-            if ips is not None and len(ips) > config.max_frontier - wirecodec.MAX_ADDR_ENTRIES:
-                ips = None  # one more full message could take the table past max_frontier
-            entries = wirecodec.decode_addr(payload, ips)
+            keys = wirecodec.addr_keys(payload)
         except (TransportError, wirecodec.CodecError) as exc:
             log.debug("getaddr round failed: %s", exc)
             continue
-        entries_received += len(entries)
-        harvested.update(dict.fromkeys(Endpoint(entry.ip, entry.port) for entry in entries))
+        if len(endpoints) > config.max_frontier - wirecodec.MAX_ADDR_ENTRIES:
+            endpoints = {}  # one more full message could take the table past max_frontier
+        entries_received += len(keys)
+        for key in keys:
+            endpoint = endpoints.get(key)
+            if endpoint is None:
+                endpoint = endpoints[key] = Endpoint(bytes16_to_ip(key[:16]), int.from_bytes(key[16:], "big"))
+            harvested[endpoint] = None
     return list(harvested), entries_received
 
 
 def probe_peer(
-    endpoint: Endpoint, config: CrawlConfig, transport: Transport, *, _ips: dict[bytes, str] | None = None
+    endpoint: Endpoint, config: CrawlConfig, transport: Transport, *, _endpoints: dict[bytes, Endpoint] | None = None
 ) -> tuple[PeerRecord, list[Endpoint]]:
     """Probe one endpoint; a failure from ``connect`` on gives an inactive record, never a raise.
 
-    ``_ips`` is the crawl's table of rendered wire addresses (see :func:`crawl`).
+    ``_endpoints`` is the crawl's table of gossiped endpoints (see :func:`crawl`);
+    without it the probe keeps its own.
     """
     now = int(time.time())
     conn = None
@@ -314,7 +320,7 @@ def probe_peer(
         conn = transport.connect(endpoint, config.connect_timeout_ms / 1000.0)
         version = _handshake(conn, endpoint, config)
         min_rtt = measure_min_rtt(conn, config.magic, config.ping_count, config.handshake_timeout_ms / 1000.0)
-        harvested, entries_received = _harvest(conn, config, _ips)
+        harvested, entries_received = _harvest(conn, config, {} if _endpoints is None else _endpoints)
         done = int(time.time())
         record = PeerRecord(
             address=endpoint,
@@ -370,10 +376,10 @@ def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
             frontier.append(endpoint)
 
     if config.max_inflight == 1 or not isinstance(transport, TcpTransport):
-        ips: dict[bytes, str] = {}  # wire address -> text, shared by the probes
+        endpoints: dict[bytes, Endpoint] = {}  # wire key -> Endpoint, shared by the probes
         while frontier:
             endpoint = frontier.popleft()
-            absorb(*probe_peer(endpoint, config, transport, _ips=ips))
+            absorb(*probe_peer(endpoint, config, transport, _endpoints=endpoints))
     else:
         with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
             pending: set[Future] = set()

@@ -261,14 +261,27 @@ _WRITTEN_RECORD = re.compile(
 )
 
 
+# Keys _WRITTEN_RECORD reads.  One of them after the match would be read by
+# _parse_record, or repeat a key, so such a line takes the general path.
+_PATTERN_KEYS = frozenset(
+    "addr port net status services pver ua height minrtt first_seen last_seen addrs country asn org".split()
+)
+
+
 def _parse_written_record(line: str, lineno: int, table: _SeriesTable) -> PeerRecord | None:
     """The record of a line in the written shape, or None for any other line."""
     # match() and an end check, not fullmatch(): the pattern's first try is the
     # only one that can reach the end, and a line with other keys after addrs
     # then fails at once instead of backtracking through every value
     match = _WRITTEN_RECORD.match(line)
-    if match is None or match.end() != len(line):
+    if match is None:
         return None
+    end = match.end()
+    if end != len(line):
+        # keys the reader ignores may follow; tokenized before the record is built,
+        # a bad one raises what _parse_line raises on the whole line
+        if line[end] != " " or not _PATTERN_KEYS.isdisjoint(_parse_line(line[end + 1 :], lineno)):
+            return None
     addr, port, status, services, pver, ua, height, minrtt, first_seen, last_seen, addrs = match.groups()
     if ua is not None:
         user_agents = table.user_agents

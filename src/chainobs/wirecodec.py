@@ -27,8 +27,10 @@ keep only the 4 MiB frame limit.
 entries that are already encoded (the simulated peer keeps its gossip that
 way), and :func:`encode_addr` encodes each entry and ends in it, so the
 count cap and the CompactSize prefix are written once.  :func:`decode_addr`
-may be handed a table from wire address to text that a caller keeps across
-messages, so an address gossiped again is not rendered again.
+and the crawl's :func:`addr_keys` check an ``addr`` payload in one place;
+``addr_keys`` returns each entry's 18 wire bytes of IP and port, which a
+crawl keys its table of endpoints on, so a gossiped endpoint is rendered
+once per crawl.
 
 Everything here is a pure function over byte sequences: no sockets, no
 clocks, no shared state, safe from any number of threads.  Decoders either
@@ -38,11 +40,11 @@ anything else, regardless of input bytes.
 ``ip_to_bytes16`` and ``bytes16_to_ip`` are the one place where IP text and
 the 16-byte wire form meet.  Canonical IP text is ``inet_ntop`` output
 (RFC 5952: lowercase hex, longest zero run compressed), with v4-mapped
-addresses written as a plain dotted quad.  The standard library's
-``ipaddress`` is the fallback for the two cases libc does not handle the way
-``ipaddress`` does: addresses in ``::/96`` (IPv4-compatible), which glibc
-prints as ``::1.2.3.4`` where ``ipaddress`` prints ``::102:304``, and text
-that ``inet_pton`` rejects but ``ipaddress`` accepts, such as the scoped
+addresses written as a plain dotted quad.  Addresses in ``::/96``
+(IPv4-compatible), which glibc prints as ``::1.2.3.4``, are written in
+RFC 5952 form from their last two 16-bit words, as ``ipaddress`` prints them
+(``::102:304``).  The standard library's ``ipaddress`` is the fallback for
+text that ``inet_pton`` rejects but ``ipaddress`` accepts, such as the scoped
 ``fe80::1%eth0``.
 """
 
@@ -170,6 +172,7 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
 
 V4_MAPPED_PREFIX = b"\x00" * 10 + b"\xff\xff"
 _V4_COMPATIBLE_PREFIX = b"\x00" * 12
+_LAST_TWO_WORDS = struct.Struct(">12x2H")
 
 
 def ip_to_bytes16(ip: str) -> bytes:
@@ -199,7 +202,11 @@ def bytes16_to_ip(data: bytes) -> str:
     if head == V4_MAPPED_PREFIX:
         return inet_ntop(AF_INET, data[12:])
     if head == _V4_COMPATIBLE_PREFIX:
-        return str(ipaddress.IPv6Address(data))  # glibc would print ::a.b.c.d
+        # glibc would print ::a.b.c.d; the six leading zero words are the longest run
+        hi, lo = _LAST_TWO_WORDS.unpack(data)
+        if hi:
+            return f"::{hi:x}:{lo:x}"
+        return f"::{lo:x}" if lo else "::"
     return inet_ntop(AF_INET6, data)
 
 
@@ -297,6 +304,7 @@ def decode_message(data: bytes, magic: bytes) -> tuple[str, bytes]:
 _NET_ADDRESS = struct.Struct("<Q16s2s")
 _ADDR_ENTRY = struct.Struct("<IQ16s2s")
 _PORT = struct.Struct(">H")
+_ADDR_KEY = struct.Struct("<12x18s")  # an _ADDR_ENTRY's IP and port bytes
 # version payload: _VERSION_HEAD, CompactSize-prefixed user agent, _VERSION_TAIL
 _VERSION_HEAD = struct.Struct("<iQq26s26sQ")  # version, services, time, receiver, sender, nonce
 _VERSION_TAIL = struct.Struct("<iB")  # start height, relay flag
@@ -425,13 +433,8 @@ def encode_addr_records(records: Sequence[bytes]) -> bytes:
     return encode_varint(len(records)) + body
 
 
-def decode_addr(data: bytes, ips: dict[bytes, str] | None = None) -> list[AddrEntry]:
-    """The entries of an ``addr`` payload.
-
-    ``ips`` maps 16-byte wire addresses to their text: an address found
-    there is not rendered again, and one that is not is rendered by
-    :func:`bytes16_to_ip` and added.  Without it the call uses a fresh table.
-    """
+def _addr_records(data: bytes) -> bytes:
+    """The entry records of an ``addr`` payload, after the count and length checks."""
     count, offset = decode_varint(data, 0)
     if count > MAX_ADDR_ENTRIES:
         raise TooManyAddrEntriesError(str(count))
@@ -440,14 +443,20 @@ def decode_addr(data: bytes, ips: dict[bytes, str] | None = None) -> list[AddrEn
         raise TruncatedError("addr entry cut short")
     if end != len(data):
         raise TrailingDataError(f"{len(data) - end} bytes after addr entries")
-    ips = {} if ips is None else ips
-    known = ips.get  # the text is never empty, so only a miss reaches setdefault
+    return data[offset:end]
+
+
+def decode_addr(data: bytes) -> list[AddrEntry]:
+    """The entries of an ``addr`` payload."""
     return [
-        AddrEntry(
-            last_seen, services, known(ip) or ips.setdefault(ip, bytes16_to_ip(ip)), int.from_bytes(port, "big")
-        )
-        for last_seen, services, ip, port in _ADDR_ENTRY.iter_unpack(data[offset:end])
+        AddrEntry(last_seen, services, bytes16_to_ip(ip), int.from_bytes(port, "big"))
+        for last_seen, services, ip, port in _ADDR_ENTRY.iter_unpack(_addr_records(data))
     ]
+
+
+def addr_keys(data: bytes) -> list[bytes]:
+    """Each entry's 16-byte IP followed by its 2-byte port, with the checks of :func:`decode_addr`."""
+    return [key for key, in _ADDR_KEY.iter_unpack(_addr_records(data))]
 
 
 def encode_ping(nonce: int) -> bytes:

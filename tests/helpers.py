@@ -1,10 +1,13 @@
-"""Shared fixture builders: snapshots, timelines, and synthetic ledgers."""
+"""Shared fixture builders: snapshots, timelines, synthetic ledgers and gossip."""
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict, deque
 
+from hypothesis import strategies as st
+
+from chainobs import wirecodec
 from chainobs.crawler import PeerRecord, Snapshot, STATUS_ACTIVE, STATUS_INACTIVE
 from chainobs.ledger import COIN, CoinJoinParams, DEFAULT_COINJOIN_PARAMS, LedgerTx, is_coinjoin
 from chainobs.metrics import ActivityTimeline
@@ -264,3 +267,36 @@ def concentrated_ledger():
     top_total = CONCENTRATED_PROFILE[-1][0] * CONCENTRATED_PROFILE[-1][1]
     grand_total = sum(count * value for count, value in CONCENTRATED_PROFILE)
     return txs, entity_count, top_count, (top_total, grand_total)
+
+
+_four = st.binary(min_size=4, max_size=4)
+packed_ips = st.one_of(
+    st.binary(min_size=16, max_size=16),
+    _four.map(lambda b: b"\x00" * 10 + b"\xff\xff" + b),  # IPv4-mapped
+    _four.map(lambda b: b"\x00" * 12 + b),  # IPv4-compatible ::/96
+)
+gossiped_ips = st.one_of(
+    packed_ips,
+    st.binary(min_size=10, max_size=10).map(lambda b: bytes.fromhex("fd87d87eeb43") + b),  # OnionCat
+    st.sampled_from([bytes(16), bytes(15) + b"\x01"]),  # :: and ::1
+)
+# (last_seen, services, 16-byte ip, port) of each entry of one addr message; repeats allowed
+addr_records = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        gossiped_ips,
+        st.integers(min_value=0, max_value=65535),
+    ),
+    max_size=40,
+)
+
+
+def addr_payload(records) -> bytes:
+    """The ``addr`` payload of ``(last_seen, services, 16-byte ip, port)`` records."""
+    return wirecodec.encode_addr_records(
+        [
+            wirecodec._ADDR_ENTRY.pack(last_seen, services, ip, port.to_bytes(2, "big"))
+            for last_seen, services, ip, port in records
+        ]
+    )

@@ -115,6 +115,7 @@ def test_criterion_2_codec_soundness():
         payload_decoders = (
             wirecodec.decode_version,
             wirecodec.decode_addr,
+            wirecodec.addr_keys,
             wirecodec.decode_varint,
             wirecodec.decode_ping,
         )

@@ -10,12 +10,13 @@ import types
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
 
 from chainobs import crawler, simnet, snapshotstore, wirecodec
 from chainobs.crawler import CrawlConfig, STATUS_ACTIVE, STATUS_INACTIVE
 from chainobs.simnet import SimPeerProfile, SimTopology
 from chainobs.transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, TcpTransport
-from helpers import make_record, make_snapshot
+from helpers import addr_payload, addr_records, make_record, make_snapshot
 
 MAGIC = wirecodec.SIMNET_MAGIC
 
@@ -763,10 +764,10 @@ def _recording_ip_tables(monkeypatch):
     tables, sizes = [], []
     probe = crawler.probe_peer
 
-    def recording_probe(endpoint, config, transport, *, _ips=None):
-        result = probe(endpoint, config, transport, _ips=_ips)
-        tables.append(_ips)
-        sizes.append(len(_ips))
+    def recording_probe(endpoint, config, transport, *, _endpoints=None):
+        result = probe(endpoint, config, transport, _endpoints=_endpoints)
+        tables.append(_endpoints)
+        sizes.append(len(_endpoints))
         return result
 
     monkeypatch.setattr(crawler, "probe_peer", recording_probe)
@@ -801,11 +802,60 @@ def test_crawl_with_the_ip_table_equals_the_crawl_without_it(monkeypatch):
     monkeypatch.undo()
     probe = crawler.probe_peer
 
-    def without_table(endpoint, cfg, transport, *, _ips=None):
+    def without_table(endpoint, cfg, transport, *, _endpoints=None):
         return probe(endpoint, cfg, transport)
 
     monkeypatch.setattr(crawler, "probe_peer", without_table)
     assert run() == with_table
+
+
+def test_crawl_renders_each_gossiped_wire_key_once(monkeypatch):
+    topo = simnet.random_topology(200, rng_seed=23, unreachable_fraction=0.2, max_known=60)
+    keys, rendered = [], []
+    addr_keys, render = wirecodec.addr_keys, crawler.bytes16_to_ip
+
+    def recording_addr_keys(data):
+        result = addr_keys(data)
+        keys.extend(result)
+        return result
+
+    monkeypatch.setattr(wirecodec, "addr_keys", recording_addr_keys)
+    monkeypatch.setattr(crawler, "bytes16_to_ip", lambda data: rendered.append(data) or render(data))
+    snapshot = crawler.crawl(config(topo.seed_ids), simnet.build_network(topo))
+    assert snapshot.active_addresses() == simnet.reachable_set(topo)
+    assert len(keys) > 2 * len(set(keys))  # endpoints are gossiped again and again
+    assert sorted(rendered) == sorted(key[:16] for key in set(keys))
+
+
+class _AddrPeer(_ScriptedConnection):
+    """Scripted peer that answers each getaddr with one fixed addr payload."""
+
+    def __init__(self, payload):
+        super().__init__(answer=True)
+        self._payload = payload
+
+    def send(self, data):
+        if wirecodec.decode_message(data, MAGIC)[0] == "getaddr":
+            self._pending += wirecodec.encode_message("addr", self._payload, MAGIC)
+
+
+# a table kept across examples, as a crawl keeps one across probes
+_CRAWL_TABLE: dict[bytes, Endpoint] = {}
+
+
+@settings(max_examples=300)
+@given(addr_records)
+def test_harvest_with_a_cold_or_warm_table_equals_decoding_each_entry(records):
+    payload = addr_payload(records)
+    expected = list(dict.fromkeys(Endpoint(e.ip, e.port) for e in wirecodec.decode_addr(payload)))
+    cfg = config([ep("10.0.0.1")], getaddr_rounds=1)
+    for table in ({}, _CRAWL_TABLE, _CRAWL_TABLE):  # cold; cold or warm from earlier examples; warm
+        harvested, received = crawler._harvest(_AddrPeer(payload), cfg, table)
+        assert harvested == expected
+        assert [type(endpoint) for endpoint in harvested] == [Endpoint] * len(expected)
+        assert received == len(records)
+    for _, _, ip, port in records:
+        assert _CRAWL_TABLE[ip + port.to_bytes(2, "big")] == (wirecodec.bytes16_to_ip(ip), port)
 
 
 def test_crawl_config_validation():

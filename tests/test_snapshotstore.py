@@ -758,11 +758,26 @@ _ODD_VALUES = [
 ]
 
 
+# what may follow a written line: keys the reader ignores (repeated too), record and
+# enrich keys out of their order, and tokens that are not key:value
+_tail_tokens = st.one_of(
+    st.tuples(st.sampled_from(["note", "n%20", "~", "kind"]), st.sampled_from(["x", "", "a:b", "%41", "%zz"])).map(
+        ":".join
+    ),
+    st.tuples(
+        st.sampled_from("addr port net status services pver ua height minrtt first_seen last_seen addrs".split()),
+        st.sampled_from(["5", "active", "10.0.0.1", "x", ""]),
+    ).map(":".join),
+    st.tuples(st.sampled_from(["country", "asn", "org"]), st.text(max_size=4)).map(":".join),
+    st.sampled_from(["", "novalue", ":x", "x:1\t", "\r"]),
+)
+
+
 @st.composite
 def _record_lines(draw):
     fields = _reference_fields(draw(_written_records))
-    shape = draw(st.sampled_from(["written", "enriched", "mutated"]))
-    if shape == "enriched" or (shape == "mutated" and draw(st.booleans())):
+    shape = draw(st.sampled_from(["written", "enriched", "mutated", "tailed"]))
+    if shape == "enriched" or (shape != "written" and draw(st.booleans())):
         fields.update(draw(_enrichments))
     pairs = [(key, store._escape(value)) for key, value in fields.items()]
     if shape == "mutated":
@@ -779,7 +794,12 @@ def _record_lines(draw):
                 pairs.insert(at, pairs[draw(st.integers(0, len(pairs) - 1))])
             elif action == "raw":
                 pairs[at] = (pairs[at][0], pairs[at][1] + draw(st.sampled_from([" ", "  x:1", "\t", "\r", "%"])))
-    return " ".join(f"{key}:{value}" for key, value in pairs)
+    if shape == "tailed" and draw(st.booleans()):  # a record key after the others
+        pairs.append(pairs.pop(draw(st.integers(0, len(pairs) - 1))))
+    line = " ".join(f"{key}:{value}" for key, value in pairs)
+    if shape == "tailed":
+        line += " " + " ".join(draw(st.lists(_tail_tokens, min_size=1, max_size=4)))
+    return line
 
 
 def _general(line):
@@ -807,19 +827,20 @@ def test_every_written_record_line_takes_the_fast_path(property_path, records):
     general = store._parse_line
 
     def header_only(line, lineno):
-        assert lineno == 1, f"line {lineno} went through the general tokenizer: {line!r}"
+        # a record line hands the tokenizer at most the ignored keys after the pattern
+        assert lineno == 1 or line == "note:x", f"line {lineno} went through the general tokenizer: {line!r}"
         return general(line, lineno)
 
     enriched = property_path.with_name(f"enriched{store.SNAPSHOT_SUFFIX}")
     enrich = {"net": "ipv4", "country": "DE", "asn": "64500", "org": "Example Org"}
     store.write_snapshot(snapshot, enriched, extra_fields={e: enrich for e in snapshot.records})
+    noted = property_path.with_name(f"noted{store.SNAPSHOT_SUFFIX}")
+    store.write_snapshot(snapshot, noted, extra_fields={e: {"note": "x"} for e in snapshot.records})
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(store, "_parse_line", header_only)
         assert store.read_snapshot(property_path) == snapshot
         assert store.read_snapshot(enriched) == snapshot
-    # any other extra key moves every record to the general path, with the same result
-    store.write_snapshot(snapshot, property_path, extra_fields={e: {"note": "x"} for e in snapshot.records})
-    assert store.read_snapshot(property_path) == snapshot
+        assert store.read_snapshot(noted) == snapshot
 
 
 # keys that replace one the writer wrote, and keys it appends
@@ -853,11 +874,14 @@ _FULL_RECORD = make_record("2001:db8::7", user_agent="/a b:1%/", min_rtt_ms=12.5
 _failing_values = ["x", "", "9" * 5000, "65536"]
 
 
-@pytest.mark.parametrize("enriched", [False, True], ids=["written", "enriched"])
-def test_fast_path_matches_the_general_tokenizer_on_every_substitution(enriched):
+@pytest.mark.parametrize(
+    "tail",
+    [{}, {"country": "DE", "asn": "64500", "org": "Example Org"}, {"note": "x"}],
+    ids=["written", "enriched", "noted"],
+)
+def test_fast_path_matches_the_general_tokenizer_on_every_substitution(tail):
     fields = _reference_fields(_FULL_RECORD)
-    if enriched:
-        fields.update(country="DE", asn="64500", org="Example Org")
+    fields.update(tail)
     pairs = [(key, store._escape(value)) for key, value in fields.items()]
     lines = [" ".join(f"{key}:{value}" for key, value in pairs)]
     assert store._parse_written_record(lines[0], 2, store._SeriesTable()) == _FULL_RECORD
@@ -870,5 +894,10 @@ def test_fast_path_matches_the_general_tokenizer_on_every_substitution(enriched)
                     bad = {at: first, later: second}
                     lines.append(" ".join(f"{k}:{bad.get(i, v)}" for i, (k, v) in enumerate(pairs)))
     lines += [" ".join(f"{k}:{v}" for k, v in reversed(pairs)), lines[0].replace("status:active", "status:up")]
+    # after the last key: unknown keys, repeated ones, a record key, tokens that are not key:value
+    without_services = " ".join(f"{k}:{v}" for k, v in pairs if k != "services")
+    bad_port = lines[0].replace(" port:8333 ", " port:65536 ")
+    for tail in ["note:x", "note:1 note:2", "services:5", "note:x services:5", "country:DE", "x", "", "note:x :y"]:
+        lines += [f"{lines[0]} {tail}", f"{without_services} {tail}", f"{bad_port} {tail}"]
     for line in lines:
         assert repr(_outcome(_as_read, line)) == repr(_outcome(_general, line)), line

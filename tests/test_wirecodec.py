@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainobs import wirecodec as wc
+from helpers import addr_payload, addr_records, packed_ips
 
 MAGIC = wc.MAINNET_MAGIC
 
@@ -442,64 +443,71 @@ def test_addr_round_trip_property(entries):
     assert wc.decode_addr(wc.encode_addr(entries)) == entries
 
 
-_four = st.binary(min_size=4, max_size=4)
-_packed_ips = st.one_of(
-    st.binary(min_size=16, max_size=16),
-    _four.map(lambda b: b"\x00" * 10 + b"\xff\xff" + b),  # IPv4-mapped
-    _four.map(lambda b: b"\x00" * 12 + b),  # IPv4-compatible ::/96
-)
-_gossiped_ips = st.one_of(
-    _packed_ips,
-    st.binary(min_size=10, max_size=10).map(lambda b: bytes.fromhex("fd87d87eeb43") + b),  # OnionCat
-    st.sampled_from([bytes(16), bytes(15) + b"\x01"]),  # :: and ::1
-)
-# a table kept across examples, as a crawl keeps one across probes
-_SHARED_IPS: dict[bytes, str] = {}
+@settings(max_examples=300)
+@given(addr_records)
+def test_decode_addr_equals_rendering_each_entry(records):
+    expected = [(last_seen, services, wc.bytes16_to_ip(ip), port) for last_seen, services, ip, port in records]
+    decoded = wc.decode_addr(addr_payload(records))
+    assert decoded == expected
+    assert [type(entry) for entry in decoded] == [wc.AddrEntry] * len(records)
 
 
 @settings(max_examples=300)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=2**32 - 1),
-            st.integers(min_value=0, max_value=2**64 - 1),
-            _gossiped_ips,
-            st.integers(min_value=0, max_value=65535),
-        ),
-        max_size=40,
-    )
+@given(addr_records)
+def test_addr_keys_are_the_ip_and_port_bytes_of_each_entry(records):
+    assert wc.addr_keys(addr_payload(records)) == [ip + port.to_bytes(2, "big") for _, _, ip, port in records]
+
+
+_ENTRY = wc.AddrEntry(0, 0, "2001:db8::1", 8333).encode()
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (wc.encode_varint(1001) + _ENTRY * 2, wc.TooManyAddrEntriesError),  # over the cap
+        (wc.encode_varint(2) + _ENTRY + _ENTRY[:-1], wc.TruncatedError),
+        (wc.encode_varint(0) + _ENTRY, wc.TrailingDataError),
+        (wc.encode_varint(1) + _ENTRY + b"\x00", wc.TrailingDataError),
+        (b"", wc.TruncatedError),  # no CompactSize
+        (b"\xfd\x01", wc.TruncatedError),  # CompactSize cut short
+        (b"\xfd\x01\x00" + _ENTRY, wc.NonCanonicalError),
+        (b"\xff" + (1).to_bytes(8, "little"), wc.NonCanonicalError),
+    ],
+    ids=["over-cap", "truncated", "trailing-after-none", "trailing", "empty", "short-count", "wide-count", "wide-count-8"],
 )
-def test_decode_addr_with_a_warm_table_equals_rendering_each_entry(records):
-    payload = wc.encode_varint(len(records)) + b"".join(
-        wc._ADDR_ENTRY.pack(last_seen, services, ip, port.to_bytes(2, "big"))
-        for last_seen, services, ip, port in records
-    )
-    expected = [(last_seen, services, wc.bytes16_to_ip(ip), port) for last_seen, services, ip, port in records]
-    assert wc.decode_addr(payload) == expected  # a fresh table
-    assert wc.decode_addr(payload, _SHARED_IPS) == expected  # cold or warm, from earlier examples
-    assert wc.decode_addr(payload, _SHARED_IPS) == expected  # warm
-    assert all(_SHARED_IPS[ip] == wc.bytes16_to_ip(ip) for _, _, ip, _ in records)
-    assert [type(entry) for entry in wc.decode_addr(payload, _SHARED_IPS)] == [wc.AddrEntry] * len(records)
+def test_addr_keys_and_decode_addr_reject_a_malformed_payload_alike(data, error):
+    with pytest.raises(error):
+        wc.decode_addr(data)
+    with pytest.raises(error):
+        wc.addr_keys(data)
 
 
-def test_decode_addr_renders_each_address_once_per_table(monkeypatch):
-    entries = [wc.AddrEntry(1, 1, "10.0.0.1", 8333), wc.AddrEntry(2, 1, "10.0.0.1", 8334)]
-    payload = wc.encode_addr(entries + [wc.AddrEntry(3, 1, "::1", 1)])
-    rendered = []
-    original = wc.bytes16_to_ip
-    monkeypatch.setattr(wc, "bytes16_to_ip", lambda data: rendered.append(data) or original(data))
-    ips = {}
-    first = wc.decode_addr(payload, ips)
-    second = wc.decode_addr(payload, ips)
-    assert first == second == entries + [(3, 1, "::1", 1)]
-    assert rendered == [wc.ip_to_bytes16("10.0.0.1"), wc.ip_to_bytes16("::1")]
-    assert first[0].ip is first[1].ip is second[0].ip  # one text object per address
-    with pytest.raises(wc.TrailingDataError):
-        wc.decode_addr(payload + b"\x00", ips)
+def _resized(payload, change):
+    """``payload`` cut short by ``-change`` bytes, or padded with ``change`` NULs."""
+    return payload[: len(payload) + change] if change < 0 else payload + bytes(change)
+
+
+def _error_type(decode, data):
+    try:
+        decode(data)
+    except wc.CodecError as exc:
+        return type(exc)
+    return None
 
 
 @settings(max_examples=500)
-@given(_packed_ips)
+@given(
+    st.one_of(
+        st.binary(max_size=100),
+        st.tuples(addr_records, st.integers(-3, 3)).map(lambda pair: _resized(addr_payload(pair[0]), pair[1])),
+    )
+)
+def test_addr_keys_and_decode_addr_raise_the_same_error(data):
+    assert _error_type(wc.addr_keys, data) is _error_type(wc.decode_addr, data)
+
+
+@settings(max_examples=500)
+@given(packed_ips)
 def test_unpacked_ip_text_is_already_canonical(packed):
     text = wc.bytes16_to_ip(packed)
     assert wc.canonical_ip(text) == text
@@ -588,6 +596,7 @@ def test_ip_to_bytes16_matches_ipaddress_on_mutated_addresses():
         assert _outcome(wc.ip_to_bytes16, text) == _outcome(reference_ip_to_bytes16, text), text
 
 
+_four = st.binary(min_size=4, max_size=4)
 _hextets = st.lists(
     st.one_of(st.just(0), st.just(0), st.just(0xFFFF), st.integers(0, 0xFFFF)), min_size=8, max_size=8
 )
@@ -619,6 +628,18 @@ def test_bytes16_to_ip_compresses_like_ipaddress_for_every_zero_pattern():
             assert wc.bytes16_to_ip(data) == reference_bytes16_to_ip(data)
 
 
+def test_bytes16_to_ip_writes_every_v4_compatible_address_like_ipaddress():
+    # ::/96 is written from its last two words: every hi with sampled lo, every lo under hi 0
+    rng = random.Random(596)
+    for hi in range(0x10000):
+        for lo in (0, rng.randrange(1, 0x10000)):
+            data = struct.pack(">12x2H", hi, lo)
+            assert wc.bytes16_to_ip(data) == reference_bytes16_to_ip(data)
+    for lo in range(0x10000):
+        data = struct.pack(">12x2H", 0, lo)
+        assert wc.bytes16_to_ip(data) == reference_bytes16_to_ip(data)
+
+
 # --- ping/pong ----------------------------------------------------------------
 
 
@@ -643,6 +664,7 @@ def test_decoders_raise_only_codec_errors_on_garbage():
             lambda d: wc.decode_header(d, MAGIC),
             wc.decode_version,
             wc.decode_addr,
+            wc.addr_keys,
             wc.decode_varint,
             wc.decode_ping,
         ):
