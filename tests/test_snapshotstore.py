@@ -806,9 +806,13 @@ def _general(line):
     return store._parse_record(store._parse_line(line, 2), 2, {})
 
 
+# one table for every line, as a series read keeps one across its files
+_SHARED_TABLE = store._SeriesTable()
+
+
 def _as_read(line):
     """What the snapshot reader does with a record line: the fast path, else the general one."""
-    record = store._parse_written_record(line, 2, store._SeriesTable())
+    record = store._parse_written_record(line, 2, _SHARED_TABLE)
     return _general(line) if record is None else record
 
 
@@ -826,9 +830,13 @@ def test_every_written_record_line_takes_the_fast_path(property_path, records):
     store.write_snapshot(snapshot, property_path)
     general = store._parse_line
 
+    tails = []
+
     def header_only(line, lineno):
         # a record line hands the tokenizer at most the ignored keys after the pattern
         assert lineno == 1 or line == "note:x", f"line {lineno} went through the general tokenizer: {line!r}"
+        if lineno != 1:
+            tails.append(line)
         return general(line, lineno)
 
     enriched = property_path.with_name(f"enriched{store.SNAPSHOT_SUFFIX}")
@@ -841,6 +849,7 @@ def test_every_written_record_line_takes_the_fast_path(property_path, records):
         assert store.read_snapshot(property_path) == snapshot
         assert store.read_snapshot(enriched) == snapshot
         assert store.read_snapshot(noted) == snapshot
+    assert tails == (["note:x"] if snapshot.records else [])  # once per file
 
 
 # keys that replace one the writer wrote, and keys it appends
