@@ -266,9 +266,7 @@ _WRITTEN_RECORD = re.compile(
 
 # Keys _WRITTEN_RECORD reads.  One of them after the match would be read by
 # _parse_record, or repeat a key, so such a line takes the general path.
-_PATTERN_KEYS = frozenset(
-    "addr port net status services pver ua height minrtt first_seen last_seen addrs country asn org".split()
-)
+_PATTERN_KEYS = frozenset(re.findall(r"([a-z_]+):", _WRITTEN_RECORD.pattern))
 
 
 def _parse_written_record(line: str, lineno: int, table: _SeriesTable) -> PeerRecord | None:
