@@ -18,12 +18,10 @@ any other command may announce up to the 4 MiB frame limit, and the payload
 read is checked against the header's checksum by ``wirecodec.check_payload``.
 
 A crawl that probes one peer at a time keeps one table from each ``addr``
-entry's 18 wire bytes of IP and port (``wirecodec.addr_keys``) to its
-:class:`Endpoint`, so an endpoint gossiped by many peers is rendered and
-built once; the table stops growing before it could pass ``max_frontier``
-entries.  The thread pool gives each probe a fresh table: a shared one would
-need a lock for its cap, and a TCP crawl spends its time waiting on the
-network.
+entry's 18 wire bytes of IP and port to its :class:`Endpoint`, so an endpoint
+gossiped by many peers is built once; the table stops growing before it could
+pass ``max_frontier`` entries.  Each probe of the thread pool keeps its own:
+a shared cap would need a lock, and a TCP crawl waits on the network.
 
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  From ``connect`` on, a
@@ -46,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import wirecodec
 from .transport import Connection, Endpoint, TcpTransport, Transport, TransportError, _content_lines
-from .wirecodec import DEFAULT_PORT, MAINNET_MAGIC, VersionPayload, bytes16_to_ip
+from .wirecodec import DEFAULT_PORT, MAINNET_MAGIC, VersionPayload
 
 log = logging.getLogger(__name__)
 
@@ -281,7 +279,7 @@ def _harvest(
     conn: Connection, config: CrawlConfig, endpoints: dict[bytes, Endpoint]
 ) -> tuple[list[Endpoint], int]:
     # endpoints maps an entry's wire key (IP and port bytes) to its Endpoint, built
-    # once; bytes16_to_ip renders canonical IP text, so no trip through canonical_ip
+    # once; decode_addr_key renders canonical IP text, so no trip through canonical_ip
     harvested: dict[Endpoint, None] = {}
     entries_received = 0
     for _ in range(config.getaddr_rounds):
@@ -301,7 +299,7 @@ def _harvest(
         for key in keys:
             endpoint = endpoints.get(key)
             if endpoint is None:
-                endpoint = endpoints[key] = Endpoint(bytes16_to_ip(key[:16]), int.from_bytes(key[16:], "big"))
+                endpoint = endpoints[key] = Endpoint(*wirecodec.decode_addr_key(key))
             harvested[endpoint] = None
     return list(harvested), entries_received
 

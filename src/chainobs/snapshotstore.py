@@ -32,10 +32,10 @@ A record line in the shape :func:`write_snapshot` emits (its keys in the
 order below, integers in ASCII digits, no escape in ``addr`` or
 ``minrtt``), optionally followed by the ``country asn org`` keys that
 ``chainobs enrich`` appends, is read by one precompiled pattern.  Keys after
-the match are tokenized on their own, once per distinct run of them per
-series, and ignored, unless one of them is a key the pattern reads.  Such a
-line, and any other, such as a hand-edited record, goes through the general
-``key:value`` tokenizer, with the same result or the same error.
+the match are tokenized on their own and ignored, unless one of them is a
+key the pattern reads.  Such a line, and any other, such as a hand-edited
+record, goes through the general ``key:value`` tokenizer, with the same
+result or the same error.
 
 A series read by :func:`load_series` parses each shared value once: the
 ``addr`` and ``port`` text of a record becomes one :class:`Endpoint` and
@@ -208,14 +208,12 @@ class _SeriesTable:
     """Values a series shares across its files, each parsed once per series.
 
     ``endpoints``: ``(addr, port)`` text -> Endpoint; ``user_agents``: written
-    ``ua`` text -> its unescaped text; ``tails``: the keys after a record
-    line's pattern match -> whether the reader ignores them all.  A value
-    that fails to parse raises before it is stored.
+    ``ua`` text -> its unescaped text.  A value that fails to parse raises
+    before it is stored.
     """
 
     endpoints: dict[tuple[str, str], Endpoint] = field(default_factory=dict)
     user_agents: dict[str, str] = field(default_factory=dict)
-    tails: dict[str, bool] = field(default_factory=dict)
 
 
 def _endpoint(addr: str, port: str, endpoints: dict[tuple[str, str], Endpoint]) -> Endpoint:
@@ -279,16 +277,9 @@ def _parse_written_record(line: str, lineno: int, table: _SeriesTable) -> PeerRe
         return None
     end = match.end()
     if end != len(line):
-        if line[end] != " ":
-            return None
-        # keys the reader ignores may follow; each distinct tail is tokenized once per
-        # series, before any record is built, so a bad one raises what _parse_line
-        # raises on the whole line
-        tail = line[end + 1 :]
-        ignored = table.tails.get(tail)
-        if ignored is None:
-            ignored = table.tails[tail] = _PATTERN_KEYS.isdisjoint(_parse_line(tail, lineno))
-        if not ignored:
+        # keys the reader ignores may follow; tokenized before the record is built,
+        # a bad one raises what _parse_line raises on the whole line
+        if line[end] != " " or not _PATTERN_KEYS.isdisjoint(_parse_line(line[end + 1 :], lineno)):
             return None
     addr, port, status, services, pver, ua, height, minrtt, first_seen, last_seen, addrs = match.groups()
     if ua is not None:

@@ -28,9 +28,8 @@ entries that are already encoded (the simulated peer keeps its gossip that
 way), and :func:`encode_addr` encodes each entry and ends in it, so the
 count cap and the CompactSize prefix are written once.  :func:`decode_addr`
 and the crawl's :func:`addr_keys` check an ``addr`` payload in one place;
-``addr_keys`` returns each entry's 18 wire bytes of IP and port, which a
-crawl keys its table of endpoints on, so a gossiped endpoint is rendered
-once per crawl.
+``addr_keys`` returns each entry's 18 wire bytes of IP and port, the key of
+the crawl's table of endpoints, and :func:`decode_addr_key` decodes one.
 
 Everything here is a pure function over byte sequences: no sockets, no
 clocks, no shared state, safe from any number of threads.  Decoders either
@@ -305,6 +304,7 @@ _NET_ADDRESS = struct.Struct("<Q16s2s")
 _ADDR_ENTRY = struct.Struct("<IQ16s2s")
 _PORT = struct.Struct(">H")
 _ADDR_KEY = struct.Struct("<12x18s")  # an _ADDR_ENTRY's IP and port bytes
+_KEYED_ADDR_ENTRY = struct.Struct("<IQ18s")  # last_seen, services, IP and port bytes
 # version payload: _VERSION_HEAD, CompactSize-prefixed user agent, _VERSION_TAIL
 _VERSION_HEAD = struct.Struct("<iQq26s26sQ")  # version, services, time, receiver, sender, nonce
 _VERSION_TAIL = struct.Struct("<iB")  # start height, relay flag
@@ -449,14 +449,19 @@ def _addr_records(data: bytes) -> bytes:
 def decode_addr(data: bytes) -> list[AddrEntry]:
     """The entries of an ``addr`` payload."""
     return [
-        AddrEntry(last_seen, services, bytes16_to_ip(ip), int.from_bytes(port, "big"))
-        for last_seen, services, ip, port in _ADDR_ENTRY.iter_unpack(_addr_records(data))
+        AddrEntry(last_seen, services, *decode_addr_key(key))
+        for last_seen, services, key in _KEYED_ADDR_ENTRY.iter_unpack(_addr_records(data))
     ]
 
 
 def addr_keys(data: bytes) -> list[bytes]:
     """Each entry's 16-byte IP followed by its 2-byte port, with the checks of :func:`decode_addr`."""
     return [key for key, in _ADDR_KEY.iter_unpack(_addr_records(data))]
+
+
+def decode_addr_key(key: bytes) -> tuple[str, int]:
+    """The IP text and port of an entry's 18-byte key from :func:`addr_keys`."""
+    return bytes16_to_ip(key[:16]), int.from_bytes(key[16:], "big")
 
 
 def encode_ping(nonce: int) -> bytes:

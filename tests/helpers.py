@@ -269,11 +269,11 @@ def concentrated_ledger():
     return txs, entity_count, top_count, (top_total, grand_total)
 
 
-_four = st.binary(min_size=4, max_size=4)
+four_bytes = st.binary(min_size=4, max_size=4)
 packed_ips = st.one_of(
     st.binary(min_size=16, max_size=16),
-    _four.map(lambda b: b"\x00" * 10 + b"\xff\xff" + b),  # IPv4-mapped
-    _four.map(lambda b: b"\x00" * 12 + b),  # IPv4-compatible ::/96
+    four_bytes.map(lambda b: b"\x00" * 10 + b"\xff\xff" + b),  # IPv4-mapped
+    four_bytes.map(lambda b: b"\x00" * 12 + b),  # IPv4-compatible ::/96
 )
 gossiped_ips = st.one_of(
     packed_ips,

@@ -812,7 +812,7 @@ def test_crawl_with_the_ip_table_equals_the_crawl_without_it(monkeypatch):
 def test_crawl_renders_each_gossiped_wire_key_once(monkeypatch):
     topo = simnet.random_topology(200, rng_seed=23, unreachable_fraction=0.2, max_known=60)
     keys, rendered = [], []
-    addr_keys, render = wirecodec.addr_keys, crawler.bytes16_to_ip
+    addr_keys, decode_addr_key = wirecodec.addr_keys, wirecodec.decode_addr_key
 
     def recording_addr_keys(data):
         result = addr_keys(data)
@@ -820,11 +820,11 @@ def test_crawl_renders_each_gossiped_wire_key_once(monkeypatch):
         return result
 
     monkeypatch.setattr(wirecodec, "addr_keys", recording_addr_keys)
-    monkeypatch.setattr(crawler, "bytes16_to_ip", lambda data: rendered.append(data) or render(data))
+    monkeypatch.setattr(wirecodec, "decode_addr_key", lambda key: rendered.append(key) or decode_addr_key(key))
     snapshot = crawler.crawl(config(topo.seed_ids), simnet.build_network(topo))
     assert snapshot.active_addresses() == simnet.reachable_set(topo)
     assert len(keys) > 2 * len(set(keys))  # endpoints are gossiped again and again
-    assert sorted(rendered) == sorted(key[:16] for key in set(keys))
+    assert sorted(rendered) == sorted(set(keys))
 
 
 class _AddrPeer(_ScriptedConnection):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainobs import wirecodec as wc
-from helpers import addr_payload, addr_records, packed_ips
+from helpers import addr_payload, addr_records, four_bytes, gossiped_ips, packed_ips
 
 MAGIC = wc.MAINNET_MAGIC
 
@@ -458,6 +458,12 @@ def test_addr_keys_are_the_ip_and_port_bytes_of_each_entry(records):
     assert wc.addr_keys(addr_payload(records)) == [ip + port.to_bytes(2, "big") for _, _, ip, port in records]
 
 
+@settings(max_examples=300)
+@given(gossiped_ips, st.integers(min_value=0, max_value=65535))
+def test_decode_addr_key_gives_the_ip_text_and_port(ip, port):
+    assert wc.decode_addr_key(ip + port.to_bytes(2, "big")) == (wc.bytes16_to_ip(ip), port)
+
+
 _ENTRY = wc.AddrEntry(0, 0, "2001:db8::1", 8333).encode()
 
 
@@ -596,15 +602,14 @@ def test_ip_to_bytes16_matches_ipaddress_on_mutated_addresses():
         assert _outcome(wc.ip_to_bytes16, text) == _outcome(reference_ip_to_bytes16, text), text
 
 
-_four = st.binary(min_size=4, max_size=4)
 _hextets = st.lists(
     st.one_of(st.just(0), st.just(0), st.just(0xFFFF), st.integers(0, 0xFFFF)), min_size=8, max_size=8
 )
 _wire_ips = st.one_of(
     st.binary(min_size=16, max_size=16),
     _hextets.map(lambda words: struct.pack(">8H", *words)),  # zero runs of every length and place
-    _four.map(lambda b: b"\x00" * 12 + b),  # IPv4-compatible ::/96
-    _four.map(lambda b: b"\x00" * 10 + b"\xff\xff" + b),  # IPv4-mapped ::ffff:0:0/96
+    four_bytes.map(lambda b: b"\x00" * 12 + b),  # IPv4-compatible ::/96
+    four_bytes.map(lambda b: b"\x00" * 10 + b"\xff\xff" + b),  # IPv4-mapped ::ffff:0:0/96
     st.binary(min_size=1, max_size=4).map(lambda b: b.rjust(16, b"\x00")),  # inside ::/96 near ::
 )
 
