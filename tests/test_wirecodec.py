@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainobs import wirecodec as wc
-from helpers import addr_payload, addr_records, four_bytes, gossiped_ips, packed_ips
+from helpers import addr_payload, addr_records, four_bytes, packed_ips
 
 MAGIC = wc.MAINNET_MAGIC
 
@@ -456,12 +456,6 @@ def test_decode_addr_equals_rendering_each_entry(records):
 @given(addr_records)
 def test_addr_keys_are_the_ip_and_port_bytes_of_each_entry(records):
     assert wc.addr_keys(addr_payload(records)) == [ip + port.to_bytes(2, "big") for _, _, ip, port in records]
-
-
-@settings(max_examples=300)
-@given(gossiped_ips, st.integers(min_value=0, max_value=65535))
-def test_decode_addr_key_gives_the_ip_text_and_port(ip, port):
-    assert wc.decode_addr_key(ip + port.to_bytes(2, "big")) == (wc.bytes16_to_ip(ip), port)
 
 
 _ENTRY = wc.AddrEntry(0, 0, "2001:db8::1", 8333).encode()
