@@ -54,7 +54,7 @@ print(f"address:        {record.address}")
 print(f"protocol:       {record.protocol_version}  ua: {record.user_agent}")
 print(f"services:       {record.services:#x}  height: {record.start_height}")
 print(f"min RTT:        {record.min_rtt_ms:.1f} ms over {config.ping_count} pings")
-print(f"addrs returned: {record.addr_count_returned} across {config.getaddr_rounds} getaddr rounds\n")
+print(f"addrs returned: {record.addr_count_returned} in its one getaddr reply\n")
 
 print("== Persisting and diffing snapshots ==")
 with tempfile.TemporaryDirectory(prefix="chainobs-demo-") as workdir:

@@ -85,9 +85,7 @@ _fraction.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 # The CrawlConfig fields a user sets: each is a flag with the field's type and default.
-_CRAWL_SETTINGS = (
-    "max_inflight", "connect_timeout_ms", "handshake_timeout_ms", "getaddr_rounds", "ping_count", "max_frontier"
-)
+_CRAWL_SETTINGS = ("max_inflight", "connect_timeout_ms", "handshake_timeout_ms", "ping_count", "max_frontier")
 
 
 def _crawl_config(args: argparse.Namespace, seeds: list[Endpoint], magic: bytes) -> crawler.CrawlConfig:

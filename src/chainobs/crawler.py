@@ -3,12 +3,13 @@
 Starting from seed endpoints, the crawler connects to each peer, completes
 the version/verack handshake, measures minimum application-level round-trip
 time over a few ping/pong cycles, and harvests the peer's gossip cache with
-repeated getaddr requests.  Every harvested endpoint is enqueued exactly
-once; breadth-first exploration ends when the frontier drains (or a safety
-cap trips, which flags the snapshot as partial).
+one getaddr request: a peer answers only the first of a connection.  Every
+harvested endpoint is enqueued exactly once; breadth-first exploration ends
+when the frontier drains (or a safety cap trips, which flags the snapshot as
+partial).
 
 Each phase waits under its own deadline of one handshake timeout on the
-connection's clock: the whole handshake, each ping, and each getaddr round.
+connection's clock: the whole handshake, each ping, and the getaddr.
 Every read is handed its phase deadline, and the connection checks it.
 Pings from the peer are answered with a pong in every phase.  The frame pump
 decodes each header once: a frame whose header announces more payload than
@@ -88,7 +89,6 @@ class CrawlConfig:
     max_inflight: int = 512
     connect_timeout_ms: float = 5000.0
     handshake_timeout_ms: float = 5000.0
-    getaddr_rounds: int = 3
     ping_count: int = 5
     max_frontier: int = 1_000_000
     magic: bytes = MAINNET_MAGIC
@@ -97,7 +97,7 @@ class CrawlConfig:
     def __post_init__(self) -> None:
         """Reject a value the crawl cannot honour, naming its setting.  A ``ping_count``
         of 0 still sends one ping (see :func:`measure_min_rtt`)."""
-        for name, low in (("max_inflight", 1), ("getaddr_rounds", 0), ("ping_count", 0), ("max_frontier", 1)):
+        for name, low in (("max_inflight", 1), ("ping_count", 0), ("max_frontier", 1)):
             value = getattr(self, name)
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -280,28 +280,25 @@ def _harvest(
 ) -> tuple[list[Endpoint], int]:
     # endpoints maps an entry's wire key (IP and port bytes) to its Endpoint, built
     # once; decode_addr_key renders canonical IP text, so no trip through canonical_ip
-    harvested: dict[Endpoint, None] = {}
-    entries_received = 0
-    for _ in range(config.getaddr_rounds):
-        deadline = conn.clock() + config.handshake_timeout_ms / 1000.0
-        try:
-            conn.send(wirecodec.encode_message("getaddr", b"", config.magic))
+    deadline = conn.clock() + config.handshake_timeout_ms / 1000.0
+    try:
+        conn.send(wirecodec.encode_message("getaddr", b"", config.magic))
+        command, payload = _next_frame(conn, config.magic, deadline)
+        while command != "addr":
             command, payload = _next_frame(conn, config.magic, deadline)
-            while command != "addr":
-                command, payload = _next_frame(conn, config.magic, deadline)
-            keys = wirecodec.addr_keys(payload)
-        except (TransportError, wirecodec.CodecError) as exc:
-            log.debug("getaddr round failed: %s", exc)
-            continue
-        if len(endpoints) > config.max_frontier - wirecodec.MAX_ADDR_ENTRIES:
-            endpoints = {}  # one more full message could take the table past max_frontier
-        entries_received += len(keys)
-        for key in keys:
-            endpoint = endpoints.get(key)
-            if endpoint is None:
-                endpoint = endpoints[key] = Endpoint(*wirecodec.decode_addr_key(key))
-            harvested[endpoint] = None
-    return list(harvested), entries_received
+        keys = wirecodec.addr_keys(payload)
+    except (TransportError, wirecodec.CodecError) as exc:
+        log.debug("getaddr failed: %s", exc)
+        return [], 0
+    if len(endpoints) > config.max_frontier - wirecodec.MAX_ADDR_ENTRIES:
+        endpoints = {}  # one more full message could take the table past max_frontier
+    harvested: dict[Endpoint, None] = {}
+    for key in keys:
+        endpoint = endpoints.get(key)
+        if endpoint is None:
+            endpoint = endpoints[key] = Endpoint(*wirecodec.decode_addr_key(key))
+        harvested[endpoint] = None
+    return list(harvested), len(keys)
 
 
 def probe_peer(

@@ -3,19 +3,19 @@
 Every peer is described by a :class:`SimPeerProfile` whose ``behavior``
 selects connection dynamics:
 
-* ``normal``      - handshakes, answers pings and getaddr.
+* ``normal``      - handshakes, answers pings and the first getaddr.
 * ``unreachable`` - refuses connections (models NATed/private peers).
 * ``silent``      - accepts the connection, then never sends a byte.
 * ``slow``        - like normal, with a fixed extra response delay in ms.
 * ``stale``       - like normal, but advertises an outdated protocol version.
-* ``empty-addr``  - like normal, but every getaddr yields zero addresses.
+* ``empty-addr``  - like normal, but its getaddr yields zero addresses.
 
 Time is virtual: responses carry arrival stamps on a per-connection clock,
 so latency and timeout behavior are exact and tests never sleep.
-A connection builds its peer's gossip once, on the first getaddr, as the
-30-byte wire record of each entry, and each getaddr samples those records
-with the peer's RNG and joins them into the reply, so ``topology.rng_seed``
-fully determines gossip: equal topologies give byte-identical addr messages.
+A peer answers only the first getaddr of a connection, as Bitcoin Core
+does, with the 30-byte wire records of a sample of its known peers drawn by
+its RNG, so ``topology.rng_seed`` fully determines gossip: equal topologies
+give byte-identical addr messages.  A repeated getaddr draws nothing.
 The network encodes each endpoint's record once, the first time a peer
 gossips it, and every peer that knows the endpoint shares those bytes.
 
@@ -136,8 +136,7 @@ class _SimConnection:
         self._profile = profile
         slow_ms = profile.slow_delay_ms if profile.behavior == "slow" else 0.0
         self._latency_s = (profile.rtt_ms + slow_ms) / 1000.0
-        # encoded entries, built on the first getaddr; an empty-addr peer has nothing to gossip
-        self._gossip: list[bytes] | None = [] if profile.behavior == "empty-addr" else None
+        self._getaddr_answered = False
         self._now = 0.0
         self._incoming = bytearray()
         self._readable = bytearray()
@@ -214,13 +213,13 @@ class _SimConnection:
         elif command == "ping":
             nonce = wirecodec.decode_ping(payload)
             self._schedule(wirecodec.encode_message("pong", wirecodec.encode_pong(nonce), magic))
-        elif command == "getaddr":
-            if self._gossip is None:
-                self._gossip = self._network._gossip_records(profile)
-            count = min(wirecodec.MAX_ADDR_ENTRIES, len(self._gossip))
-            records = self._network._rngs[profile.address].sample(self._gossip, count)
+        elif command == "getaddr" and not self._getaddr_answered:
+            self._getaddr_answered = True
+            gossip = self._network._gossip_records(profile) if profile.behavior in _GOSSIPING else []
+            count = min(wirecodec.MAX_ADDR_ENTRIES, len(gossip))
+            records = self._network._rngs[profile.address].sample(gossip, count)
             self._schedule(wirecodec.encode_message("addr", wirecodec.encode_addr_records(records), magic))
-        # verack and anything else: nothing to say back
+        # verack, a repeated getaddr and anything else: nothing to say back
 
 
 class SimNetwork:
@@ -274,7 +273,11 @@ def build_network(topology: SimTopology) -> SimNetwork:
 
 
 def discovered_set(topology: SimTopology) -> set[Endpoint]:
-    """Every endpoint reachable by transitive gossip from the seeds."""
+    """Every endpoint reachable by transitive gossip from the seeds.
+
+    A crawl finds all of it only while each gossiping peer knows at most
+    ``wirecodec.MAX_ADDR_ENTRIES`` others, so that its one getaddr reply carries its whole cache.
+    """
     visited = set(topology.seed_ids)
     queue = deque(topology.seed_ids)
     while queue:

@@ -202,7 +202,6 @@ def test_crawl_flags_default_to_the_crawl_config_fields(argv):
         "max_inflight",
         "connect_timeout_ms",
         "handshake_timeout_ms",
-        "getaddr_rounds",
         "ping_count",
         "max_frontier",
     ):
@@ -290,7 +289,6 @@ def test_sim_names_the_topology_line_that_the_wire_cannot_carry(tmp_path, capsys
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--getaddr-rounds", "-1", "getaddr_rounds must be >= 0, got -1"),
         ("--ping-count", "-4", "ping_count must be >= 0, got -4"),
         ("--max-frontier", "0", "max_frontier must be >= 1, got 0"),
         ("--max-inflight", "0", "max_inflight must be >= 1, got 0"),

@@ -339,14 +339,13 @@ def test_probe_normal_peer_harvests_advertised_peers():
     known = tuple(ep(f"10.1.0.{i}") for i in range(10))
     profile = SimPeerProfile(ep("10.0.0.1"), known_peers=known, services=1033, start_height=700_000)
     network = simnet.build_network(topology([profile]))
-    cfg = config([profile.address], getaddr_rounds=3)
-    record, harvested = crawler.probe_peer(profile.address, cfg, network)
+    record, harvested = crawler.probe_peer(profile.address, config([profile.address]), network)
     assert record.status == STATUS_ACTIVE
     assert record.services == 1033
     assert record.start_height == 700_000
     assert record.user_agent == simnet.SIM_USER_AGENT
     assert set(harvested) == set(known)
-    assert record.addr_count_returned == 30  # 3 rounds x 10 entries
+    assert record.addr_count_returned == 10
 
 
 def test_probe_silent_peer_is_inactive_with_empty_harvest():
@@ -506,15 +505,15 @@ def test_probe_answers_peer_pings_in_every_phase():
         def connect(self, endpoint, timeout):
             return peer
 
-    cfg = config([ep("10.0.0.1")], ping_count=3, getaddr_rounds=2)
+    cfg = config([ep("10.0.0.1")], ping_count=3)
     record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
     assert record.status == STATUS_ACTIVE
     assert record.user_agent == "/pinger:0.1/"
     assert harvested == list(known)
-    assert record.addr_count_returned == 10
+    assert record.addr_count_returned == 5
     assert record.min_rtt_ms == pytest.approx(50.0)  # 2 reads of 25 ms, no ping in between
-    # 1 before version, 1 after each of 3 pongs, 1 before each of 2 addrs
-    assert len(peer.pings_sent) == 6
+    # 1 before version, 1 after each of 3 pongs, 1 before the addr
+    assert len(peer.pings_sent) == 5
     assert peer.pongs_received == peer.pings_sent
 
 
@@ -566,9 +565,9 @@ def test_probe_never_buffers_an_oversized_addr_payload():
         def connect(self, endpoint, timeout):
             return peer
 
-    cfg = config([ep("10.0.0.1")], ping_count=2, getaddr_rounds=2)
+    cfg = config([ep("10.0.0.1")], ping_count=2)
     record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
-    assert record.status == STATUS_ACTIVE  # the failed rounds are recorded as today: no entries
+    assert record.status == STATUS_ACTIVE  # a failed getaddr leaves the peer active with no entries
     assert harvested == [] and record.addr_count_returned == 0
     assert max(peer.requested) <= 3 + 30 * wirecodec.MAX_ADDR_ENTRIES
 
@@ -605,6 +604,36 @@ def test_frame_pump_checks_the_checksum_of_the_header_it_decoded():
     assert crawler._next_frame(peer, MAGIC, deadline=1.0) == ("verack", b"")
 
 
+class _MutePeer(_ScriptedConnection):
+    """Completes the handshake, then never sends another byte."""
+
+    def __init__(self):
+        super().__init__(answer=False)
+
+    def send(self, data):
+        if wirecodec.decode_message(data, MAGIC)[0] == "version":
+            self._pending += wirecodec.encode_message(
+                "version", wirecodec.encode_version(_version_of("/mute:0.1/")), MAGIC
+            )
+            self._pending += wirecodec.encode_message("verack", b"", MAGIC)
+
+
+@pytest.mark.parametrize("ping_count", [0, 1, CrawlConfig.ping_count])
+def test_probe_of_a_peer_that_goes_mute_ends_within_its_phase_deadlines(ping_count):
+    peer = _MutePeer()
+
+    class OnePeer:
+        def connect(self, endpoint, timeout):
+            return peer
+
+    cfg = config([ep("10.0.0.1")], ping_count=ping_count)
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
+    assert record.status == STATUS_ACTIVE and record.min_rtt_ms is None
+    assert harvested == [] and record.addr_count_returned == 0
+    # the handshake, each ping and the getaddr wait at most one timeout each
+    assert peer.clock() <= (2 + max(1, ping_count)) * cfg.handshake_timeout_ms / 1000.0
+
+
 class _ChattyPeer(_PingingPeer):
     """Scripted peer that sends ``chatter`` ahead of each addr."""
 
@@ -627,11 +656,11 @@ def test_harvest_skips_frames_that_arrive_ahead_of_the_addr(chatter):
         def connect(self, endpoint, timeout):
             return peer
 
-    cfg = config([ep("10.0.0.1")], ping_count=1, getaddr_rounds=2)
+    cfg = config([ep("10.0.0.1")], ping_count=1)
     record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
     assert record.status == STATUS_ACTIVE
     assert harvested == list(known)
-    assert record.addr_count_returned == 8
+    assert record.addr_count_returned == 4
 
 
 def test_probe_keeps_min_rtt_absent_when_pings_ignored():
@@ -775,13 +804,19 @@ def _recording_ip_tables(monkeypatch):
 
 
 def test_crawl_ip_table_stays_within_the_frontier_cap(monkeypatch):
-    gossip = tuple(ep(f"10.1.{i // 256}.{i % 256}") for i in range(simnet.MAX_KNOWN_PEERS))
-    topo = topology([SimPeerProfile(ep("10.0.0.1"), known_peers=gossip)])
+    # two gossiping peers, each with one full reply: the seed gossips the second
+    first = tuple(ep(f"10.1.{i // 256}.{i % 256}") for i in range(wirecodec.MAX_ADDR_ENTRIES - 1))
+    second = tuple(ep(f"10.2.{i // 256}.{i % 256}") for i in range(wirecodec.MAX_ADDR_ENTRIES))
+    topo = topology([
+        SimPeerProfile(ep("10.0.0.1"), known_peers=(ep("10.0.0.2"), *first)),
+        SimPeerProfile(ep("10.0.0.2"), known_peers=second),
+    ])
     tables, sizes = _recording_ip_tables(monkeypatch)
     snapshot = crawler.crawl(config(topo.seed_ids, max_frontier=1500), simnet.build_network(topo))
     assert snapshot.partial and snapshot.total_count == 1500
+    assert snapshot.records[ep("10.0.0.2")].addr_count_returned == wirecodec.MAX_ADDR_ENTRIES
     assert len({id(table) for table in tables}) == 1  # one table for the crawl
-    assert sizes[0] == wirecodec.MAX_ADDR_ENTRIES  # the first round used it; later rounds would overfill it
+    assert sizes[0] == wirecodec.MAX_ADDR_ENTRIES  # the first reply used it; the second would overfill it
     assert max(sizes) <= 1500
 
 
@@ -848,7 +883,7 @@ _CRAWL_TABLE: dict[bytes, Endpoint] = {}
 def test_harvest_with_a_cold_or_warm_table_equals_decoding_each_entry(records):
     payload = addr_payload(records)
     expected = list(dict.fromkeys(Endpoint(e.ip, e.port) for e in wirecodec.decode_addr(payload)))
-    cfg = config([ep("10.0.0.1")], getaddr_rounds=1)
+    cfg = config([ep("10.0.0.1")])
     for table in ({}, _CRAWL_TABLE, _CRAWL_TABLE):  # cold; cold or warm from earlier examples; warm
         harvested, received = crawler._harvest(_AddrPeer(payload), cfg, table)
         assert harvested == expected
@@ -874,7 +909,6 @@ def test_crawl_config_validation():
         ("connect_timeout_ms", float("inf"), "connect_timeout_ms must be finite and positive, got inf"),
         ("handshake_timeout_ms", float("nan"), "handshake_timeout_ms must be finite and positive, got nan"),
         ("handshake_timeout_ms", -1.0, "handshake_timeout_ms must be finite and positive, got -1.0"),
-        ("getaddr_rounds", -1, "getaddr_rounds must be >= 0, got -1"),
         ("ping_count", -4, "ping_count must be >= 0, got -4"),
         ("max_frontier", 0, "max_frontier must be >= 1, got 0"),
         ("max_inflight", 0, "max_inflight must be >= 1, got 0"),
@@ -886,32 +920,31 @@ def test_crawl_config_rejects_values_it_cannot_honour(setting, value, message):
     assert str(err.value) == message
 
 
-def test_zero_getaddr_rounds_and_pings_still_probe_once():
+def test_zero_pings_still_probe_once():
     peer = SimPeerProfile(ep("10.0.0.1"), known_peers=(ep("10.0.0.2"),), rtt_ms=30.0)
     network = simnet.build_network(topology([peer]))
-    record, harvested = crawler.probe_peer(peer.address, config([peer.address], getaddr_rounds=0, ping_count=0), network)
+    record, harvested = crawler.probe_peer(peer.address, config([peer.address], ping_count=0), network)
     assert record.status == STATUS_ACTIVE
     assert record.min_rtt_ms == pytest.approx(30.0)  # a ping_count of 0 still sends one ping
-    assert harvested == [] and record.addr_count_returned == 0
+    assert harvested == [ep("10.0.0.2")] and record.addr_count_returned == 1
 
 
 def test_config_digest_is_stable():
     # snapshot headers carry these digests: a crawl series stays comparable
     # only while the same settings hash to the same value
-    assert CrawlConfig(seeds=(ep("10.0.0.1"),)).digest() == "d538e99f438e1002"
+    assert CrawlConfig(seeds=(ep("10.0.0.1"),)).digest() == "00a7722761928021"
     assert (
         CrawlConfig(
             seeds=(ep("2001:db8::1", 18333), ep("10.0.0.2", 1)),
             max_inflight=3,
             connect_timeout_ms=1.5,
             handshake_timeout_ms=250.0,
-            getaddr_rounds=0,
             ping_count=1,
             max_frontier=7,
             magic=b"\xfa\xce\xb0\x0c",
             user_agent="/x y:1/",
         ).digest()
-        == "438cb429126461f1"
+        == "48a622a248a9335f"
     )
 
 
@@ -975,7 +1008,6 @@ def test_probe_over_real_tcp_socket():
             magic=magic,
             connect_timeout_ms=2000.0,
             handshake_timeout_ms=2000.0,
-            getaddr_rounds=1,
             ping_count=2,
         )
         record, harvested = crawler.probe_peer(endpoint, cfg, TcpTransport())
@@ -1192,7 +1224,6 @@ def _tcp_crawl(endpoints, max_inflight):
         max_inflight=max_inflight,
         connect_timeout_ms=2000.0,
         handshake_timeout_ms=2000.0,
-        getaddr_rounds=1,
         ping_count=1,
     )
     snapshot = crawler.crawl(cfg, transport)

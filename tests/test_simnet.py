@@ -148,11 +148,33 @@ def test_equal_rng_seed_gives_byte_identical_addr_responses():
 
     def collect():
         network = simnet.build_network(topology(profiles, rng_seed=42))
-        conn = network.connect(ep("10.0.0.1"), timeout=1.0)
-        handshake(conn)
-        return [getaddr_payload(conn) for _ in range(3)]
+        payloads = []
+        for _ in range(3):  # one getaddr per connection
+            conn = network.connect(ep("10.0.0.1"), timeout=1.0)
+            handshake(conn)
+            payloads.append(getaddr_payload(conn))
+        return payloads
 
     assert collect() == collect()
+
+
+@pytest.mark.parametrize("behavior", ["normal", "empty-addr"])
+def test_peer_answers_only_the_first_getaddr_of_a_connection(behavior):
+    known = tuple(ep(f"10.2.0.{i}") for i in range(120))
+    profile = SimPeerProfile(ep("10.0.0.1"), behavior=behavior, known_peers=known)
+    network = simnet.build_network(topology([profile]))
+    conn = network.connect(profile.address, timeout=1.0)
+    handshake(conn)
+    entries = wirecodec.decode_addr(getaddr_payload(conn))
+    assert len(entries) == (0 if behavior == "empty-addr" else 120)
+    rng_state = network._rngs[profile.address].getstate()
+    conn.send(wirecodec.encode_message("getaddr", b"", MAGIC))
+    with pytest.raises(RecvTimeoutError):
+        conn.recv_exact(1, conn.clock() + 5.0)
+    assert network._rngs[profile.address].getstate() == rng_state
+    conn.send(ping_frame(3))  # the connection still answers pings
+    command, payload = read_frame(conn)
+    assert (command, wirecodec.decode_pong(payload)) == ("pong", 3)
 
 
 def test_different_rng_seed_changes_sampling_order():
@@ -328,13 +350,13 @@ def test_addr_payloads_match_the_per_call_reference(seed):
     for profile in topo.peers:
         if profile.behavior in ("unreachable", "silent"):
             continue
-        conn = network.connect(profile.address, timeout=1.0)
-        handshake(conn)
         rng = simnet._peer_rng(topo.rng_seed, profile.address)
-        rng.getrandbits(64)  # the version nonce the handshake drew
-        for _ in range(3):
+        for _ in range(3):  # one getaddr per connection
+            conn = network.connect(profile.address, timeout=1.0)
+            handshake(conn)
+            rng.getrandbits(64)  # the version nonce the handshake drew
             assert getaddr_payload(conn) == reference_addr_payload(topo, profile, rng)
-        conn.close()
+            conn.close()
         checked.add(profile.behavior)
     assert checked == {"normal", "slow", "stale", "empty-addr"}
 
@@ -406,8 +428,8 @@ def test_every_addr_payload_of_a_seeded_crawl_encodes_the_entries_a_same_seeded_
                 checked += 1
         assert not received
         if profile.behavior != "silent":
-            assert commands.count("addr") == config.getaddr_rounds
-    assert checked == config.getaddr_rounds * snapshot.active_count > 0
+            assert commands.count("addr") == 1
+    assert checked == snapshot.active_count > 0
 
 
 def test_duplicate_address_rejected():
