@@ -607,9 +607,6 @@ def test_frame_pump_checks_the_checksum_of_the_header_it_decoded():
 class _MutePeer(_ScriptedConnection):
     """Completes the handshake, then never sends another byte."""
 
-    def __init__(self):
-        super().__init__(answer=False)
-
     def send(self, data):
         if wirecodec.decode_message(data, MAGIC)[0] == "version":
             self._pending += wirecodec.encode_message(
@@ -620,7 +617,7 @@ class _MutePeer(_ScriptedConnection):
 
 @pytest.mark.parametrize("ping_count", [0, 1, CrawlConfig.ping_count])
 def test_probe_of_a_peer_that_goes_mute_ends_within_its_phase_deadlines(ping_count):
-    peer = _MutePeer()
+    peer = _MutePeer(answer=False)
 
     class OnePeer:
         def connect(self, endpoint, timeout):
