@@ -414,12 +414,16 @@ def main(argv: list[str] | None = None) -> int:
         format="[%(asctime)s] %(name)s %(levelname)s %(message)s",
     )
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    # unknown arguments and bad settings are reported under the usage line of the command
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command_parser = subparsers.choices[args.command]
+    if unknown:
+        command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         _check_settings(args)
-    except ValueError as exc:  # reported under the usage line of the command
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        subparsers.choices[args.command].error(str(exc))
+    except ValueError as exc:
+        command_parser.error(str(exc))
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:

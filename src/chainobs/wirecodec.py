@@ -32,7 +32,10 @@ and the crawl's :func:`addr_keys` check an ``addr`` payload in one place;
 the crawl's table of endpoints, and :func:`decode_addr_key` decodes one.
 
 Everything here is a pure function over byte sequences: no sockets, no
-clocks, no shared state, safe from any number of threads.  Decoders either
+clocks, safe from any number of threads.  The one shared state is the
+checksum memo, the last ``bytes`` payload hashed and its checksum held as
+one tuple that is read and replaced whole, so a thread never sees one
+payload paired with another's checksum.  Decoders either
 return a value or raise a :class:`CodecError` subclass; they never raise
 anything else, regardless of input bytes.
 
@@ -122,9 +125,33 @@ class UserAgentTooLongError(CodecError):
     pass
 
 
+_EMPTY_CHECKSUM = bytes.fromhex("5df6e0e2")  # of b"": verack, getaddr
+# (payload, checksum) of the last bytes payload hashed.  Each side of an
+# exchange checksums the same payload (one encodes the frame, the other
+# decodes it, and a pong echoes its ping's nonce), so one entry serves most
+# calls of a crawl.
+_last_checksum = (b"", _EMPTY_CHECKSUM)
+
+
 def checksum(payload: bytes) -> bytes:
-    """First 4 bytes of double SHA-256 of the payload."""
-    return hashlib.sha256(hashlib.sha256(payload).digest()).digest()[:4]
+    """First 4 bytes of double SHA-256 of the payload.
+
+    A ``bytes`` payload equal to the last one hashed is not hashed again.
+    Other buffers (``bytearray``, ``memoryview``) may change after they are
+    hashed or compare by element rather than by byte, so they are always
+    hashed, and anything else raises hashlib's ``TypeError``.
+    """
+    global _last_checksum
+    if type(payload) is not bytes:
+        return hashlib.sha256(hashlib.sha256(payload).digest()).digest()[:4]
+    if not payload:
+        return _EMPTY_CHECKSUM
+    last = _last_checksum
+    if payload == last[0]:
+        return last[1]
+    check = hashlib.sha256(hashlib.sha256(payload).digest()).digest()[:4]
+    _last_checksum = (payload, check)
+    return check
 
 
 # --- CompactSize ---------------------------------------------------------

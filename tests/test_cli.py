@@ -183,6 +183,33 @@ def test_unknown_flag_exits_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sim", "--topology", "missing.topo", "--getaddr-rounds", "1"],
+        ["crawl", "--seeds", "missing.seeds", "--simnet", "missing.topo", "--out", "o", "--bogus", "1"],
+    ],
+    ids=["sim", "crawl"],
+)
+def test_unknown_flag_is_reported_under_the_usage_of_its_subcommand(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # the inputs do not exist: reading them would exit 2
+    monkeypatch.setattr(crawler, "bootstrap_seeds", lambda *args: pytest.fail("looked up the seeds"))
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 1
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"usage: chainobs {argv[0]} [-h]")
+    assert err_text.endswith(f"chainobs {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_flag_without_a_subcommand_is_reported_under_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--bogus"])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: chainobs [-h] {crawl,")
+
+
 def _parsed(argv):
     """The parsed namespace of ``argv`` and the type of each option of its subcommand."""
     parser = cli.build_parser()

@@ -604,6 +604,39 @@ def test_frame_pump_checks_the_checksum_of_the_header_it_decoded():
     assert crawler._next_frame(peer, MAGIC, deadline=1.0) == ("verack", b"")
 
 
+def _spoiled_header_checksum(frame):
+    return frame[:20] + bytes(b ^ 0xFF for b in frame[20:24]) + frame[24:]
+
+
+def _flipped_payload_byte(frame):
+    return frame[:-1] + bytes([frame[-1] ^ 0x01])
+
+
+@pytest.mark.parametrize(
+    "command,payload,spoil",
+    [
+        ("ping", wirecodec.encode_ping(0xC0FFEE), _spoiled_header_checksum),
+        ("ping", wirecodec.encode_ping(0xC0FFEE), _flipped_payload_byte),
+        ("verack", b"", _spoiled_header_checksum),
+    ],
+    ids=["ping-header", "ping-payload", "verack-header"],
+)
+def test_a_corrupt_frame_of_the_payload_just_hashed_is_rejected(command, payload, spoil):
+    def corrupt():
+        return spoil(wirecodec.encode_message(command, payload, MAGIC))  # the checksum memo now holds payload
+
+    frame = corrupt()
+    header = wirecodec.decode_header(frame, MAGIC)
+    with pytest.raises(wirecodec.BadChecksumError, match=f"^{command}$"):
+        wirecodec.check_payload(command, frame[wirecodec.HEADER_SIZE :], header[2])
+    with pytest.raises(wirecodec.BadChecksumError, match=f"^{command}$"):
+        wirecodec.decode_message_prefix(corrupt(), MAGIC)
+    peer = _OversizedAddrPeer()
+    peer._pending = corrupt()
+    with pytest.raises(wirecodec.BadChecksumError, match=f"^{command}$"):
+        crawler._next_frame(peer, MAGIC, deadline=1.0)
+
+
 class _MutePeer(_ScriptedConnection):
     """Completes the handshake, then never sends another byte."""
 

@@ -240,7 +240,26 @@ def _bad_payload(frame):
     return wirecodec.encode_message("ping", b"\x00" * 7, MAGIC)
 
 
-@pytest.mark.parametrize("spoil", [_bad_magic, _bad_checksum, _bad_payload])
+def _bad_checksum_on_the_payload_just_hashed(frame):
+    # ping 6 again, sent just before: the checksum memo holds its payload
+    return _bad_checksum(ping_frame(6))
+
+
+def _payload_just_hashed_under_another_header(frame):
+    # ping 7's header over ping 6's payload, which the peer has just hashed
+    return frame[: wirecodec.HEADER_SIZE] + wirecodec.encode_ping(6)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _bad_magic,
+        _bad_checksum,
+        _bad_payload,
+        _bad_checksum_on_the_payload_just_hashed,
+        _payload_just_hashed_under_another_header,
+    ],
+)
 def test_peer_answers_a_good_frame_then_hangs_up_on_a_bad_one(spoil):
     conn = connected_peer()
     handshake(conn)

@@ -1,8 +1,12 @@
 """Wire codec tests: framing, CompactSize, payload codecs, fuzz safety."""
 
+import array
+import hashlib
 import ipaddress
 import random
 import struct
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +36,96 @@ def test_empty_payload_checksum_matches_independent_oracle():
     frame = wc.encode_message("verack", b"", MAGIC)
     assert frame[20:24] == expected
     assert frame[16:20] == b"\x00\x00\x00\x00"  # payload_length = 0
+
+
+# --- checksum memo: one (payload, checksum) pair, checked against the oracle ----
+
+
+def _neighbour(payload: bytes, pick: int) -> bytes:
+    """``payload`` with one byte changed: same length, different bytes."""
+    if not payload:
+        return payload
+    i = pick % len(payload)
+    return payload[:i] + bytes([payload[i] ^ (1 + pick % 255)]) + payload[i + 1 :]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["fresh", "repeat", "neighbour", "empty"]),
+            st.binary(max_size=40),
+            st.integers(0, 2**16),
+            st.sampled_from([bytes, bytearray, memoryview]),
+        ),
+        max_size=40,
+    )
+)
+@example([("fresh", b"\x07" * 8, 0, bytes), ("neighbour", b"", 0, bytes), ("repeat", b"", 1, bytes)])
+def test_checksum_memo_agrees_with_the_oracle_over_any_sequence(steps):
+    history = [b""]
+    for kind, fresh, pick, wrap in steps:
+        if kind == "fresh":
+            payload = fresh
+        elif kind == "repeat":
+            payload = history[pick % len(history)]
+        elif kind == "neighbour":
+            payload = _neighbour(history[pick % len(history)], pick)
+        else:
+            payload = b""
+        history.append(payload)
+        assert wc.checksum(wrap(payload)) == oracle_checksum(payload)
+
+
+def test_checksum_of_a_mutable_buffer_follows_its_current_bytes():
+    buffer = bytearray(b"\x01" * 8)
+    assert wc.checksum(buffer) == wc.checksum(bytes(buffer)) == oracle_checksum(b"\x01" * 8)
+    buffer[0] ^= 0xFF  # the memo holds the old bytes
+    assert wc.checksum(buffer) == oracle_checksum(bytes(buffer))
+    view = memoryview(buffer)
+    buffer[1] ^= 0xFF
+    assert wc.checksum(view) == oracle_checksum(bytes(buffer))
+    # a view of 4-byte items equals the bytes of its values, not its own bytes
+    words = memoryview(array.array("I", [1, 0, 0, 0]))
+    assert words == b"\x01\x00\x00\x00"
+    assert wc.checksum(b"\x01\x00\x00\x00") == oracle_checksum(b"\x01\x00\x00\x00")
+    assert wc.checksum(words) == oracle_checksum(words.tobytes())
+
+
+@pytest.mark.parametrize("value", ["", "ab", 5, None, [1, 2]], ids=repr)
+def test_checksum_of_a_non_buffer_raises_what_hashlib_raises(value):
+    with pytest.raises(TypeError) as expected:
+        hashlib.sha256(value)
+    for primed in (b"", b"ab"):
+        wc.checksum(primed)  # "" and "ab" must not match the memo's bytes
+        with pytest.raises(TypeError) as raised:
+            wc.checksum(value)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_checksum_memo_is_right_from_many_threads():
+    payloads = [[bytes([t, k]) * (4 + k) for k in range(3)] for t in range(8)]  # distinct per thread
+    wanted = {p: oracle_checksum(p) for own in payloads for p in own}
+    wrong = []
+
+    def hash_own(own):
+        for _ in range(2000):
+            for payload in own:
+                for _ in range(2):  # the second call may hit the memo
+                    if wc.checksum(payload) != wanted[payload]:
+                        wrong.append(payload)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so calls interleave
+    try:
+        threads = [threading.Thread(target=hash_own, args=(own,)) for own in payloads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_getaddr_command_nul_padding():
