@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser reports the arguments it does not know under its
+    own usage line; left to the top-level parser, they would go under that."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     text = io.StringIO()  # csv ends each row with \r\n, which _write_text keeps
     writer = csv.writer(text)
@@ -329,7 +340,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="chainobs", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = commands.add_parser("crawl", help="crawl the network from seeds into a snapshot file")
     p.add_argument("--seeds", required=True, help="seed file (ip[:port] per line) or DNS names")
@@ -414,16 +425,12 @@ def main(argv: list[str] | None = None) -> int:
         format="[%(asctime)s] %(name)s %(levelname)s %(message)s",
     )
     parser = build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    # unknown arguments and bad settings are reported under the usage line of the command
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command_parser = subparsers.choices[args.command]
-    if unknown:
-        command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = parser.parse_args(argv)
     try:
         _check_settings(args)
-    except ValueError as exc:
-        command_parser.error(str(exc))
+    except ValueError as exc:  # reported under the usage line of the command
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        subparsers.choices[args.command].error(str(exc))
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:

@@ -126,10 +126,12 @@ class UserAgentTooLongError(CodecError):
 
 
 _EMPTY_CHECKSUM = bytes.fromhex("5df6e0e2")  # of b"": verack, getaddr
-# (payload, checksum) of the last bytes payload hashed.  Each side of an
-# exchange checksums the same payload (one encodes the frame, the other
-# decodes it, and a pong echoes its ping's nonce), so one entry serves most
-# calls of a crawl.
+# (payload, checksum) of the last bytes payload hashed.  With one probe at a
+# time (the simnet, max_inflight=1) each side of an exchange checksums the
+# same payload (one encodes the frame, the other decodes it, and a pong
+# echoes its ping's nonce), so this entry serves most calls.  Under the TCP
+# thread pool other probes' frames replace it between a ping and its pong,
+# and nearly every non-empty payload is hashed.
 _last_checksum = (b"", _EMPTY_CHECKSUM)
 
 

@@ -210,6 +210,17 @@ def test_unknown_flag_without_a_subcommand_is_reported_under_the_top_level_usage
     assert capsys.readouterr().err.startswith("usage: chainobs [-h] {crawl,")
 
 
+def test_unknown_flag_before_the_subcommand_is_reported_under_the_top_level_usage(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--bogus", "sim", "--topology", "missing.topo"])
+    assert err.value.code == 1
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage: chainobs [-h] {crawl,")
+    assert err_text.endswith("chainobs: error: unrecognized arguments: --bogus\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _parsed(argv):
     """The parsed namespace of ``argv`` and the type of each option of its subcommand."""
     parser = cli.build_parser()
