@@ -6,10 +6,13 @@ merges entities.  Transactions that look like CoinJoins (many inputs plus a
 burst of equal-valued outputs) break that assumption and are filtered out
 before clustering; the filter is a configurable heuristic, not ground truth.
 
-Balances are integer satoshi end to end; floats appear only in the final
-share/Gini divisions.  Coin concentration is summarized by the Lorenz curve
-(cumulative population share vs cumulative wealth share after an ascending
-sort) and the Gini index computed from the sorted values:
+Balances are integer satoshi end to end: the concentration statistics take
+ints (each converted with ``operator.index``, so numpy integer arrays work
+and floats raise TypeError) and sum them as Python ints, so no total
+overflows.  Floats appear only in the final divisions, each correctly
+rounded.  Coin concentration is summarized by the Lorenz curve (cumulative
+population share vs cumulative wealth share after an ascending sort) and the
+Gini index computed from the sorted values, exact until its one division:
 
     G = sum((2i - n - 1) * x_i) / (n * sum(x)),  i = 1..n ascending
 
@@ -42,11 +45,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
+from operator import index, itemgetter, mul
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, NamedTuple
 
 from .transport import _naming_file, _read_text, _write_text
 
@@ -296,32 +297,36 @@ def entity_balances(txs: Iterable[LedgerTx], partition: EntityPartition) -> dict
 # --- concentration statistics ------------------------------------------------
 
 
-def _checked_array(balances: Sequence[int] | np.ndarray) -> np.ndarray:
-    values = np.asarray(balances, dtype=np.float64)
-    if values.size == 0:
+def _sorted_balances(balances: Iterable[int]) -> tuple[list[int], int]:
+    values = sorted(map(index, balances))
+    if not values:
         raise EmptyDistributionError("no balances")
-    if np.any(values < 0):
+    if values[0] < 0:
         raise ValueError("balances must be nonnegative")
-    if values.sum() == 0:
+    total = sum(values)
+    if total == 0:
         raise AllZeroDistributionError("all balances are zero")
-    return np.sort(values)
+    return values, total
 
 
-def gini(balances: Sequence[int] | np.ndarray) -> float:
-    """Gini index of a nonnegative distribution: 0 equality, 1 concentration."""
-    values = _checked_array(balances)
-    n = values.size
-    index = np.arange(1, n + 1, dtype=np.float64)
-    return float(((2.0 * index - n - 1.0) * values).sum() / (n * values.sum()))
+def gini(balances: Iterable[int]) -> float:
+    """Gini index of a nonnegative distribution: 0 equality, 1 concentration.
+
+    The sums are exact and Python's int division rounds correctly, so the
+    result is the exact value rounded once.
+    """
+    values, total = _sorted_balances(balances)
+    n = len(values)
+    weighted = sum(map(mul, range(1, n + 1), values))
+    return (2 * weighted - (n + 1) * total) / (n * total)
 
 
-def lorenz_points(balances: Sequence[int] | np.ndarray) -> list[tuple[float, float]]:
+def lorenz_points(balances: Iterable[int]) -> list[tuple[float, float]]:
     """Lorenz curve points (population share, wealth share), from (0, 0)."""
-    values = _checked_array(balances)
-    n = values.size
-    wealth = np.cumsum(values) / values.sum()
+    values, total = _sorted_balances(balances)
+    n = len(values)
     points = [(0.0, 0.0)]
-    points.extend((float(j) / n, float(w)) for j, w in zip(range(1, n + 1), wealth))
+    points.extend((j / n, c / total) for j, c in enumerate(accumulate(values), start=1))
     return points
 
 
@@ -335,7 +340,7 @@ def holder_share(balances: Iterable[int], wealth_share: float) -> float:
     """
     if not 0 < wealth_share <= 1:
         raise ValueError("wealth_share must be in (0, 1]")
-    values = sorted((value for value in balances if value), reverse=True)
+    values = sorted((value for value in map(index, balances) if value), reverse=True)
     if not values:
         raise EmptyDistributionError("no nonzero balances")
     if values[-1] < 0:
