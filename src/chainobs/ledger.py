@@ -6,13 +6,12 @@ merges entities.  Transactions that look like CoinJoins (many inputs plus a
 burst of equal-valued outputs) break that assumption and are filtered out
 before clustering; the filter is a configurable heuristic, not ground truth.
 
-Balances are integer satoshi end to end: the concentration statistics take
-ints (each converted with ``operator.index``, so numpy integer arrays work
-and floats raise TypeError) and sum them as Python ints, so no total
-overflows.  Floats appear only in the final divisions, each correctly
-rounded.  Coin concentration is summarized by the Lorenz curve (cumulative
-population share vs cumulative wealth share after an ascending sort) and the
-Gini index computed from the sorted values, exact until its one division:
+Balances are integer satoshi end to end.  The concentration statistics take
+ints (``operator.index``: numpy integer arrays work, floats raise TypeError)
+and sum them exactly; floats appear only in the final, correctly rounded
+divisions.  Coin concentration is summarized by the Lorenz curve
+(cumulative population share vs cumulative wealth share after an ascending
+sort) and the Gini index computed from the sorted values:
 
     G = sum((2i - n - 1) * x_i) / (n * sum(x)),  i = 1..n ascending
 
@@ -310,11 +309,7 @@ def _sorted_balances(balances: Iterable[int]) -> tuple[list[int], int]:
 
 
 def gini(balances: Iterable[int]) -> float:
-    """Gini index of a nonnegative distribution: 0 equality, 1 concentration.
-
-    The sums are exact and Python's int division rounds correctly, so the
-    result is the exact value rounded once.
-    """
+    """Gini index of a nonnegative distribution: 0 equality, 1 concentration."""
     values, total = _sorted_balances(balances)
     n = len(values)
     weighted = sum(map(mul, range(1, n + 1), values))

@@ -4,10 +4,14 @@ import argparse
 import csv
 import dataclasses
 import itertools
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -717,3 +721,11 @@ def test_report_on_a_ledger_without_balances_has_no_gini(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "entities: 1 total, 0 with nonzero balance" in out
     assert "gini: n/a (no nonzero balances)" in out
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # numpy is in the dev extra for the tests' oracles; the package needs only the standard library
+    code = "import sys, chainobs.cli; print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert result.stdout == "[]\n"

@@ -7,10 +7,11 @@ import pickle
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainobs import ledger
@@ -280,28 +281,51 @@ def test_gini_single_holder():
         assert ledger.gini([0] * (n - 1) + [1]) == (n - 1) / n
 
 
-def pairwise_gini(values):
-    x = np.asarray(values, dtype=np.float64)
-    return float(np.abs(x[:, None] - x[None, :]).sum() / (2.0 * x.size * x.sum()))
+def _gini_reference(values):
+    """Mean absolute difference over twice the mean, in exact arithmetic."""
+    return Fraction(sum(abs(a - b) for a in values for b in values), 2 * len(values) * sum(values))
 
 
-def test_gini_matches_pairwise_oracle():
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        n = int(rng.integers(1, 300))
-        values = rng.integers(0, 10**8, size=n)
-        if values.sum() == 0:
-            values[0] = 1
-        assert math.isclose(ledger.gini(values), pairwise_gini(values), abs_tol=1e-12)
+def _lorenz_reference(values):
+    """The float64 numpy implementation that the integer one replaced."""
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    wealth = np.cumsum(x) / x.sum()
+    return [(0.0, 0.0)] + [(float(j) / x.size, float(w)) for j, w in zip(range(1, x.size + 1), wealth)]
+
+
+# values past 2**53 are not exact as float64; past 2**62, n * x wraps in int64
+_balances = st.lists(
+    st.one_of(st.integers(0, 10**8), st.integers(0, 2**70), st.sampled_from([0, 1, 2**53 + 1, 2**63 - 1])),
+    min_size=1,
+    max_size=40,
+).filter(any)
+# every partial sum below 2**53, where float64 adds exactly
+_float64_exact_balances = st.lists(st.integers(0, 2**47), min_size=1, max_size=40).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_balances)
+@example(values=[17460140871802793, 12461354694548787, 7])  # float64 Gini: one ulp off
+@example(values=[9005268892640387287, 6000877328407458273, 3])  # n * x past 2**63
+def test_gini_matches_pairwise_oracle(values):
+    expected = float(_gini_reference(values))
+    assert ledger.gini(values) == expected
+    assert ledger.gini(iter(values)) == expected
+    if max(values) < 2**63:
+        assert ledger.gini(np.array(values, dtype=np.int64)) == expected
 
 
 def test_gini_errors():
-    with pytest.raises(ledger.EmptyDistributionError):
-        ledger.gini([])
-    with pytest.raises(ledger.AllZeroDistributionError):
-        ledger.gini([0, 0])
-    with pytest.raises(ValueError):
-        ledger.gini([1, -1])
+    for statistic in (ledger.gini, ledger.lorenz_points):
+        with pytest.raises(ledger.EmptyDistributionError):
+            statistic([])
+        with pytest.raises(ledger.AllZeroDistributionError):
+            statistic([0, 0])
+        with pytest.raises(ValueError):
+            statistic([1, -1])
+        for floats in ([1.0, 2.0], [3, 0.5], np.array([1.0, 2.0])):
+            with pytest.raises(TypeError):
+                statistic(floats)
 
 
 def test_lorenz_equality_diagonal():
@@ -312,6 +336,22 @@ def test_lorenz_single_holder():
     assert ledger.lorenz_points([0, 1]) == [(0.0, 0.0), (0.5, 0.0), (1.0, 1.0)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(_float64_exact_balances, _balances))
+@example(values=[2**53 - 2, 1])
+def test_lorenz_points_are_exact_shares_rounded_once(values):
+    n, total = len(values), sum(values)
+    exact = [(0.0, 0.0)] + [
+        (float(Fraction(j, n)), float(Fraction(c, total))) for j, c in enumerate(accumulate(sorted(values)), start=1)
+    ]
+    assert ledger.lorenz_points(values) == exact
+    assert ledger.lorenz_points(iter(values)) == exact
+    if max(values) < 2**63:
+        assert ledger.lorenz_points(np.array(values, dtype=np.int64)) == exact
+    if total < 2**53:
+        assert exact == _lorenz_reference(values)
+
+
 def test_lorenz_shape_properties():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -320,7 +360,7 @@ def test_lorenz_shape_properties():
             values[0] = 1
         points = ledger.lorenz_points(values)
         assert points[0] == (0.0, 0.0)
-        assert points[-1][0] == 1.0 and math.isclose(points[-1][1], 1.0, abs_tol=1e-12)
+        assert points[-1] == (1.0, 1.0)
         ys = [y for _, y in points]
         assert all(b >= a - 1e-15 for a, b in zip(ys, ys[1:]))
         increments = [b - a for a, b in zip(ys, ys[1:])]
@@ -340,9 +380,8 @@ def test_scaling_leaves_concentration_unchanged():
     rng = random.Random(5)
     values = [rng.randint(1, 10**7) for _ in range(150)]
     scaled = [v * 1000 for v in values]
-    assert math.isclose(ledger.gini(values), ledger.gini(scaled), abs_tol=1e-12)
-    for (p1, w1), (p2, w2) in zip(ledger.lorenz_points(values), ledger.lorenz_points(scaled)):
-        assert p1 == p2 and math.isclose(w1, w2, abs_tol=1e-12)
+    assert ledger.gini(values) == ledger.gini(scaled)
+    assert ledger.lorenz_points(values) == ledger.lorenz_points(scaled)
 
 
 # --- top holders ------------------------------------------------------------------
@@ -464,8 +503,9 @@ def test_holder_share_matches_exact_fraction_oracle():
         if not any(balances):
             balances.append(1)
         for wealth_share in (1e-9, 0.5, 0.85, 0.9, 1.0, rng.random() or 1.0):
-            got = ledger.holder_share(balances, wealth_share)
-            assert got == float(_holder_share_reference(balances, wealth_share))
+            expected = float(_holder_share_reference(balances, wealth_share))
+            assert ledger.holder_share(balances, wealth_share) == expected
+            assert ledger.holder_share(np.array(balances, dtype=np.int64), wealth_share) == expected
 
 
 def test_holder_share_counts_the_entity_that_reaches_the_mark():
@@ -473,6 +513,9 @@ def test_holder_share_counts_the_entity_that_reaches_the_mark():
     assert ledger.holder_share([85, 10, 5, 0, 0], 0.85) == pytest.approx(1 / 3)
     assert ledger.holder_share([84, 16], 0.85) == 1.0
     assert ledger.holder_share([50, 50], 1) == 1.0
+    # satoshi balances as int64: the total times the 53-bit numerator of 0.85 is past 2**63
+    assert ledger.holder_share(np.array([10**8] * 19 + [10**9], dtype=np.int64), 0.85) == 0.8
+    assert ledger.holder_share(np.array([2 * 10**15, 10**15, 10**14], dtype=np.int64), 0.85) == 2 / 3
 
 
 def test_holder_share_errors():
@@ -482,6 +525,8 @@ def test_holder_share_errors():
         ledger.holder_share([0, 0], 0.85)
     with pytest.raises(ValueError):
         ledger.holder_share([5, -1], 0.85)
+    with pytest.raises(TypeError):
+        ledger.holder_share([5, 0.5], 0.85)
     for bad in (0, -0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
             ledger.holder_share([1, 2], bad)
