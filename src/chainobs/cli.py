@@ -125,10 +125,10 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         if args.repeat is not None:
             stamp = datetime.fromtimestamp(snapshot.started_at, tz=timezone.utc).strftime("%Y%m%dT%H%M%SZ")
             path = out_dir / f"{stamp}{snapshotstore.SNAPSHOT_SUFFIX}"
-            suffix = 1
-            while path.exists():  # sub-second crawls must not overwrite each other
-                path = out_dir / f"{stamp}-{suffix}{snapshotstore.SNAPSHOT_SUFFIX}"
+            suffix = 0
+            while path.exists():  # same-second crawls: _0001, _0002, ... sort after the stamp, in crawl order
                 suffix += 1
+                path = out_dir / f"{stamp}_{suffix:04d}{snapshotstore.SNAPSHOT_SUFFIX}"
         snapshotstore.write_snapshot(snapshot, path)
         print(f"{path}: {snapshot.active_count} active / {snapshot.total_count} discovered")
         if args.repeat is None or crawls == args.repeat_count:
@@ -362,7 +362,7 @@ def build_parser() -> _Parser:
     p = commands.add_parser("timeline", help="churn report over a directory of snapshots")
     p.add_argument("--snapshots", required=True, help="directory of *.snap.ndrec files")
     p.add_argument("--out", required=True, help="churn CSV")
-    p.add_argument("--interval-seconds", type=int, help="grid spacing (default: inferred)")
+    p.add_argument("--interval-seconds", type=_at_least(1, int), help="grid spacing (default: inferred)")
     p.add_argument("--size-series-out", help="write per-snapshot size CSV here")
     p.set_defaults(func=_cmd_timeline)
 
@@ -371,7 +371,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--table", action="append", default=[], help="prefix CSV for the AS sub-metric")
     p.add_argument("--tor-exits")
-    p.add_argument("--interval-seconds", type=int)
+    p.add_argument("--interval-seconds", type=_at_least(1, int))
     p.add_argument("--tau", type=_at_least(0, float), default=metrics.DEFAULT_EXCURSION_THRESHOLD,
                    help="latency excursion threshold as a fraction over the moving average")
     p.add_argument("--alpha", type=_fraction, default=metrics.DEFAULT_EWMA_ALPHA,

@@ -132,17 +132,16 @@ class TimelineSeries:
 
 
 def infer_interval(snapshots: Sequence[Snapshot]) -> int:
-    """Smallest positive gap between snapshot start times.
+    """Smallest positive gap between the sorted snapshot start times, or 1 when
+    no two start times differ.
 
     Missing snapshots leave gaps that are multiples of the base grid, so the
     minimum recovers it; series with jittery timing should pass an explicit
-    interval instead.
+    interval instead.  A series that starts in one second is one grid slot,
+    filled like any other slot that two snapshots share.
     """
-    gaps = [b.started_at - a.started_at for a, b in zip(snapshots, snapshots[1:])]
-    positive = [g for g in gaps if g > 0]
-    if not positive:
-        raise ValueError("cannot infer a grid interval from a single point in time")
-    return min(positive)
+    starts = sorted({snapshot.started_at for snapshot in snapshots})
+    return min((b - a for a, b in zip(starts, starts[1:])), default=1)
 
 
 def build_timelines(snapshots: Sequence[Snapshot], interval_seconds: int | None = None) -> TimelineSeries:
@@ -151,7 +150,7 @@ def build_timelines(snapshots: Sequence[Snapshot], interval_seconds: int | None 
         raise ValueError("no snapshots")
     ordered = sorted(snapshots, key=lambda s: s.started_at)
     if interval_seconds is None:
-        interval_seconds = infer_interval(ordered) if len(ordered) > 1 else 1
+        interval_seconds = infer_interval(ordered)
     elif interval_seconds <= 0:
         raise ValueError(f"grid interval must be positive, not {interval_seconds}")
     t0 = ordered[0].started_at
@@ -361,8 +360,7 @@ def latency_and_uptime_metrics(
         return 1.0 - len(bad) / len(observed)
 
     latency_trend = 1.0 - (len(excursion_slots) / len(samples) if samples else 0.0)
-    sessions = timeline.sessions()
-    uptime = (sum(sessions) * timeline.interval_seconds / len(sessions)) / timeline.observation_window_seconds
+    uptime = mean_connection_time(timeline) / timeline.observation_window_seconds
     availability = len(active_slots) / len(timeline.activity)
     return LatencyUptimeMetrics(
         daily_latency_stability=stability(SECONDS_PER_DAY),

@@ -23,9 +23,10 @@ would take, make the line corrupt.  Writes go to a temporary file that is
 renamed over the target, so a crash never leaves a half-written snapshot
 behind.
 
-The writer builds each record line in one f-string pass over the record:
-only the text values (``addr``, ``status``, ``ua``) can need escaping, and
-each distinct user agent is escaped once per file.  Extra fields replace a
+The writer builds the header and each record line as one f-string: only
+the text values (``seeds`` and ``config`` in the header; ``addr``,
+``status`` and ``ua`` in a record) can need escaping, and each distinct
+user agent is escaped once per file.  Extra fields replace a
 key of the line in place or are appended after it.
 
 A record line in the shape :func:`write_snapshot` emits (its keys in the
@@ -55,7 +56,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 from urllib.parse import quote, unquote
 
 from .crawler import PeerRecord, Snapshot, STATUS_ACTIVE, STATUS_INACTIVE
@@ -107,10 +108,6 @@ def _escape(value: str) -> str:
     if _needs_escape(value) is None:
         return value
     return quote(value, safe=_VALUE_SAFE)
-
-
-def _emit(pairs: Iterable[tuple[str, str]]) -> str:
-    return " ".join(f"{key}:{_escape(value)}" for key, value in pairs)
 
 
 def _parse_line(line: str, lineno: int) -> dict[str, str]:
@@ -172,19 +169,11 @@ def write_snapshot(
     for key in dict.fromkeys(key for extra in (extra_fields or {}).values() for key in extra):
         if not _is_key(key):
             raise ValueError(f"extra field key {key!r} is not printable ASCII without space or ':'")
+    seeds = ",".join(str(s) for s in snapshot.seeds)
     lines = [
-        _emit(
-            [
-                ("schema", str(SCHEMA_VERSION)),
-                ("kind", "header"),
-                ("started_at", str(snapshot.started_at)),
-                ("finished_at", str(snapshot.finished_at)),
-                ("seed_count", str(len(snapshot.seeds))),
-                ("seeds", ",".join(str(s) for s in snapshot.seeds)),
-                ("config", snapshot.crawler_config_digest),
-                ("partial", "1" if snapshot.partial else "0"),
-            ]
-        )
+        f"schema:{SCHEMA_VERSION} kind:header started_at:{snapshot.started_at} finished_at:{snapshot.finished_at}"
+        f" seed_count:{len(snapshot.seeds)} seeds:{_escape(seeds)} config:{_escape(snapshot.crawler_config_digest)}"
+        f" partial:{1 if snapshot.partial else 0}"
     ]
     # each user agent is escaped once per file: a crawl sees a few dozen distinct ones
     user_agents: dict[str, str] = {}
@@ -369,7 +358,7 @@ def _snapshot(header: Mapping[str, str], lineno: int, records: dict[Endpoint, Pe
 
 
 def load_series(directory: str | Path) -> list[Snapshot]:
-    """Read every ``*.snap.ndrec`` under ``directory``, sorted by start time."""
+    """Read every ``*.snap.ndrec`` under ``directory``, sorted by start time, then by file name."""
     paths = sorted(Path(directory).glob(f"*{SNAPSHOT_SUFFIX}"))
     # one table for the whole call: each address and user agent is parsed once per series
     table = _SeriesTable()

@@ -139,7 +139,7 @@ def test_crawl_repeat_writes_timestamped_files(tmp_path, topo_file, seeds_file, 
     assert len(files) == 2
 
 
-def test_crawl_repeat_does_not_overwrite_same_second_snapshots(tmp_path, topo_file, seeds_file, monkeypatch):
+def test_crawl_repeat_does_not_overwrite_same_second_snapshots(tmp_path, topo_file, seeds_file, monkeypatch, capsys):
     topo_path, _ = topo_file
     out_dir = tmp_path / "series"
     monkeypatch.setattr("chainobs.crawler.time.time", lambda: BASE_TS)  # clock frozen
@@ -154,7 +154,15 @@ def test_crawl_repeat_does_not_overwrite_same_second_snapshots(tmp_path, topo_fi
         ]
     )
     assert code == 0
-    assert len(list(out_dir.glob(f"*{snapshotstore.SNAPSHOT_SUFFIX}"))) == 3
+    # each crawl prints its file after writing it; the names sort in that order
+    written = [Path(line.split(": ")[0]).name for line in capsys.readouterr().out.splitlines()]
+    stamp = written[0].removesuffix(snapshotstore.SNAPSHOT_SUFFIX)
+    assert written == [f"{stamp}{tag}{snapshotstore.SNAPSHOT_SUFFIX}" for tag in ("", "_0001", "_0002")]
+    assert sorted(p.name for p in out_dir.glob(f"*{snapshotstore.SNAPSHOT_SUFFIX}")) == written
+    # a series that starts in one second is one grid slot
+    assert cli.main(["timeline", "--snapshots", str(out_dir), "--out", str(tmp_path / "churn.csv")]) == 0
+    assert cli.main(["bni", "--snapshots", str(out_dir), "--out", str(tmp_path / "bni.csv")]) == 0
+    assert len(read_csv(tmp_path / "bni.csv")) > 1
 
 
 @pytest.mark.parametrize(
@@ -414,6 +422,7 @@ def test_cluster_with_the_smallest_coinjoin_settings_still_merges_a_two_input_sp
 
 _BNI = ["bni", "--snapshots", "s", "--out", "o", "--height-tolerance"]
 _REPORT = ["report", "--ledger", "l", "--top"]
+_GRID = ["--snapshots", "s", "--out", "o", "--interval-seconds"]
 
 
 @pytest.mark.parametrize(
@@ -425,8 +434,18 @@ _REPORT = ["report", "--ledger", "l", "--top"]
         ([*_REPORT, "0"], "--top: not a finite number >= 1: '0'"),
         ([*_REPORT, "-3"], "--top: not a finite number >= 1: '-3'"),
         ([*_REPORT, "all"], "--top: invalid int value: 'all'"),
+        (["bni", *_GRID, "0"], "--interval-seconds: not a finite number >= 1: '0'"),
+        (["bni", *_GRID, "-5"], "--interval-seconds: not a finite number >= 1: '-5'"),
+        (["bni", *_GRID, "1.5"], "--interval-seconds: invalid int value: '1.5'"),
+        (["timeline", *_GRID, "0"], "--interval-seconds: not a finite number >= 1: '0'"),
+        (["timeline", *_GRID, "-5"], "--interval-seconds: not a finite number >= 1: '-5'"),
+        (["timeline", *_GRID, "1.5"], "--interval-seconds: invalid int value: '1.5'"),
     ],
-    ids=["tolerance-0", "tolerance-negative", "tolerance-not-int", "top-0", "top-negative", "top-not-int"],
+    ids=[
+        "tolerance-0", "tolerance-negative", "tolerance-not-int", "top-0", "top-negative", "top-not-int",
+        "bni-interval-0", "bni-interval-negative", "bni-interval-not-int",
+        "timeline-interval-0", "timeline-interval-negative", "timeline-interval-not-int",
+    ],
 )
 def test_bni_and_report_reject_counts_below_one_before_reading(tmp_path, argv, reason, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the inputs do not exist: reading them would exit 2

@@ -410,6 +410,9 @@ def test_build_timelines_grid_and_imputation():
 def test_build_timelines_infers_interval():
     series = metrics.build_timelines(_series_snapshots())
     assert series.interval_seconds == 600
+    # the smallest gap between the sorted start times, whatever the input order
+    shuffled = [make_snapshot([], started_at=t) for t in (1600, 1000, 2800, 2800)]
+    assert metrics.infer_interval(shuffled) == 600
 
 
 def test_build_timelines_rejects_empty_input():
@@ -417,10 +420,15 @@ def test_build_timelines_rejects_empty_input():
         metrics.build_timelines([])
 
 
-def test_build_timelines_cannot_infer_an_interval_from_one_start_time():
-    snapshots = [make_snapshot([make_record(ip)], started_at=1000) for ip in ("10.0.0.1", "10.0.0.2")]
-    with pytest.raises(ValueError, match="single point in time"):
-        metrics.build_timelines(snapshots)
+def test_build_timelines_reads_one_start_time_as_one_slot(caplog):
+    earlier, later = (make_snapshot([make_record(ip)], started_at=1000) for ip in ("10.0.0.1", "10.0.0.2"))
+    with caplog.at_level("WARNING", logger="chainobs.metrics"):
+        series = metrics.build_timelines([earlier, later])
+    assert (series.interval_seconds, series.slot_times, series.imputed_slots) == (1, (1000,), ())
+    # the later snapshot in series order fills the slot
+    assert series.timelines[Endpoint.make("10.0.0.2")].activity == (True,)
+    assert series.timelines[Endpoint.make("10.0.0.1")].activity == (False,)
+    assert "two snapshots map to grid slot 0; keeping the later one" in caplog.text
 
 
 @pytest.mark.parametrize("interval", [0, -600])
@@ -445,7 +453,7 @@ def _build_timelines_per_address(snapshots, interval_seconds=None):
     """The reference: build_timelines as it was, one lookup per address and grid slot."""
     ordered = sorted(snapshots, key=lambda s: s.started_at)
     if interval_seconds is None:
-        interval_seconds = metrics.infer_interval(ordered) if len(ordered) > 1 else 1
+        interval_seconds = metrics.infer_interval(ordered)
     t0 = ordered[0].started_at
     span = ordered[-1].started_at - t0
     slot_count = int(round(span / interval_seconds)) + 1
@@ -476,7 +484,8 @@ def _build_timelines_per_address(snapshots, interval_seconds=None):
 
 def _random_series(rng):
     """A series with missing slots, inactive records, None RTTs, and slots filled twice,
-    where the displaced snapshot may hold an address no other snapshot has."""
+    where the displaced snapshot may hold an address no other snapshot has.  Some
+    series are one snapshot, or several that start in the same second."""
     interval = rng.choice([60, 600, 1800])
     pool = [f"10.0.{i // 256}.{i % 256}" for i in range(rng.randint(1, 30))] + ["2001:db8::1", "fd87:d87e:eb43::9"]
     snapshots = []
@@ -494,6 +503,10 @@ def _random_series(rng):
         ]
         return make_snapshot(records + list(extra), started_at=started_at)
 
+    if rng.random() < 0.15:
+        one_second = [snapshot_at(10_000) for _ in range(rng.randint(1, 4))]
+        return one_second, rng.choice([None, interval])
+
     slot_count = rng.randint(1, 12)
     for slot in range(slot_count):
         start = 10_000 + slot * interval
@@ -508,15 +521,20 @@ def _random_series(rng):
         if rng.random() < 0.1:
             snapshots.append(snapshots[-1])  # the same snapshot twice
     rng.shuffle(snapshots)
-    # a lone slot filled twice has no gap to infer the interval from
-    return snapshots, interval if slot_count == 1 else rng.choice([None, interval])
+    return snapshots, rng.choice([None, interval])
 
 
 def test_build_timelines_matches_the_per_address_loop_on_random_series():
     rng = random.Random(1010)
     displaced_only = 0
+    inferred_one_snapshot = inferred_one_second = 0
     for _ in range(300):
         snapshots, interval = _random_series(rng)
+        if interval is None and len({s.started_at for s in snapshots}) == 1:
+            if len(snapshots) == 1:
+                inferred_one_snapshot += 1
+            else:
+                inferred_one_second += 1
         series = metrics.build_timelines(snapshots, interval)
         reference = _build_timelines_per_address(snapshots, interval)
         assert series.timelines == reference.timelines
@@ -526,6 +544,7 @@ def test_build_timelines_matches_the_per_address_loop_on_random_series():
         assert series.interval_seconds == reference.interval_seconds
         displaced_only += sum(1 for a in series.timelines if a.ip.startswith("192.0.2."))
     assert displaced_only > 50  # the generator really made the displaced-snapshot case
+    assert inferred_one_snapshot > 5 and inferred_one_second > 5  # and one-slot series to infer a grid for
 
 
 def test_version_rank_modal_lookup_helper():

@@ -522,6 +522,20 @@ def test_load_series_sorted_by_start_time(tmp_path):
     assert [s.started_at for s in series] == [100, 200, 300]
 
 
+def test_load_series_keeps_same_second_files_in_name_order(tmp_path):
+    # crawl --repeat names same-second crawls <stamp>, <stamp>_0001, ...; earlier releases
+    # named them <stamp>-1, ..., which sorts before <stamp>
+    stamp = "20261019T110743Z"
+    names = [f"{stamp}-1", stamp, f"{stamp}_0001", f"{stamp}_0002"]
+    for index in (3, 0, 2, 1):  # written out of order: only the names decide
+        snapshot = make_snapshot([make_record(f"10.0.0.{index}")], started_at=1000)
+        store.write_snapshot(snapshot, tmp_path / f"{names[index]}{store.SNAPSHOT_SUFFIX}")
+    snapshot = make_snapshot([make_record("10.0.0.9")], started_at=999)
+    store.write_snapshot(snapshot, tmp_path / f"{stamp}_0003{store.SNAPSHOT_SUFFIX}")
+    series = store.load_series(tmp_path)
+    assert [next(iter(s.records)).ip for s in series] == ["10.0.0.9", "10.0.0.0", "10.0.0.1", "10.0.0.2", "10.0.0.3"]
+
+
 # --- diff --------------------------------------------------------------------
 
 
