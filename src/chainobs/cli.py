@@ -17,7 +17,6 @@ import itertools
 import logging
 import os
 import sys
-import time
 import typing
 from collections import Counter
 from datetime import datetime, timezone
@@ -121,6 +120,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     for crawls in itertools.count(1):
         snapshot = crawler.crawl(config, transport)
+        t0 = snapshot.started_at if crawls == 1 else t0
         path = args.out
         if args.repeat is not None:
             stamp = datetime.fromtimestamp(snapshot.started_at, tz=timezone.utc).strftime("%Y%m%dT%H%M%SZ")
@@ -133,7 +133,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         print(f"{path}: {snapshot.active_count} active / {snapshot.total_count} discovered")
         if args.repeat is None or crawls == args.repeat_count:
             return 0
-        time.sleep(args.repeat * 60.0)
+        if args.repeat:  # wait for the next start t0 + j * period not yet passed; --repeat 0 runs back to back
+            transport.sleep(-(transport.now() - t0) % (args.repeat * 60.0))
 
 
 def _cmd_enrich(args: argparse.Namespace) -> int:
@@ -318,16 +319,15 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     oracle_topology = simnet.SimTopology(topology.peers, tuple(seeds), topology.rng_seed)  # checks the seeds
     network = simnet.build_network(topology)
     config = _crawl_config(args, seeds, network.magic)
-    started = time.monotonic()
     snapshot = crawler.crawl(config, network)
-    elapsed = time.monotonic() - started
+    elapsed = snapshot.finished_at - snapshot.started_at  # on the network's virtual clock
 
     expected_active = simnet.reachable_set(oracle_topology)
     expected_discovered = simnet.discovered_set(oracle_topology)
     active_ok = snapshot.active_addresses() == expected_active
     discovered_ok = set(snapshot.records) == expected_discovered
 
-    print(f"peers: {len(topology.peers)}, probed {snapshot.total_count} in {elapsed:.2f}s")
+    print(f"peers: {len(topology.peers)}, probed {snapshot.total_count} in {elapsed}s")
     print(f"active {snapshot.active_count} vs oracle {len(expected_active)}: {'OK' if active_ok else 'MISMATCH'}")
     print(
         f"discovered {snapshot.total_count} vs oracle {len(expected_discovered)}: "

@@ -26,8 +26,9 @@ a shared cap would need a lock, and a TCP crawl waits on the network.
 
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  From ``connect`` on, a
-failure ends the probe at one ``except`` with a ``discovered_inactive`` record
-stamped before ``connect``, so one hostile peer cannot abort a crawl.
+failure ends the probe at one ``except`` with a ``discovered_inactive`` record,
+so one hostile peer cannot abort a crawl.  Every stamp is read from
+``transport.now()``: a record, active or not, carries the time before ``connect``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import hashlib
 import logging
 import random
 import socket
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from collections import deque
 from dataclasses import dataclass, fields
@@ -223,11 +223,11 @@ def _next_frame(conn: Connection, magic: bytes, deadline: float) -> tuple[str, b
         conn.send(wirecodec.encode_message("pong", pong, magic))
 
 
-def _build_version(endpoint: Endpoint, config: CrawlConfig) -> bytes:
+def _build_version(endpoint: Endpoint, config: CrawlConfig, now: int) -> bytes:
     payload = VersionPayload(
         protocol_version=wirecodec.PROTOCOL_VERSION,
         services=0,
-        timestamp=int(time.time()),
+        timestamp=now,
         receiver=wirecodec.NetAddress(0, endpoint.ip, endpoint.port),
         sender=wirecodec.NULL_ADDRESS,
         nonce=random.getrandbits(64),
@@ -238,8 +238,8 @@ def _build_version(endpoint: Endpoint, config: CrawlConfig) -> bytes:
     return wirecodec.encode_message("version", wirecodec.encode_version(payload), config.magic)
 
 
-def _handshake(conn: Connection, endpoint: Endpoint, config: CrawlConfig) -> VersionPayload:
-    conn.send(_build_version(endpoint, config))
+def _handshake(conn: Connection, endpoint: Endpoint, config: CrawlConfig, now: int) -> VersionPayload:
+    conn.send(_build_version(endpoint, config, now))
     deadline = conn.clock() + config.handshake_timeout_ms / 1000.0
     their_version: VersionPayload | None = None
     verack_seen = False
@@ -309,19 +309,18 @@ def probe_peer(
     ``_endpoints`` is the crawl's table of gossiped endpoints (see :func:`crawl`);
     without it the probe keeps its own.
     """
-    now = int(time.time())
+    now = int(transport.now())
     conn = None
     try:
         conn = transport.connect(endpoint, config.connect_timeout_ms / 1000.0)
-        version = _handshake(conn, endpoint, config)
+        version = _handshake(conn, endpoint, config, now)
         min_rtt = measure_min_rtt(conn, config.magic, config.ping_count, config.handshake_timeout_ms / 1000.0)
         harvested, entries_received = _harvest(conn, config, {} if _endpoints is None else _endpoints)
-        done = int(time.time())
         record = PeerRecord(
             address=endpoint,
             status=STATUS_ACTIVE,
-            first_seen=done,
-            last_seen=done,
+            first_seen=now,
+            last_seen=now,
             services=version.services,
             protocol_version=version.protocol_version,
             user_agent=version.user_agent,
@@ -349,7 +348,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
     at once; any other transport (the simnet's reads never wait) and
     ``max_inflight=1`` probe one peer at a time on the calling thread.
     """
-    started_at = int(time.time())
+    started_at = int(transport.now())
     seeds = tuple(dict.fromkeys(config.seeds))
     visited: set[Endpoint] = set(seeds)
     frontier: deque[Endpoint] = deque(seeds)
@@ -387,7 +386,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
 
     return Snapshot(
         started_at=started_at,
-        finished_at=int(time.time()),
+        finished_at=int(transport.now()),
         seeds=seeds,
         records=records,
         crawler_config_digest=config.digest(),

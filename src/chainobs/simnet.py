@@ -10,8 +10,9 @@ selects connection dynamics:
 * ``stale``       - like normal, but advertises an outdated protocol version.
 * ``empty-addr``  - like normal, but its getaddr yields zero addresses.
 
-Time is virtual: responses carry arrival stamps on a per-connection clock,
-so latency and timeout behavior are exact and tests never sleep.
+Time is virtual, so latency and timeouts are exact and tests never sleep: each
+connection's clock starts at 0, and the network's ``now`` starts at ``BASE_TIME``
+and moves by each closed connection's time and each ``sleep``.
 A peer answers only the first getaddr of a connection, as Bitcoin Core
 does, with the 30-byte wire records of a sample of its known peers drawn by
 its RNG, so ``topology.rng_seed`` fully determines gossip: equal topologies
@@ -51,8 +52,7 @@ STALE_PROTOCOL_VERSION = 70001
 DEFAULT_SLOW_DELAY_MS = 150.0
 SIM_USER_AGENT = "/simpeer:0.1/"
 STALE_USER_AGENT = "/simpeer:0.0.1/"
-# Fixed wall-clock stamp used in gossip entries and version timestamps,
-# keeping responses byte-identical across builds.
+# Fixed start of the network's clock, and the stamp of gossip entries and version messages.
 BASE_TIME = 1_500_000_000
 
 # Behaviors that complete a handshake; of those, all but empty-addr gossip.
@@ -183,6 +183,7 @@ class _SimConnection:
         if not self._closed:
             self._closed = True
             self._network.open_connections -= 1
+            self._network._elapsed_s += self._now
 
     def clock(self) -> float:
         return self._now
@@ -237,6 +238,7 @@ class SimNetwork:
         self.open_connections = 0
         self.peak_connections = 0
         self.connects_attempted = 0
+        self._elapsed_s = 0.0  # virtual seconds of closed connections and sleeps
         self._rngs = {p.address: _peer_rng(topology.rng_seed, p.address) for p in topology.peers}
         self._records: dict[Endpoint, bytes] = {}  # addr record per gossiped endpoint, filled on first use
 
@@ -248,6 +250,12 @@ class SimNetwork:
         self.open_connections += 1
         self.peak_connections = max(self.peak_connections, self.open_connections)
         return _SimConnection(self, profile)
+
+    def now(self) -> float:
+        return BASE_TIME + self._elapsed_s
+
+    def sleep(self, seconds: float) -> None:
+        self._elapsed_s += seconds
 
     def _gossip_records(self, profile: SimPeerProfile) -> list[bytes]:
         """Each known peer's ``addr`` record, in ``known_peers`` order."""

@@ -6,7 +6,9 @@ deadline, close, and read a connection-local monotonic clock.  The clock is
 what makes latency measurement uniform: the TCP transport reports wall
 monotonic time, the simulated network reports virtual time, and the crawler
 never needs to know which one it got.  A read's deadline is a time on that
-same clock, and the connection is the one place that checks it.
+same clock, and the connection is the one place that checks it.  The same
+holds for the transport's own ``now`` (epoch seconds) and ``sleep``, which a
+crawl is stamped and waits on: wall time over TCP, virtual time on the simnet.
 
 Endpoints are keyed by canonical IP text (see :class:`Endpoint`) and a port
 in 0-65535, written in ASCII digits.  An endpoint is a named tuple: it
@@ -184,6 +186,10 @@ class Connection(Protocol):
 class Transport(Protocol):
     def connect(self, endpoint: Endpoint, timeout: float) -> Connection: ...
 
+    def now(self) -> float: ...
+
+    def sleep(self, seconds: float) -> None: ...
+
 
 class TcpConnection:
     def __init__(self, sock: socket.socket):
@@ -226,10 +232,12 @@ class TcpConnection:
 class TcpTransport:
     """Plain TCP sockets; the transport used against the real network."""
 
+    now = staticmethod(time.time)
+    sleep = staticmethod(time.sleep)
+
     def connect(self, endpoint: Endpoint, timeout: float) -> TcpConnection:
         try:
             sock = socket.create_connection((endpoint.ip, endpoint.port), timeout=timeout)
         except OSError as exc:
             raise ConnectError(f"{endpoint}: {exc}") from exc
-        sock.settimeout(timeout)
         return TcpConnection(sock)

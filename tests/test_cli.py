@@ -3,7 +3,6 @@
 import argparse
 import csv
 import dataclasses
-import itertools
 import os
 import random
 import socket
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from chainobs import cli, crawler, ledger, simnet, snapshotstore, wirecodec
+from chainobs import cli, crawler, ledger, metrics, simnet, snapshotstore, wirecodec
 from chainobs.crawler import CrawlConfig
 from chainobs.ledger import COIN, DEFAULT_COINJOIN_PARAMS, LedgerTx
 from chainobs.transport import Endpoint
@@ -118,31 +117,47 @@ def test_crawl_without_simnet_probes_real_sockets(tmp_path, capsys):
     assert f"{out}: 1 active / 1 discovered" in capsys.readouterr().out
 
 
-def test_crawl_repeat_writes_timestamped_files(tmp_path, topo_file, seeds_file, monkeypatch):
+def _repeat_crawl(out_dir, topo_path, seeds_file, repeat, count):
+    """Run ``crawl --simnet --repeat`` into ``out_dir``; the snapshots it wrote, in crawl order."""
+    argv = ["crawl", "--seeds", str(seeds_file), "--out", str(out_dir), "--simnet", str(topo_path)]
+    assert cli.main([*argv, "--repeat", repeat, "--repeat-count", str(count)]) == 0
+    return snapshotstore.load_series(out_dir)
+
+
+def test_crawl_repeat_writes_timestamped_files(tmp_path, topo_file, seeds_file):
     topo_path, _ = topo_file
     out_dir = tmp_path / "series"
-    # successive crawls need distinct start seconds for distinct file names
-    ticks = itertools.count(BASE_TS)
-    monkeypatch.setattr("chainobs.crawler.time.time", lambda: next(ticks))
-    code = cli.main(
-        [
-            "crawl",
-            "--seeds", str(seeds_file),
-            "--out", str(out_dir),
-            "--simnet", str(topo_path),
-            "--repeat", "0",
-            "--repeat-count", "2",
-        ]
-    )
-    assert code == 0
-    files = sorted(out_dir.glob(f"*{snapshotstore.SNAPSHOT_SUFFIX}"))
-    assert len(files) == 2
+    first, second = _repeat_crawl(out_dir, topo_path, seeds_file, "0", 2)
+    assert len(list(out_dir.glob(f"*{snapshotstore.SNAPSHOT_SUFFIX}"))) == 2
+    # back to back on the network's clock: the second crawl starts as the first ends
+    assert first.started_at == simnet.BASE_TIME < first.finished_at <= second.started_at <= first.finished_at + 1
+
+
+def test_crawl_repeat_starts_each_crawl_on_its_grid(tmp_path, topo_file, seeds_file):
+    topo_path, _ = topo_file
+    snapshots = _repeat_crawl(tmp_path / "series", topo_path, seeds_file, "10", 6)
+    t0 = snapshots[0].started_at
+    assert [s.started_at for s in snapshots] == [t0 + k * 600 for k in range(6)]
+    assert snapshots[0].finished_at > t0  # the crawl took time, and the schedule absorbed it
+    assert metrics.build_timelines(snapshots).imputed_slots == ()
+
+
+def test_crawl_repeat_shorter_than_a_crawl_skips_the_slots_it_overran(tmp_path, topo_file, seeds_file):
+    topo_path, _ = topo_file
+    snapshots = _repeat_crawl(tmp_path / "series", topo_path, seeds_file, "0.25", 4)  # 15 s slots
+    t0 = snapshots[0].started_at
+    slots = [(s.started_at - t0) / 15 for s in snapshots]
+    assert all(slot.is_integer() for slot in slots)  # every start on the grid
+    assert all(s.finished_at - s.started_at > 15 for s in snapshots)  # every crawl overran its slot
+    assert all(b > a + 1 for a, b in zip(slots, slots[1:]))  # so the next start skipped a slot
+    skipped = tuple(i for i in range(int(slots[-1])) if i not in slots)
+    assert metrics.build_timelines(snapshots, interval_seconds=15).imputed_slots == skipped
 
 
 def test_crawl_repeat_does_not_overwrite_same_second_snapshots(tmp_path, topo_file, seeds_file, monkeypatch, capsys):
     topo_path, _ = topo_file
     out_dir = tmp_path / "series"
-    monkeypatch.setattr("chainobs.crawler.time.time", lambda: BASE_TS)  # clock frozen
+    monkeypatch.setattr(simnet.SimNetwork, "now", lambda network: BASE_TS)  # the network's clock frozen
     code = cli.main(
         [
             "crawl",

@@ -6,7 +6,6 @@ import socket
 import struct
 import threading
 import time
-import types
 from contextlib import contextmanager
 
 import pytest
@@ -34,6 +33,24 @@ def config(seeds, **overrides):
     defaults = dict(seeds=tuple(seeds), magic=MAGIC, max_inflight=8)
     defaults.update(overrides)
     return CrawlConfig(**defaults)
+
+
+class _OnePeer:
+    """Transport whose every ``connect`` gives ``peer``, or raises it when it is an
+    exception; its clock reads ``at`` and moves one second per connect."""
+
+    def __init__(self, peer, at=100):
+        self.peer = peer
+        self.at = at
+
+    def connect(self, endpoint, timeout):
+        self.at += 1
+        if isinstance(self.peer, Exception):
+            raise self.peer
+        return self.peer
+
+    def now(self):
+        return self.at
 
 
 # --- endpoint parsing ---------------------------------------------------------
@@ -430,22 +447,15 @@ def test_measure_min_rtt_no_pong():
 
 
 @pytest.mark.parametrize("refused", [True, False], ids=["connect-fails", "codec-error"])
-def test_probe_failure_is_inactive_stamped_before_connect_and_closes_only_what_opened(refused, monkeypatch):
-    ticks = iter(range(100, 200))
-    monkeypatch.setattr(crawler, "time", types.SimpleNamespace(time=lambda: next(ticks)))
+def test_probe_failure_is_inactive_stamped_before_connect_and_closes_only_what_opened(refused):
     conn = _ScriptedConnection(answer=False)
     conn._pending = wirecodec.encode_message("verack", b"", wirecodec.MAINNET_MAGIC)  # the wrong network
     closes = []
     conn.close = lambda: closes.append(1)
-
-    class Transport:
-        def connect(self, endpoint, timeout):
-            if refused:
-                raise ConnectError(f"{endpoint}: refused")
-            return conn
-
-    record, harvested = crawler.probe_peer(ep("10.0.0.1"), config([ep("10.0.0.1")]), Transport())
+    transport = _OnePeer(ConnectError("10.0.0.1:8333: refused") if refused else conn, at=100)
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), config([ep("10.0.0.1")]), transport)
     assert (record.status, record.first_seen, record.last_seen, harvested) == (STATUS_INACTIVE, 100, 100, [])
+    assert transport.now() == 101  # the clock moved at connect, after the stamp
     assert len(closes) == (0 if refused else 1)
 
 
@@ -500,14 +510,10 @@ class _PingingPeer(_ScriptedConnection):
 def test_probe_answers_peer_pings_in_every_phase():
     known = tuple(ep(f"10.2.0.{i}") for i in range(5))
     peer = _PingingPeer(known)
-
-    class OnePeer:
-        def connect(self, endpoint, timeout):
-            return peer
-
     cfg = config([ep("10.0.0.1")], ping_count=3)
-    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, _OnePeer(peer, at=100))
     assert record.status == STATUS_ACTIVE
+    assert record.first_seen == record.last_seen == 100  # an active record is stamped before connect too
     assert record.user_agent == "/pinger:0.1/"
     assert harvested == list(known)
     assert record.addr_count_returned == 5
@@ -560,13 +566,8 @@ def _version_of(user_agent):
 
 def test_probe_never_buffers_an_oversized_addr_payload():
     peer = _OversizedAddrPeer()
-
-    class OnePeer:
-        def connect(self, endpoint, timeout):
-            return peer
-
     cfg = config([ep("10.0.0.1")], ping_count=2)
-    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, _OnePeer(peer))
     assert record.status == STATUS_ACTIVE  # a failed getaddr leaves the peer active with no entries
     assert harvested == [] and record.addr_count_returned == 0
     assert max(peer.requested) <= 3 + 30 * wirecodec.MAX_ADDR_ENTRIES
@@ -651,13 +652,8 @@ class _MutePeer(_ScriptedConnection):
 @pytest.mark.parametrize("ping_count", [0, 1, CrawlConfig.ping_count])
 def test_probe_of_a_peer_that_goes_mute_ends_within_its_phase_deadlines(ping_count):
     peer = _MutePeer(answer=False)
-
-    class OnePeer:
-        def connect(self, endpoint, timeout):
-            return peer
-
     cfg = config([ep("10.0.0.1")], ping_count=ping_count)
-    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, _OnePeer(peer))
     assert record.status == STATUS_ACTIVE and record.min_rtt_ms is None
     assert harvested == [] and record.addr_count_returned == 0
     # the handshake, each ping and the getaddr wait at most one timeout each
@@ -681,13 +677,8 @@ class _ChattyPeer(_PingingPeer):
 def test_harvest_skips_frames_that_arrive_ahead_of_the_addr(chatter):
     known = tuple(ep(f"10.3.0.{i}") for i in range(4))
     peer = _ChattyPeer(known, chatter)
-
-    class OnePeer:
-        def connect(self, endpoint, timeout):
-            return peer
-
     cfg = config([ep("10.0.0.1")], ping_count=1)
-    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, OnePeer())
+    record, harvested = crawler.probe_peer(ep("10.0.0.1"), cfg, _OnePeer(peer))
     assert record.status == STATUS_ACTIVE
     assert harvested == list(known)
     assert record.addr_count_returned == 4
@@ -698,6 +689,8 @@ def test_probe_keeps_min_rtt_absent_when_pings_ignored():
     network = simnet.build_network(topology([profile]))
 
     class NoPongNetwork:
+        now = network.now
+
         def connect(self, endpoint, timeout):
             conn = network.connect(endpoint, timeout)
             original = conn.send
@@ -720,6 +713,8 @@ def sends_fail_from(network, command):
     on the first send of ``command`` and on every send after it."""
 
     class FailingSends:
+        now = network.now
+
         def connect(self, endpoint, timeout):
             conn = network.connect(endpoint, timeout)
             original = conn.send
@@ -785,17 +780,18 @@ def test_crawl_with_all_seeds_unreachable():
     assert snapshot.active_count == 0
 
 
-def test_crawl_is_deterministic_modulo_timestamps():
-    topo = simnet.random_topology(60, rng_seed=4, unreachable_fraction=0.2)
+def test_simnet_crawls_of_one_topology_give_equal_snapshots_stamped_on_its_clock():
+    topo = simnet.random_topology(60, rng_seed=4, unreachable_fraction=0.2, silent_fraction=0.1)
 
     def run():
-        snapshot = crawler.crawl(config(topo.seed_ids), simnet.build_network(topo))
-        return {
-            str(r.address): (r.status, r.services, r.protocol_version, r.start_height, r.min_rtt_ms)
-            for r in snapshot.records.values()
-        }
+        network = simnet.build_network(topo)
+        snapshot = crawler.crawl(config(topo.seed_ids), network)
+        assert (snapshot.started_at, snapshot.finished_at) == (simnet.BASE_TIME, int(network.now()))
+        return snapshot
 
-    assert run() == run()
+    first = run()
+    assert first == run()  # every field, the stamps included
+    assert first.finished_at > first.started_at  # silent peers cost their handshake timeouts
 
 
 def test_simnet_crawl_starts_no_thread_pool(monkeypatch):

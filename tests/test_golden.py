@@ -7,9 +7,9 @@ one of these bytes on purpose updates the pin and says why.  One subprocess
 run under a fixed ``PYTHONHASHSEED`` checks that the bytes do not depend on
 the hash seed of the process.
 
-``sim`` and ``crawl --simnet`` stamp snapshots with the wall clock, so their
-outputs are pinned with the clock fields stripped (the pattern of the
-benchmark's ``_CLOCK_FIELDS``) and ``sim``'s stdout without its run time.
+``sim`` and ``crawl --simnet`` stamp snapshots on the simulated network's
+virtual clock, so their outputs are pinned whole, clock fields included, as
+is a ``crawl --simnet --repeat`` series read back by ``timeline`` and ``bni``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,13 +101,13 @@ def make_inputs(workdir: Path) -> None:
     inputs.make_ledger(random.Random("golden:ledger"), LEDGER_TXS, workdir)
 
 
-def run_commands(workdir: Path, capsys) -> dict[str, str]:
-    """Run every command of COMMANDS in ``workdir``; the digest of each output by ``command:file``."""
+def run_commands(workdir: Path, capsys, commands=COMMANDS) -> dict[str, str]:
+    """Run every command of ``commands`` in ``workdir``; the digest of each output by ``command:file``."""
     digests = {}
     previous = os.getcwd()
     os.chdir(workdir)
     try:
-        for name, (argv, files) in COMMANDS.items():
+        for name, (argv, files) in commands.items():
             capsys.readouterr()
             if cli.main(argv) != 0:
                 raise RuntimeError(f"chainobs {name} failed")
@@ -139,42 +138,76 @@ def test_bni_output_does_not_depend_on_the_hash_seed(workdir, tmp_path):
     assert _sha256((tmp_path / file).read_bytes()) == GOLDEN[f"bni:{file}"]
 
 
-# the clock fields of bench/workloads.py's _CLOCK_FIELDS, and sim's "in X.XXs"
-CLOCK_FIELDS = re.compile(r" ?\b(?:started_at|finished_at|first_seen|last_seen):\d+")
-RUN_TIME = re.compile(r" in \d+\.\d+s")
-
 CRAWL_COMMANDS = {
-    "sim": ["sim", "--topology", "net.topo", "--out", "sim.snap.ndrec"],
+    "sim": (["sim", "--topology", "net.topo", "--out", "sim.snap.ndrec"], ["sim.snap.ndrec"]),
     # a short handshake timeout leaves the slow peers inactive
-    "crawl": [
-        "crawl", "--simnet", "net.topo", "--seeds", "seeds.txt", "--out", "crawl.snap.ndrec",
-        "--handshake-timeout-ms", "200", "--ping-count", "2",
-    ],
+    "crawl": (
+        [
+            "crawl", "--simnet", "net.topo", "--seeds", "seeds.txt", "--out", "crawl.snap.ndrec",
+            "--handshake-timeout-ms", "200", "--ping-count", "2",
+        ],
+        ["crawl.snap.ndrec"],
+    ),
 }
 
-# stdout pinned on the commit before simnet crawls left the thread pool; the snapshots
-# on the one that made every probe send one getaddr (their config digest lost a field)
+# pinned on the commit that stamped simnet crawls with the network's virtual clock, where they
+# equalled the earlier pins with the clock fields stripped; crawl:stdout is the earlier pin
 CRAWL_GOLDEN = {
-    "sim:stdout": "2304b78b5fa11e2f4b6f031331657557fc4f80783bd38ca543af71d951905785",
-    "sim:sim.snap.ndrec": "bd04ab5566a3ad5ffb034caaf5364996b00d0d1a1de77598b2b750f6c8eddd1a",
+    "sim:stdout": "721a38d2d4c8148743f33e69d584f3a87997d035dd7ce0831aafa681c865f1a4",
+    "sim:sim.snap.ndrec": "b8042a4c9ebd8bb9505c66f441ddd90b4edc26f2c7b0f9bdc6490686eea1cf1d",
     "crawl:stdout": "5a6f65e97af98df71805d4dfaca54a904df2e0b00fc2e9b8d1ef08f53bc9033d",
-    "crawl:crawl.snap.ndrec": "3f89e30f8b37132a85658a43db8033afd21ccceb18859da6fe296776d1739da7",
+    "crawl:crawl.snap.ndrec": "68b056304148d35fd3609e4fed5815c4b5dc1d0d0ab782a441c02184566b30f6",
+}
+
+# four crawls 10 minutes apart on the network's clock, from its start at BASE_TIME
+SERIES_FILES = [f"series/20170714T{hhmm}00Z.snap.ndrec" for hhmm in ("0240", "0250", "0300", "0310")]
+SERIES_COMMANDS = {
+    "crawl": (
+        [
+            "crawl", "--simnet", "net.topo", "--seeds", "seeds.txt", "--out", "series",
+            "--repeat", "10", "--repeat-count", "4",
+        ],
+        SERIES_FILES,
+    ),
+    "timeline": (
+        ["timeline", "--snapshots", "series", "--out", "timeline.csv", "--size-series-out", "sizes.csv"],
+        ["timeline.csv", "sizes.csv"],
+    ),
+    "bni": (["bni", "--snapshots", "series", "--out", "bni.csv", "--table", "prefixes.csv"], ["bni.csv"]),
+}
+
+# pinned on the commit that stamped simnet crawls with the network's virtual clock; the first
+# crawl of the series writes the bytes of "sim:sim.snap.ndrec"
+SERIES_GOLDEN = {
+    "crawl:stdout": "fb6d7b85b69b01833c15904f6ce3454a03aeca79b267e5d1912ab0a9ea4b95bc",
+    "crawl:series/20170714T024000Z.snap.ndrec": "b8042a4c9ebd8bb9505c66f441ddd90b4edc26f2c7b0f9bdc6490686eea1cf1d",
+    "crawl:series/20170714T025000Z.snap.ndrec": "2a3cd7cc3f48f48abaac6d197289ae74a67bc84fd44cdd9bb4a9ea87bcb5667f",
+    "crawl:series/20170714T030000Z.snap.ndrec": "474d931302c447d32159c4545091df51ee439ca1a6835f245a530b033301371c",
+    "crawl:series/20170714T031000Z.snap.ndrec": "2d4cc3066d9595fe86252a09905e459adc5079961e760ee031003d482131d848",
+    "timeline:stdout": "86a3a5ddcec8714d3789f7d932db862aff366cfda877edcb607b15a41460544b",
+    "timeline:timeline.csv": "6c12ef347d404c7dd6c00b04162ca30d799d3e8adce0bf6b733b5c3f590ff044",
+    "timeline:sizes.csv": "1d3e625b05a6dfb48d7d47756eb651857eb9203d22a6a08f4a4c17f9b740e799",
+    "bni:stdout": "c69de3ec9effe87f7e4fdf969d3d38ba537fab86e91a5f334540409f3b4a04dc",
+    "bni:bni.csv": "ae3650a2675166706049c12ff65b811ddb4b6882bacd2325909776c473591c2b",
 }
 
 
-def test_simnet_crawl_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def simnet_workdir(tmp_path):
+    """A seeded 200-peer topology, its seeds and a two-AS prefix table under ``tmp_path``."""
     topology = simnet.random_topology(
         200, rng_seed=14, unreachable_fraction=0.1, silent_fraction=0.05, slow_fraction=0.1,
         stale_fraction=0.05, empty_addr_fraction=0.05,
     )
     simnet.save_topology(topology, tmp_path / "net.topo")
     (tmp_path / "seeds.txt").write_text("".join(f"{seed}\n" for seed in topology.seed_ids))
-    monkeypatch.chdir(tmp_path)
-    digests = {}
-    for name, argv in CRAWL_COMMANDS.items():
-        capsys.readouterr()
-        assert cli.main(argv) == 0, name
-        digests[f"{name}:stdout"] = _sha256(RUN_TIME.sub("", capsys.readouterr().out).encode())
-        out = argv[argv.index("--out") + 1]
-        digests[f"{name}:{out}"] = _sha256(CLOCK_FIELDS.sub("", Path(out).read_text(encoding="utf-8")).encode())
-    assert digests == CRAWL_GOLDEN
+    (tmp_path / "prefixes.csv").write_text("10.0.0.0/25,DE,64500,Alpha\n10.0.0.128/25,US,64501,Beta\n")
+    return tmp_path
+
+
+def test_simnet_crawl_outputs_match_their_pins(simnet_workdir, capsys):
+    assert run_commands(simnet_workdir, capsys, CRAWL_COMMANDS) == CRAWL_GOLDEN
+
+
+def test_a_repeated_simnet_crawl_and_its_census_match_their_pins(simnet_workdir, capsys):
+    assert run_commands(simnet_workdir, capsys, SERIES_COMMANDS) == SERIES_GOLDEN

@@ -203,6 +203,26 @@ def connected_peer():
     return network.connect(profile.address, timeout=1.0)
 
 
+def test_network_clock_moves_only_by_closed_connections_and_sleeps():
+    profile = SimPeerProfile(ep("10.0.0.1"), rtt_ms=20.0)
+    network = simnet.build_network(topology([profile, SimPeerProfile(ep("10.0.0.2"), behavior="unreachable")]))
+    assert network.now() == simnet.BASE_TIME
+    conn = network.connect(profile.address, timeout=1.0)
+    handshake(conn)
+    with pytest.raises(RecvTimeoutError):
+        conn.recv_exact(1, deadline=3.0)  # nothing more is coming: the read waits to its deadline
+    assert conn.clock() == 3.0
+    assert network.now() == simnet.BASE_TIME  # an open connection's time is not yet spent
+    conn.close()
+    conn.close()
+    assert network.now() == simnet.BASE_TIME + 3.0  # counted once
+    with pytest.raises(ConnectError):
+        network.connect(ep("10.0.0.2"), timeout=1.0)
+    network.sleep(600.0)
+    assert network.now() == simnet.BASE_TIME + 603.0
+    assert network.connect(profile.address, timeout=1.0).clock() == 0.0  # each connection's clock starts at 0
+
+
 def test_frame_fed_one_byte_per_send_is_answered_once_complete():
     conn = connected_peer()
     handshake(conn)
@@ -407,6 +427,7 @@ class _RecordingNetwork:
 
     def __init__(self, network):
         self.network = network
+        self.now = network.now
         self.received: dict[Endpoint, bytearray] = {}
 
     def connect(self, endpoint, timeout):
