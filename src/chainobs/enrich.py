@@ -17,11 +17,12 @@ from __future__ import annotations
 import csv
 import ipaddress
 import logging
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Iterable
 
-from .transport import _content_lines, _read_text
+from .transport import _content_lines, _lines
 from .wirecodec import V4_MAPPED_PREFIX, bytes16_to_ip, canonical_ip, ip_to_bytes16
 
 if TYPE_CHECKING:
@@ -107,22 +108,23 @@ class IpMetadataTable:
     def from_csv(cls, *paths: str | Path) -> "IpMetadataTable":
         table = cls()
         for path in paths:
-            # fed one line at a time, csv numbers lines as _content_lines does
-            lines = _read_text(path).split("\n")
-            rows = csv.reader(lines)
-            try:
-                for row in rows:
-                    if not row or row[0].lstrip().startswith("#"):
-                        continue
-                    prefix, country, asn, org = (field.strip() for field in row[:4])
-                    table.add(prefix, country, int(asn), org)
-            except csv.Error as exc:
-                # csv's own text for a lone \r asks the caller to open the file another way
-                lone_cr = "\r" in lines[rows.line_num - 1].rstrip("\r")
-                reason = "carriage return inside a row" if lone_cr else exc
-                raise ValueError(f"{path}: line {rows.line_num}: {reason}") from exc
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
+            # fed one line at a time, csv numbers lines as _lines does
+            with closing(_lines(path)) as lines:
+                rows = csv.reader(text for _, text in lines)
+                try:
+                    for row in rows:
+                        if not row or row[0].lstrip().startswith("#"):
+                            continue
+                        try:
+                            prefix, country, asn, org = (field.strip() for field in row[:4])
+                            table.add(prefix, country, int(asn), org)
+                        except ValueError as exc:
+                            raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
+                except csv.Error as exc:
+                    # csv's own text for a lone \r asks the caller to open the file another way
+                    line = next(text for lineno, text in _lines(path) if lineno == rows.line_num)
+                    reason = "carriage return inside a row" if "\r" in line.rstrip("\r") else exc
+                    raise ValueError(f"{path}: line {rows.line_num}: {reason}") from exc
         return table
 
     def __len__(self) -> int:

@@ -23,9 +23,9 @@ Ledger input format: one transaction per line of whitespace-separated
 columns ``txid height timestamp coinbase_flag script_hex inputs outputs``
 where inputs/outputs are ``addr:value`` pairs joined by ``;`` and ``-``
 stands for an empty column; height, timestamp and values are non-negative
-decimal integers, and coinbase_flag is ``0`` or ``1``.  Input entries carry
-resolved previous-output addresses and values; no UTXO resolution happens
-here.
+decimal integers, and coinbase_flag is ``0`` or ``1``.  Inputs carry their
+resolved previous-output addresses and values.  ``#`` starts a comment, and
+the first bad line is reported, whatever its fault (``transport._lines``).
 
 A read parses each address once: every entry of one :func:`read_ledger`
 call with the same address text holds the same ``str`` object, so the dict
@@ -40,6 +40,7 @@ import logging
 import re
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -48,7 +49,7 @@ from operator import index, itemgetter, mul
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .transport import _naming_file, _read_text, _write_text
+from .transport import _content_lines, _lines, _naming_file, _write_text
 
 log = logging.getLogger(__name__)
 
@@ -422,12 +423,10 @@ class PoolTagMap:
         addresses: dict[str, str] = {}
         section = "tags"
         with _naming_file(path, LedgerFormatError):
-            for lineno, raw in enumerate(_read_text(path, LedgerFormatError).split("\n"), start=1):
+            for lineno, raw in _lines(path, LedgerFormatError):
                 line = raw.split("#", 1)[0].rstrip()
-                if not line.strip():
-                    continue
-                if line.strip() in ("[tags]", "[addresses]"):
-                    section = line.strip()[1:-1]
+                if line.strip() in ("", "[tags]", "[addresses]"):
+                    section = line.strip()[1:-1] or section
                     continue
                 key, sep, pool = line.partition("\t")
                 if not sep or not key or not pool.strip():
@@ -529,19 +528,15 @@ def write_ledger(txs: Iterable[LedgerTx], path: str | Path) -> None:
 
 
 def read_ledger(path: str | Path) -> list[LedgerTx]:
-    with _naming_file(path, LedgerFormatError):
-        return _parse_ledger(_read_text(path, LedgerFormatError))
+    with _naming_file(path, LedgerFormatError), closing(_content_lines(path, LedgerFormatError)) as lines:
+        return _parse_ledger(lines)
 
 
-def _parse_ledger(text: str) -> list[LedgerTx]:
+def _parse_ledger(lines: Iterable[tuple[int, str]]) -> list[LedgerTx]:
     txs = []
     names: dict[str, str] = {}  # each address text is parsed once per read
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
+    for lineno, line in lines:
         fields = line.split()
-        if not fields:
-            continue
         if len(fields) != 7:
             raise LedgerFormatError(lineno, f"expected 7 columns, got {len(fields)}")
         height, timestamp, flag = fields[1], fields[2], fields[3]
@@ -564,8 +559,6 @@ def _parse_ledger(text: str) -> list[LedgerTx]:
                     script,
                 )
             )
-        except LedgerFormatError:
-            raise
-        except ValueError as exc:
+        except ValueError as exc:  # a LedgerFormatError is not one
             raise LedgerFormatError(lineno, str(exc)) from exc
     return txs

@@ -13,7 +13,7 @@ Unknown keys are ignored on read, which is the forward-compatibility hook
 the enrichment step uses to append country/AS columns without breaking older
 readers.  A record holds each key at most once; a repeated key makes the
 record corrupt, as do bytes that are not UTF-8 and a port outside 0-65535,
-and the error names the file and the line.  A snapshot holds each endpoint
+and the error names the file and its first bad line.  A snapshot holds each endpoint
 once: a second record for it, in any spelling of the address, is corrupt
 and names the line of the first.  In the header, ``partial`` is ``0`` or
 ``1`` and ``seed_count`` equals the number of seeds; either key may be
@@ -54,14 +54,15 @@ on read.
 from __future__ import annotations
 
 import re
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 from urllib.parse import quote, unquote
 
 from .crawler import PeerRecord, Snapshot, STATUS_ACTIVE, STATUS_INACTIVE
 from .enrich import classify_network
-from .transport import Endpoint, _int, _naming_file, _port, _read_text, _write_text
+from .transport import Endpoint, _int, _lines, _naming_file, _port, _write_text
 
 SCHEMA_VERSION = 1
 SNAPSHOT_SUFFIX = ".snap.ndrec"
@@ -297,18 +298,16 @@ def _parse_written_record(line: str, lineno: int, table: _SeriesTable) -> PeerRe
 
 def read_snapshot(path: str | Path, *, _table: _SeriesTable | None = None) -> Snapshot:
     # _table: what load_series shares across its files
-    table = _SeriesTable() if _table is None else _table
     # a series holds dozens of files: the message names the bad one
-    with _naming_file(path, SnapshotStoreError):
-        return _parse_snapshot(_read_text(path, CorruptRecordError), table)
+    with _naming_file(path, SnapshotStoreError), closing(_lines(path, CorruptRecordError)) as lines:
+        return _parse_snapshot(lines, _SeriesTable() if _table is None else _table)
 
 
-def _parse_snapshot(text: str, table: _SeriesTable) -> Snapshot:
+def _parse_snapshot(lines: Iterable[tuple[int, str]], table: _SeriesTable) -> Snapshot:
     header: dict[str, str] | None = None
     records: dict[Endpoint, PeerRecord] = {}
-    # a written value never holds a raw \r, so \r\n can only be a CRLF line end
-    lines = text.replace("\r\n", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    record_lines: list[int] = []  # the line of each record, in the order of records
+    for lineno, line in lines:
         record = None if header is None else _parse_written_record(line, lineno, table)
         if record is None:
             if not line.strip():
@@ -324,10 +323,9 @@ def _parse_snapshot(text: str, table: _SeriesTable) -> Snapshot:
                 continue
             record = _parse_record(fields, lineno, table.endpoints)
         if records.setdefault(record.address, record) is not record:
-            # every non-blank line after the header is a record, in the order of records
-            numbered = [n for n, other in enumerate(lines, start=1) if other.strip()]
-            first = numbered[1 + list(records).index(record.address)]
+            first = record_lines[list(records).index(record.address)]
             raise CorruptRecordError(lineno, f"{record.address} repeats line {first}")
+        record_lines.append(lineno)
     if header is None:
         raise CorruptRecordError(1, "empty snapshot file")
     return _snapshot(header, header_line, records)

@@ -13,11 +13,11 @@ crawl is stamped and waits on: wall time over TCP, virtual time on the simnet.
 Endpoints are keyed by canonical IP text (see :class:`Endpoint`) and a port
 in 0-65535, written in ASCII digits.  An endpoint is a named tuple: it
 iterates as ``ip, port`` and equals the plain tuple of the two.  Every
-reader of an input file decodes it here, so a byte that is not UTF-8 is
-reported with the file and the line, and a line ends only at a newline
-byte, as in ``grep -n``.  Every output file is written here too, through a
-temporary file renamed over the target, so a failed write never leaves a
-half-written file.
+reader of an input file streams it from here as numbered lines, so a line
+ends only at a newline byte, as in ``grep -n``, and the first bad line is
+reported with the file, whatever its fault, a byte that is not UTF-8 too.
+Every output file is written here, through a temporary file renamed over the
+target, so a failed write never leaves a half-written file.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Callable, Iterator, NamedTuple, Protocol
 from .wirecodec import DEFAULT_PORT, canonical_ip
 
 MAX_PORT = 0xFFFF
+_LineError = Callable[[int, str], Exception]  # (line number, reason) -> the error to raise
 
 
 class TransportError(Exception):
@@ -115,17 +116,24 @@ def _int(text: str, name: str) -> int:
     return int(text)
 
 
-def _read_text(path: str | Path, error: Callable[[int, str], Exception] | None = None) -> str:
-    """Decode a UTF-8 file.  A byte that is not UTF-8 raises ``error(line, "not UTF-8")``,
-    or without ``error`` a ValueError naming the file and the line."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        if error is not None:
-            raise error(lineno, "not UTF-8") from exc
-        raise ValueError(f"{path}: line {lineno}: not UTF-8") from exc
+def _lines(path: str | Path, error: _LineError | None = None) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` for each line of a UTF-8 file.  A line ends at a newline byte,
+    dropped with a carriage return just before it.  A line that is not UTF-8 raises ``error(line,
+    "not UTF-8")``, or a ValueError naming the file and the line, once every earlier line is out."""
+    error = error or (lambda lineno, reason: ValueError(f"{path}: line {lineno}: {reason}"))
+    with Path(path).open("rb") as handle:
+        lineno = 0
+        # 64 KiB of whole lines at a time: a decode and a split per block cost far less than per line
+        while block := handle.read(1 << 16) + handle.readline():
+            try:
+                text, bad = block.decode("utf-8"), None
+            except UnicodeDecodeError as exc:  # keep the lines before the bad one
+                text, bad = block[: block.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), exc
+            pieces = text.replace("\r\n", "\n").removesuffix("\n").split("\n") if text else []
+            yield from enumerate(pieces, start=lineno + 1)
+            lineno += len(pieces)
+            if bad is not None:
+                raise error(lineno + 1, "not UTF-8") from bad
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -163,10 +171,9 @@ def _naming_file(path: str | Path, errors: type[Exception]) -> Iterator[None]:
         raise
 
 
-def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, text)`` for each line of a UTF-8 file that holds
-    more than a ``#`` comment; the text has its comment and outer space removed."""
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+def _content_lines(path: str | Path, error: _LineError | None = None) -> Iterator[tuple[int, str]]:
+    """The :func:`_lines` that hold more than a ``#`` comment, stripped of it and outer space."""
+    for lineno, raw in _lines(path, error):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

@@ -16,6 +16,15 @@ from chainobs.transport import Endpoint
 BASE_TS = 1_600_000_000
 
 
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The ``(line number, text)`` pairs that ``transport._lines`` yields for a file holding
+    ``text`` (without a carriage return): no pair for the empty piece after a final newline."""
+    pieces = text.split("\n")
+    if pieces[-1] == "":
+        pieces.pop()
+    return list(enumerate(pieces, start=1))
+
+
 def make_record(
     ip: str,
     port: int = 8333,

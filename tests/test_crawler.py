@@ -295,7 +295,7 @@ def test_seed_file_empty_rejected(tmp_path):
         (b"10.0.0.1\n10.0.0.2:99999\n", 2),
         (b"10.0.0.1\n\n[2001:db8::1\n", 3),
         (b"\xff\n", 1),
-        (b"10.0.0.1\x0c10.0.0.2\n\xff\n", 2),  # a line ends at \n only, as in grep -n
+        (b"# a\x0cb\n\xff\n", 2),  # a line ends at \n only, as in grep -n
     ],
     ids=["port-range", "bracket", "not-utf8", "form-feed"],
 )

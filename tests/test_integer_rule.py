@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from chainobs import ledger, simnet, snapshotstore
 from chainobs.transport import Endpoint
+from helpers import numbered_lines
 
 UNSIGNED = re.compile(r"[0-9]+", re.ASCII)  # ledger heights, timestamps and values; ports
 SIGNED = re.compile(r"-?[0-9]+", re.ASCII)  # snapshot and topology integers
@@ -35,11 +36,11 @@ def _value(read, token):
 
 
 def _ledger_height(token):
-    return ledger._parse_ledger(f"cb1 {token} 1600 1 - - addr1:5\n")[0].height
+    return ledger._parse_ledger(numbered_lines(f"cb1 {token} 1600 1 - - addr1:5\n"))[0].height
 
 
 def _ledger_value(token):
-    return ledger._parse_ledger(f"cb1 0 1600 1 - - addr1:{token}\n")[0].outputs[0][1]
+    return ledger._parse_ledger(numbered_lines(f"cb1 0 1600 1 - - addr1:{token}\n"))[0].outputs[0][1]
 
 
 _HEADER = "schema:1 kind:header started_at:1600000000 finished_at:1600000060 seed_count:0 seeds: config:cafe partial:0"
@@ -60,7 +61,7 @@ _RECORD_ATTRIBUTES = {  # record key -> PeerRecord field
 
 
 def _snapshot(text):
-    return snapshotstore._parse_snapshot(text, snapshotstore._SeriesTable())
+    return snapshotstore._parse_snapshot(numbered_lines(text), snapshotstore._SeriesTable())
 
 
 def _record_field(key, general):

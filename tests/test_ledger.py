@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from chainobs import ledger
 from chainobs.ledger import COIN, CoinJoinParams, LedgerTx, PoolTagMap
-from chainobs.transport import _naming_file, _read_text
-from helpers import BASE_TS, components_oracle, concentrated_ledger, cospend_txs, zero_fee_ledger
+from chainobs.transport import _naming_file
+from helpers import BASE_TS, components_oracle, concentrated_ledger, cospend_txs, numbered_lines, zero_fee_ledger
 
 
 def tx(txid, inputs, outputs, *, coinbase=False, ts=BASE_TS, height=0, script=b""):
@@ -845,12 +845,12 @@ def test_entry_values_accept_plain_decimal_digits():
 )
 def test_height_timestamp_and_coinbase_flag_columns_are_checked(line):
     with pytest.raises(ledger.LedgerFormatError) as err:
-        ledger._parse_ledger(f"cb 0 0 1 - - a:5;b:5\n{line}\n")
+        ledger._parse_ledger(numbered_lines(f"cb 0 0 1 - - a:5;b:5\n{line}\n"))
     assert err.value.line_number == 2
 
 
 def test_height_timestamp_and_coinbase_flag_columns_accept_decimals_and_0_or_1():
-    txs = ledger._parse_ledger("cb 0 1600 1 00ff - a:5;b:5\nt1 007 01601 0 - a:5;b:5 c:10\n")
+    txs = ledger._parse_ledger(numbered_lines("cb 0 1600 1 00ff - a:5;b:5\nt1 007 01601 0 - a:5;b:5 c:10\n"))
     assert [(t.height, t.timestamp, t.is_coinbase, t.coinbase_script) for t in txs] == [
         (0, 1600, True, b"\x00\xff"),
         (7, 1601, False, b""),
@@ -923,10 +923,11 @@ def _reference_parse_entries(column, lineno):
     return tuple(entries)
 
 
-def _reference_parse_ledger(text):
-    """The reader as it was before addresses were shared, building the dataclass."""
+def _reference_parse_ledger(lines):
+    """The reader as it was before addresses were shared, building the dataclass, over
+    ``(line number, text)`` pairs."""
     txs = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in lines:
         if "#" in line:
             line = line.split("#", 1)[0]
         fields = line.split()
@@ -973,9 +974,18 @@ def _outcome(read, path):
         return exc.line_number, str(exc)
 
 
+def _reference_lines(path):
+    """Each piece of the file between newline bytes, decoded on its own when its turn comes."""
+    for lineno, piece in enumerate(path.read_bytes().split(b"\n"), start=1):
+        try:
+            yield lineno, piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ledger.LedgerFormatError(lineno, "not UTF-8") from exc
+
+
 def _read_with_reference(path):
     with _naming_file(path, ledger.LedgerFormatError):
-        return _reference_parse_ledger(_read_text(path, ledger.LedgerFormatError))
+        return _reference_parse_ledger(_reference_lines(path))
 
 
 def _assert_reads_like_the_reference(path, data):
