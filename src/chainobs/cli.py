@@ -18,8 +18,6 @@ import logging
 import os
 import sys
 import typing
-from collections import Counter
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import crawler, enrich, ledger, metrics, simnet, snapshotstore, wirecodec
@@ -121,14 +119,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     for crawls in itertools.count(1):
         snapshot = crawler.crawl(config, transport)
         t0 = snapshot.started_at if crawls == 1 else t0
-        path = args.out
-        if args.repeat is not None:
-            stamp = datetime.fromtimestamp(snapshot.started_at, tz=timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-            path = out_dir / f"{stamp}{snapshotstore.SNAPSHOT_SUFFIX}"
-            suffix = 0
-            while path.exists():  # same-second crawls: _0001, _0002, ... sort after the stamp, in crawl order
-                suffix += 1
-                path = out_dir / f"{stamp}_{suffix:04d}{snapshotstore.SNAPSHOT_SUFFIX}"
+        path = args.out if args.repeat is None else snapshotstore.series_path(out_dir, snapshot.started_at)
         snapshotstore.write_snapshot(snapshot, path)
         print(f"{path}: {snapshot.active_count} active / {snapshot.total_count} discovered")
         if args.repeat is None or crawls == args.repeat_count:
@@ -256,11 +247,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     txs = ledger.read_ledger(args.ledger)
     partition = ledger.build_partition(txs, _coinjoin_params(args))
     balances = ledger.entity_balances(txs, partition)
-    sizes = Counter(partition.stable_ids().values())
-    rows = [
-        [entity, sizes[entity], balances[entity]]
-        for entity in sorted(balances, key=lambda e: (-balances[e], e))
-    ]
+    holders = ledger.top_holders(balances, partition, max(1, len(balances)))
+    rows = [[row.entity, row.address_count, row.balance] for row in holders]
     _write_csv(args.out, ["entity", "addresses", "balance_sat"], rows)
     nonzero = sum(1 for b in balances.values() if b > 0)
     print(f"{args.out}: {len(balances)} entities ({nonzero} with nonzero balance)")

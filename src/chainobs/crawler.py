@@ -18,11 +18,11 @@ its command can carry (this pump alone enforces
 any other command may announce up to the 4 MiB frame limit, and the payload
 read is checked against the header's checksum by ``wirecodec.check_payload``.
 
-A crawl that probes one peer at a time keeps one table from each ``addr``
-entry's 18 wire bytes of IP and port to its :class:`Endpoint`, so an endpoint
-gossiped by many peers is built once; the table stops growing before it could
-pass ``max_frontier`` entries.  Each probe of the thread pool keeps its own:
-a shared cap would need a lock, and a TCP crawl waits on the network.
+Every crawl hands all its probes one table from each ``addr`` entry's 18 wire
+bytes of IP and port to its :class:`Endpoint`, so an endpoint gossiped by many
+peers is built once; a new one is stored only below ``max_frontier`` entries.
+The thread pool shares it without a lock, as CPython's dict ``get``, ``len`` and
+item assignment are atomic: racing probes pass the cap by < ``max_inflight``.
 
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  From ``connect`` on, a
@@ -166,8 +166,8 @@ def bootstrap_seeds(
 
     A path (or path string) naming an existing file is read as one
     ``ip[:port]`` per line with ``#`` comments.  Any other string or path is
-    comma-separated DNS names, any other sequence is DNS names, and blank
-    names are skipped; every A/AAAA record of a name is a seed on the default port.
+    comma-separated DNS names, any other sequence is DNS names; names are stripped, blank
+    ones skipped, and every A/AAAA record of a name is a seed on the default port.
     """
     resolver = resolver or _default_resolver
     endpoints: dict[Endpoint, None] = {}  # insertion-ordered set: first-seen order
@@ -179,13 +179,13 @@ def bootstrap_seeds(
                 raise ValueError(f"{source}: line {lineno}: {exc}") from exc
     else:
         names = str(source).split(",") if isinstance(source, (str, Path)) else source
-        names = [name for name in names if name.strip()]
+        names = [name for name in map(str.strip, names) if name]
         if not names:
             raise EmptySeedSetError("no seed names given")
         failures = 0
         for name in names:
             try:
-                resolved = resolver(str(name))
+                resolved = resolver(name)
             except OSError as exc:
                 log.warning("seed %s did not resolve: %s", name, exc)
                 failures += 1
@@ -290,13 +290,13 @@ def _harvest(
     except (TransportError, wirecodec.CodecError) as exc:
         log.debug("getaddr failed: %s", exc)
         return [], 0
-    if len(endpoints) > config.max_frontier - wirecodec.MAX_ADDR_ENTRIES:
-        endpoints = {}  # one more full message could take the table past max_frontier
     harvested: dict[Endpoint, None] = {}
     for key in keys:
         endpoint = endpoints.get(key)
         if endpoint is None:
-            endpoint = endpoints[key] = Endpoint(*wirecodec.decode_addr_key(key))
+            endpoint = Endpoint(*wirecodec.decode_addr_key(key))
+            if len(endpoints) < config.max_frontier:
+                endpoints[key] = endpoint
         harvested[endpoint] = None
     return list(harvested), len(keys)
 
@@ -369,17 +369,16 @@ def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
             visited.add(endpoint)
             frontier.append(endpoint)
 
+    endpoints: dict[bytes, Endpoint] = {}  # wire key -> Endpoint, shared by every probe
     if config.max_inflight == 1 or not isinstance(transport, TcpTransport):
-        endpoints: dict[bytes, Endpoint] = {}  # wire key -> Endpoint, shared by the probes
         while frontier:
-            endpoint = frontier.popleft()
-            absorb(*probe_peer(endpoint, config, transport, _endpoints=endpoints))
+            absorb(*probe_peer(frontier.popleft(), config, transport, _endpoints=endpoints))
     else:
         with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
             pending: set[Future] = set()
             while frontier or pending:
                 while frontier and len(pending) < config.max_inflight:
-                    pending.add(pool.submit(probe_peer, frontier.popleft(), config, transport))
+                    pending.add(pool.submit(probe_peer, frontier.popleft(), config, transport, _endpoints=endpoints))
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     absorb(*future.result())

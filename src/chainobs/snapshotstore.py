@@ -56,6 +56,7 @@ from __future__ import annotations
 import re
 from contextlib import closing
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
 from urllib.parse import quote, unquote
@@ -353,6 +354,17 @@ def _snapshot(header: Mapping[str, str], lineno: int, records: dict[Endpoint, Pe
         )
     except (ValueError, KeyError) as exc:
         raise CorruptRecordError(lineno, f"bad header: {exc}") from exc
+
+
+def series_path(directory: Path, started_at: int) -> Path:
+    """A free name in ``directory`` for a crawl started at ``started_at``: ``<UTC second>.snap.ndrec``,
+    or after crawls of that second ``<second>_0001.snap.ndrec``, ... (:func:`load_series` order)."""
+    stamp = datetime.fromtimestamp(started_at, tz=timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+    path, suffix = directory / f"{stamp}{SNAPSHOT_SUFFIX}", 0
+    while path.exists():
+        suffix += 1
+        path = directory / f"{stamp}_{suffix:04d}{SNAPSHOT_SUFFIX}"
+    return path
 
 
 def load_series(directory: str | Path) -> list[Snapshot]:

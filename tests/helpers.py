@@ -1,9 +1,13 @@
-"""Shared fixture builders: snapshots, timelines, synthetic ledgers and gossip."""
+"""Shared fixture builders: snapshots, timelines, synthetic ledgers, gossip and loopback wire peers."""
 
 from __future__ import annotations
 
 import random
+import socket
+import threading
+import time
 from collections import defaultdict, deque
+from contextlib import ExitStack, contextmanager
 
 from hypothesis import strategies as st
 
@@ -309,3 +313,89 @@ def addr_payload(records) -> bytes:
             for last_seen, services, ip, port in records
         ]
     )
+
+
+def version_payload(user_agent: str, services: int = 1, start_height: int = 1, nonce: int = 1):
+    """The ``version`` a test peer advertises: protocol 70015, null addresses, timestamp 0."""
+    return wirecodec.VersionPayload(
+        protocol_version=wirecodec.PROTOCOL_VERSION,
+        services=services,
+        timestamp=0,
+        receiver=wirecodec.NULL_ADDRESS,
+        sender=wirecodec.NULL_ADDRESS,
+        nonce=nonce,
+        user_agent=user_agent,
+        start_height=start_height,
+    )
+
+
+def wire_peer(version, gossip=(), version_delay: float = 0.0):
+    """A :func:`listener` handler that speaks the wire on mainnet magic until the prober hangs up.
+
+    It answers version with ``version`` and a verack, ``version_delay`` seconds late; each
+    ping with its pong; and getaddr with one addr entry per endpoint of ``gossip``, read at
+    the getaddr, so the list may be filled once the listeners are bound.
+    """
+    magic = wirecodec.MAINNET_MAGIC
+    handshake = wirecodec.encode_message("version", wirecodec.encode_version(version), magic)
+    handshake += wirecodec.encode_message("verack", b"", magic)
+
+    def handle(conn: socket.socket) -> None:
+        buffer = b""
+        while chunk := conn.recv(4096):
+            buffer += chunk
+            while frame := wirecodec.decode_message_prefix(buffer, magic):
+                command, payload, consumed = frame
+                buffer = buffer[consumed:]
+                if command == "version":
+                    time.sleep(version_delay)
+                    conn.sendall(handshake)
+                elif command == "ping":
+                    conn.sendall(wirecodec.encode_message("pong", payload, magic))
+                elif command == "getaddr":
+                    entries = [wirecodec.AddrEntry(0, 1, e.ip, e.port) for e in gossip]
+                    conn.sendall(wirecodec.encode_message("addr", wirecodec.encode_addr(entries), magic))
+
+    return handle
+
+
+@contextmanager
+def listener(*handlers):
+    """Loopback listener whose thread hands its n-th accepted connection to ``handlers[n]``;
+    yields its endpoint, then joins the thread and closes."""
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(len(handlers))
+    server.settimeout(5)
+
+    def serve():
+        for handler in handlers:
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(5)
+                handler(conn)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield Endpoint.make("127.0.0.1", server.getsockname()[1])
+    finally:
+        thread.join(timeout=10)
+        server.close()
+    assert not thread.is_alive()
+
+
+@contextmanager
+def loopback_network(peers: int, probes: int):
+    """Yield the endpoints of ``peers`` loopback wire peers, each serving ``probes`` connections
+    with its version 50 ms late and gossiping all the others."""
+    gossips = [[] for _ in range(peers)]
+    with ExitStack() as stack:
+        endpoints = []
+        for index, gossip in enumerate(gossips):
+            version = version_payload(f"/tcp-peer-{index}:0.1/", 5, 750_000 + index, nonce=index)
+            handler = wire_peer(version, gossip, version_delay=0.05)
+            endpoints.append(stack.enter_context(listener(*[handler] * probes)))
+        for index, gossip in enumerate(gossips):
+            gossip.extend(endpoints[:index] + endpoints[index + 1:])
+        yield endpoints

@@ -5,20 +5,20 @@ import csv
 import dataclasses
 import os
 import random
-import socket
 import subprocess
 import sys
-import threading
 import typing
 from pathlib import Path
 
 import pytest
 
-from chainobs import cli, crawler, ledger, metrics, simnet, snapshotstore, wirecodec
+from chainobs import cli, crawler, ledger, metrics, simnet, snapshotstore
 from chainobs.crawler import CrawlConfig
 from chainobs.ledger import COIN, DEFAULT_COINJOIN_PARAMS, LedgerTx
 from chainobs.transport import Endpoint
-from helpers import BASE_TS, concentrated_ledger, make_record, make_snapshot, zero_fee_ledger
+from helpers import (
+    BASE_TS, concentrated_ledger, listener, make_record, make_snapshot, version_payload, wire_peer, zero_fee_ledger
+)
 
 
 @pytest.fixture
@@ -64,53 +64,13 @@ def test_crawl_subcommand_writes_parseable_snapshot(tmp_path, topo_file, seeds_f
     assert snapshot.active_addresses() == simnet.reachable_set(topo)
 
 
-def _mainnet_peer(server):
-    """Serve one connection on mainnet magic: handshake, answer pings, gossip no addresses."""
-    magic = wirecodec.MAINNET_MAGIC
-    version = wirecodec.VersionPayload(
-        protocol_version=70015,
-        services=1,
-        timestamp=0,
-        receiver=wirecodec.NULL_ADDRESS,
-        sender=wirecodec.NULL_ADDRESS,
-        nonce=1,
-        user_agent="/loopback:0.1/",
-        start_height=1,
-    )
-    conn, _ = server.accept()
-    with conn:
-        conn.settimeout(5)
-        buffer = b""
-        while chunk := conn.recv(4096):
-            buffer += chunk
-            while frame := wirecodec.decode_message_prefix(buffer, magic):
-                command, payload, consumed = frame
-                buffer = buffer[consumed:]
-                replies = {
-                    "version": [("version", wirecodec.encode_version(version)), ("verack", b"")],
-                    "ping": [("pong", payload)],
-                    "getaddr": [("addr", wirecodec.encode_addr([]))],
-                }.get(command, [])
-                conn.sendall(b"".join(wirecodec.encode_message(c, p, magic) for c, p in replies))
-
-
-def test_crawl_without_simnet_probes_real_sockets(tmp_path, capsys):
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    server.settimeout(5)
-    thread = threading.Thread(target=_mainnet_peer, args=(server,), daemon=True)
-    thread.start()
-    peer = Endpoint.make("127.0.0.1", server.getsockname()[1])
+@pytest.mark.parametrize("max_inflight", ["1", "4"])
+def test_crawl_without_simnet_probes_real_sockets(tmp_path, capsys, max_inflight):
     seeds = tmp_path / "seeds.txt"
-    seeds.write_text(f"{peer}\n")  # a bare --seeds host:port would be read as a DNS name
     out = tmp_path / f"tcp{snapshotstore.SNAPSHOT_SUFFIX}"
-    try:
-        assert cli.main(["crawl", "--seeds", str(seeds), "--out", str(out), "--max-inflight", "1"]) == 0
-    finally:
-        thread.join(timeout=10)
-        server.close()
-    assert not thread.is_alive()
+    with listener(wire_peer(version_payload("/loopback:0.1/"))) as peer:
+        seeds.write_text(f"{peer}\n")  # a bare --seeds host:port would be read as a DNS name
+        assert cli.main(["crawl", "--seeds", str(seeds), "--out", str(out), "--max-inflight", max_inflight]) == 0
     snapshot = snapshotstore.read_snapshot(out)
     assert list(snapshot.records) == [peer] and snapshot.active_addresses() == {peer}
     assert snapshot.records[peer].user_agent == "/loopback:0.1/"
@@ -490,6 +450,11 @@ def test_bni_rejects_an_alpha_or_tau_out_of_range_before_reading(tmp_path, monke
     assert err.value.code == 1
     assert f"error: argument {flag}: {reason}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["1", "0.25", "1e-3"])
+def test_bni_accepts_an_alpha_in_range(value):
+    assert _parsed(["bni", "--snapshots", "s", "--out", "o", "--alpha", value])[0].alpha == float(value)
 
 
 def test_report_reads_the_tag_map_before_writing_anything(tmp_path, capsys):

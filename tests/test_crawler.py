@@ -4,9 +4,10 @@ import ast
 import dataclasses
 import socket
 import struct
+import sys
 import threading
 import time
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from chainobs import crawler, simnet, snapshotstore, wirecodec
 from chainobs.crawler import CrawlConfig, STATUS_ACTIVE, STATUS_INACTIVE
 from chainobs.simnet import SimPeerProfile, SimTopology
 from chainobs.transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, TcpTransport
-from helpers import addr_payload, addr_records, make_record, make_snapshot
+from helpers import (
+    addr_payload, addr_records, listener, loopback_network, make_record, make_snapshot, version_payload, wire_peer
+)
 
 MAGIC = wirecodec.SIMNET_MAGIC
 
@@ -324,14 +327,15 @@ def test_seed_dns_resolution_collects_all_records():
     assert endpoints == [ep("10.0.0.1"), ep("2001:db8::1"), ep("10.0.0.3")]
 
 
-def test_seed_name_list_skips_blank_names():
+@pytest.mark.parametrize("names", ["a.example, ,b.example", "a.example, b.example"])
+def test_seed_name_list_skips_blank_names(names):
     resolved = []
 
     def resolver(name):
         resolved.append(name)
         return [f"10.0.0.{len(resolved)}"]
 
-    endpoints = crawler.bootstrap_seeds("a.example, ,b.example", resolver=resolver)
+    endpoints = crawler.bootstrap_seeds(names, resolver=resolver)
     assert resolved == ["a.example", "b.example"]
     assert endpoints == [ep("10.0.0.1"), ep("10.0.0.2")]
 
@@ -483,16 +487,7 @@ class _PingingPeer(_ScriptedConnection):
     def send(self, data):
         command, payload = wirecodec.decode_message(data, MAGIC)
         if command == "version":
-            version = wirecodec.VersionPayload(
-                protocol_version=70015,
-                services=9,
-                timestamp=0,
-                receiver=wirecodec.NULL_ADDRESS,
-                sender=wirecodec.NULL_ADDRESS,
-                nonce=1,
-                user_agent="/pinger:0.1/",
-                start_height=1,
-            )
+            version = version_payload("/pinger:0.1/", services=9)
             self._ping()
             self._queue("version", wirecodec.encode_version(version))
             self._queue("verack")
@@ -542,26 +537,13 @@ class _OversizedAddrPeer(_ScriptedConnection):
         command, payload = wirecodec.decode_message(data, MAGIC)
         if command == "version":
             self._pending += wirecodec.encode_message(
-                "version", wirecodec.encode_version(_version_of("/big-addr:0.1/")), MAGIC
+                "version", wirecodec.encode_version(version_payload("/big-addr:0.1/")), MAGIC
             )
             self._pending += wirecodec.encode_message("verack", b"", MAGIC)
         elif command == "getaddr":
             self._pending += _header("addr", 4 * 1024 * 1024)  # the payload never follows
         else:
             super().send(data)
-
-
-def _version_of(user_agent):
-    return wirecodec.VersionPayload(
-        protocol_version=70015,
-        services=1,
-        timestamp=0,
-        receiver=wirecodec.NULL_ADDRESS,
-        sender=wirecodec.NULL_ADDRESS,
-        nonce=1,
-        user_agent=user_agent,
-        start_height=1,
-    )
 
 
 def test_probe_never_buffers_an_oversized_addr_payload():
@@ -644,7 +626,7 @@ class _MutePeer(_ScriptedConnection):
     def send(self, data):
         if wirecodec.decode_message(data, MAGIC)[0] == "version":
             self._pending += wirecodec.encode_message(
-                "version", wirecodec.encode_version(_version_of("/mute:0.1/")), MAGIC
+                "version", wirecodec.encode_version(version_payload("/mute:0.1/")), MAGIC
             )
             self._pending += wirecodec.encode_message("verack", b"", MAGIC)
 
@@ -919,6 +901,27 @@ def test_harvest_with_a_cold_or_warm_table_equals_decoding_each_entry(records):
         assert _CRAWL_TABLE[ip + port.to_bytes(2, "big")] == (wirecodec.bytes16_to_ip(ip), port)
 
 
+def test_harvest_on_threads_sharing_one_table_stays_correct_and_near_its_cap():
+    # more threads than cores over overlapping keys, switching often: a torn or lost entry would show
+    workers, cap = 8, 500
+    payloads = [
+        addr_payload([(0, 1, bytes(10) + b"\xff\xff" + (100 * w + i).to_bytes(4, "big"), 8333) for i in range(1000)])
+        for w in range(workers)
+    ]
+    cfg, table = config([ep("10.0.0.1")], max_frontier=cap), {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(lambda payload: crawler._harvest(_AddrPeer(payload), cfg, table), payloads, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for payload, (harvested, received) in zip(payloads, results):
+        assert harvested == [Endpoint(e.ip, e.port) for e in wirecodec.decode_addr(payload)] and received == 1000
+    assert cap <= len(table) < cap + workers
+    assert all(endpoint == Endpoint(*wirecodec.decode_addr_key(key)) for key, endpoint in table.items())
+
+
 def test_crawl_config_validation():
     with pytest.raises(crawler.EmptySeedSetError):
         CrawlConfig(seeds=())
@@ -977,74 +980,22 @@ def test_config_digest_is_stable():
 # --- TCP transport ------------------------------------------------------------------
 
 
-def _tcp_peer(server: socket.socket, magic: bytes):
-    """Minimal wire-speaking peer for one connection over real sockets."""
-    conn, _ = server.accept()
-    buffer = b""
-    try:
-        while True:
-            try:
-                parsed = wirecodec.decode_message_prefix(buffer, magic)
-            except wirecodec.CodecError:
-                return
-            if parsed is None:
-                chunk = conn.recv(4096)
-                if not chunk:
-                    return
-                buffer += chunk
-                continue
-            command, payload, consumed = parsed
-            buffer = buffer[consumed:]
-            if command == "version":
-                reply = wirecodec.VersionPayload(
-                    protocol_version=70015,
-                    services=5,
-                    timestamp=0,
-                    receiver=wirecodec.NULL_ADDRESS,
-                    sender=wirecodec.NULL_ADDRESS,
-                    nonce=99,
-                    user_agent="/tcp-peer:0.1/",
-                    start_height=750_000,
-                )
-                conn.sendall(
-                    wirecodec.encode_message("version", wirecodec.encode_version(reply), magic)
-                    + wirecodec.encode_message("verack", b"", magic)
-                )
-            elif command == "ping":
-                conn.sendall(wirecodec.encode_message("pong", payload, magic))
-            elif command == "getaddr":
-                entries = [wirecodec.AddrEntry(0, 1, "10.9.9.9", 8333)]
-                conn.sendall(wirecodec.encode_message("addr", wirecodec.encode_addr(entries), magic))
-    finally:
-        conn.close()
-
-
 def test_probe_over_real_tcp_socket():
-    magic = wirecodec.MAINNET_MAGIC
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    port = server.getsockname()[1]
-    thread = threading.Thread(target=_tcp_peer, args=(server, magic), daemon=True)
-    thread.start()
-    try:
-        endpoint = ep("127.0.0.1", port)
+    version = version_payload("/tcp-peer:0.1/", services=5, start_height=750_000, nonce=99)
+    with listener(wire_peer(version, [ep("10.9.9.9")])) as endpoint:
         cfg = CrawlConfig(
             seeds=(endpoint,),
-            magic=magic,
+            magic=wirecodec.MAINNET_MAGIC,
             connect_timeout_ms=2000.0,
             handshake_timeout_ms=2000.0,
             ping_count=2,
         )
         record, harvested = crawler.probe_peer(endpoint, cfg, TcpTransport())
-        assert record.status == STATUS_ACTIVE
-        assert record.user_agent == "/tcp-peer:0.1/"
-        assert record.start_height == 750_000
-        assert record.min_rtt_ms is not None and record.min_rtt_ms > 0
-        assert harvested == [ep("10.9.9.9")]
-    finally:
-        server.close()
-        thread.join(timeout=5)
+    assert record.status == STATUS_ACTIVE
+    assert record.user_agent == "/tcp-peer:0.1/"
+    assert record.start_height == 750_000
+    assert record.min_rtt_ms is not None and record.min_rtt_ms > 0
+    assert harvested == [ep("10.9.9.9")]
 
 
 def test_tcp_connect_refused_maps_to_transport_error():
@@ -1056,33 +1007,8 @@ def test_tcp_connect_refused_maps_to_transport_error():
         TcpTransport().connect(ep("127.0.0.1", port), timeout=0.5)
 
 
-@contextmanager
-def _listener(*handlers):
-    """Loopback listener whose thread hands its n-th accepted connection to ``handlers[n]``."""
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(len(handlers))
-    server.settimeout(5)
-
-    def serve():
-        for handler in handlers:
-            conn, _ = server.accept()
-            with conn:
-                conn.settimeout(5)
-                handler(conn)
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        yield ep("127.0.0.1", server.getsockname()[1])
-    finally:
-        thread.join(timeout=10)
-        server.close()
-    assert not thread.is_alive()
-
-
 def test_tcp_recv_from_a_silent_peer_times_out():
-    with _listener(lambda conn: conn.recv(1)) as endpoint:  # silent until we hang up
+    with listener(lambda conn: conn.recv(1)) as endpoint:  # silent until we hang up
         conn = TcpTransport().connect(endpoint, timeout=2.0)
         try:
             with pytest.raises(RecvTimeoutError):
@@ -1104,7 +1030,7 @@ def _verack_then_wait(conn):
 
 
 def test_tcp_read_that_starts_at_or_after_its_deadline_times_out():
-    with _listener(_verack_then_wait) as endpoint:
+    with listener(_verack_then_wait) as endpoint:
         conn = TcpTransport().connect(endpoint, timeout=2.0)
         try:
             first = conn.recv_exact(1, conn.clock() + 2.0)
@@ -1122,7 +1048,7 @@ def _half_a_header(conn):
 
 
 def test_tcp_peer_that_hangs_up_mid_header():
-    with _listener(_half_a_header, _half_a_header) as endpoint:
+    with listener(_half_a_header, _half_a_header) as endpoint:
         conn = TcpTransport().connect(endpoint, timeout=2.0)
         try:
             with pytest.raises(ConnectionClosedError):
@@ -1145,7 +1071,7 @@ def test_tcp_recv_and_send_after_a_reset_fail_as_closed():
         connected.wait(timeout=5)  # an earlier RST could fail connect() itself
         _reset(conn)
 
-    with _listener(reset_once_connected) as endpoint:
+    with listener(reset_once_connected) as endpoint:
         conn = TcpTransport().connect(endpoint, timeout=2.0)
         connected.set()
         try:
@@ -1180,66 +1106,6 @@ class _CountingTcpTransport(TcpTransport):
         return conn
 
 
-def _gossiping_tcp_peer(server, magic, index, gossip, probes):
-    """Serve ``probes`` connections in turn, like ``_tcp_peer`` with a version 50 ms late
-    and the endpoints of ``gossip`` as the answer to getaddr."""
-    version = wirecodec.VersionPayload(
-        protocol_version=70015,
-        services=5,
-        timestamp=0,
-        receiver=wirecodec.NULL_ADDRESS,
-        sender=wirecodec.NULL_ADDRESS,
-        nonce=index,
-        user_agent=f"/tcp-peer-{index}:0.1/",
-        start_height=750_000 + index,
-    )
-    handshake = wirecodec.encode_message("version", wirecodec.encode_version(version), magic)
-    handshake += wirecodec.encode_message("verack", b"", magic)
-    entries = [wirecodec.AddrEntry(0, 1, e.ip, e.port) for e in gossip]
-    addr = wirecodec.encode_message("addr", wirecodec.encode_addr(entries), magic)
-    for _ in range(probes):
-        conn, _ = server.accept()
-        with conn:
-            conn.settimeout(5)
-            buffer = b""
-            while chunk := conn.recv(4096):
-                buffer += chunk
-                while frame := wirecodec.decode_message_prefix(buffer, magic):
-                    command, payload, consumed = frame
-                    buffer = buffer[consumed:]
-                    if command == "version":
-                        time.sleep(0.05)
-                        conn.sendall(handshake)
-                    elif command == "ping":
-                        conn.sendall(wirecodec.encode_message("pong", payload, magic))
-                    elif command == "getaddr":
-                        conn.sendall(addr)
-
-
-@contextmanager
-def _gossiping_tcp_network(peers, probes):
-    """Yield the endpoints of ``peers`` loopback peers, each serving ``probes``
-    connections on its own thread and gossiping the others; join and close on exit."""
-    magic = wirecodec.MAINNET_MAGIC
-    servers = [socket.create_server(("127.0.0.1", 0)) for _ in range(peers)]
-    endpoints = [ep("127.0.0.1", server.getsockname()[1]) for server in servers]
-    threads = []
-    for index, server in enumerate(servers):
-        server.settimeout(5)
-        gossip = endpoints[:index] + endpoints[index + 1:]
-        args = (server, magic, index, gossip, probes)
-        threads.append(threading.Thread(target=_gossiping_tcp_peer, args=args, daemon=True))
-        threads[-1].start()
-    try:
-        yield endpoints
-    finally:
-        for thread in threads:
-            thread.join(timeout=10)
-        for server in servers:
-            server.close()
-    assert not any(thread.is_alive() for thread in threads)
-
-
 def _tcp_crawl(endpoints, max_inflight):
     """Crawl from the first of ``endpoints``; return the peak of open connections and
     status, user agent and height per address."""
@@ -1266,7 +1132,7 @@ def test_crawl_single_threaded_configuration_matches_parallel():
     assert set(parallel.records) == set(sequential.records)
 
     # The pool runs only over TCP: a parallel loopback crawl equals a sequential one.
-    with _gossiping_tcp_network(6, probes=2) as endpoints:  # one probe per crawl
+    with loopback_network(6, probes=2) as endpoints:  # one probe per crawl
         _, parallel = _tcp_crawl(endpoints, max_inflight=3)
         _, sequential = _tcp_crawl(endpoints, max_inflight=1)
     assert set(parallel) == set(endpoints)
@@ -1281,7 +1147,21 @@ def test_crawl_inflight_bound_is_respected():
     assert network.peak_connections <= 4
 
     # Over TCP the pool runs: more than one probe is in flight, never more than the bound.
-    with _gossiping_tcp_network(6, probes=2) as endpoints:
+    with loopback_network(6, probes=2) as endpoints:
         parallel_peak, _ = _tcp_crawl(endpoints, max_inflight=3)
         sequential_peak, _ = _tcp_crawl(endpoints, max_inflight=1)
     assert 1 < parallel_peak <= 3 and sequential_peak == 1
+
+
+def test_crawl_pool_hands_every_probe_the_one_ip_table(monkeypatch):
+    tables, _ = _recording_ip_tables(monkeypatch)
+    decoded = []
+    decode_addr_key = wirecodec.decode_addr_key
+    monkeypatch.setattr(wirecodec, "decode_addr_key", lambda key: decoded.append(key) or decode_addr_key(key))
+    with loopback_network(8, probes=1) as endpoints:
+        peak, records = _tcp_crawl(endpoints, max_inflight=4)
+    assert peak > 1 and set(records) == set(endpoints)  # the pool ran
+    assert len(tables) == len(endpoints) and len({id(table) for table in tables}) == 1
+    assert len(tables[0]) == len(endpoints)
+    entries_received = len(endpoints) * (len(endpoints) - 1)  # each peer gossips the others
+    assert len(decoded) < entries_received

@@ -149,6 +149,14 @@ def test_service_index_empty_sets():
     assert metrics.service_index(0, stats) == 1.0
 
 
+def test_service_index_without_services_or_modal_services_is_zero():
+    stats = SnapshotStats(make_snapshot([make_record("10.0.0.1", services=0b1011)]))
+    assert metrics.service_index(None, stats) == 0.0
+    no_modal = SnapshotStats(make_snapshot([make_record("10.0.0.1", services=None)]))
+    assert no_modal.modal_services is None
+    assert metrics.service_index(0b1011, no_modal) == 0.0
+
+
 def test_port_index():
     assert metrics.port_index(8333) == 1.0
     assert metrics.port_index(8334) == 0.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chainobs import crawler, simnet, wirecodec
 from chainobs.simnet import SimPeerProfile, SimTopology
 from chainobs.transport import ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError
+from helpers import version_payload
 
 MAGIC = wirecodec.SIMNET_MAGIC
 
@@ -23,17 +24,8 @@ def topology(profiles, seeds=None, rng_seed=7):
 
 
 def send_version(conn):
-    payload = wirecodec.VersionPayload(
-        protocol_version=wirecodec.PROTOCOL_VERSION,
-        services=0,
-        timestamp=0,
-        receiver=wirecodec.NULL_ADDRESS,
-        sender=wirecodec.NULL_ADDRESS,
-        nonce=1,
-        user_agent="/test/",
-        start_height=0,
-    )
-    conn.send(wirecodec.encode_message("version", wirecodec.encode_version(payload), MAGIC))
+    payload = wirecodec.encode_version(version_payload("/test/", services=0, start_height=0))
+    conn.send(wirecodec.encode_message("version", payload, MAGIC))
 
 
 def read_frame(conn, timeout=5.0):

@@ -532,8 +532,13 @@ def test_load_series_keeps_same_second_files_in_name_order(tmp_path):
         store.write_snapshot(snapshot, tmp_path / f"{names[index]}{store.SNAPSHOT_SUFFIX}")
     snapshot = make_snapshot([make_record("10.0.0.9")], started_at=999)
     store.write_snapshot(snapshot, tmp_path / f"{stamp}_0003{store.SNAPSHOT_SUFFIX}")
+    second = 1_792_408_063  # 2026-10-19 11:07:43 UTC, the second of ``stamp``
+    for ip in ("10.0.0.4", "10.0.0.5"):  # named as crawl --repeat names them, in crawl order
+        store.write_snapshot(make_snapshot([make_record(ip)], started_at=second), store.series_path(tmp_path, second))
+    assert sorted(p.name for p in tmp_path.iterdir())[-2:] == [f"{stamp}_000{i}{store.SNAPSHOT_SUFFIX}" for i in (4, 5)]
     series = store.load_series(tmp_path)
-    assert [next(iter(s.records)).ip for s in series] == ["10.0.0.9", "10.0.0.0", "10.0.0.1", "10.0.0.2", "10.0.0.3"]
+    ips = ["10.0.0.9", "10.0.0.0", "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5"]
+    assert [next(iter(s.records)).ip for s in series] == ips
 
 
 # --- diff --------------------------------------------------------------------
