@@ -63,9 +63,11 @@ class UnresolvableSeedsError(ValueError):
     """No seed name resolved to a single usable address."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PeerRecord:
-    """One discovered endpoint and what the probe learned about it."""
+    """One discovered endpoint and what the probe learned about it.
+
+    Slotted, with no per-instance ``__dict__``: a year-long series holds millions of them."""
 
     address: Endpoint
     status: str

@@ -1,8 +1,12 @@
 """Persistence round trips, corruption reporting, and snapshot diffs."""
 
+import copy
+import gc
 import os
+import pickle
 import tempfile
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from urllib.parse import quote, unquote
@@ -15,7 +19,7 @@ from chainobs import cli, ledger, simnet, transport
 from chainobs import snapshotstore as store
 from chainobs.crawler import PeerRecord, STATUS_ACTIVE, STATUS_INACTIVE
 from chainobs.transport import Endpoint
-from helpers import make_record, make_snapshot
+from helpers import BASE_TS, make_record, make_snapshot
 
 
 def test_round_trip_identity_small_snapshot(tmp_path):
@@ -508,8 +512,69 @@ def test_load_series_shares_one_endpoint_per_address(tmp_path):
                 assert user_agents.setdefault(record.user_agent, record.user_agent) is record.user_agent
     assert len(shared) == 4  # 10.0.0.1 on two ports, 2001:db8::7, 10.0.0.3
     assert sorted(user_agents) == ["/a b:1/", "/peer:1.0/"]
+    assert all(a is b for snapshot in series for a, b in zip(snapshot.seeds, series[0].seeds, strict=True))
     alone = [store.read_snapshot(tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}") for start in (100, 200, 300, 400)]
     assert series == alone
+
+
+def test_a_file_read_shares_one_int_per_integer_text(tmp_path):
+    # values above 256, which CPython would not share on its own
+    records = [
+        make_record(f"10.0.0.{i}", services=1037, protocol_version=70016, start_height=800_000 + i // 2, addr_count=1000)
+        for i in range(6)
+    ]
+    store.write_snapshot(make_snapshot(records), tmp_path / "a.snap.ndrec")
+    read = list(store.read_snapshot(tmp_path / "a.snap.ndrec").records.values())
+    assert read == records
+    first = read[0]
+    for record in read:
+        assert record.last_seen is record.first_seen is first.first_seen
+        assert record.services is first.services
+        assert record.protocol_version is first.protocol_version
+        assert record.addr_count_returned is first.addr_count_returned
+    assert [record.start_height is read[i - i % 2].start_height for i, record in enumerate(read)] == [True] * 6
+    assert read[0].start_height is not read[2].start_height
+
+
+def test_a_read_record_is_slotted_and_copies_equal(tmp_path):
+    written = make_record("2001:db8::7", user_agent="/a b:1%/", min_rtt_ms=12.5, addr_count=3)
+    store.write_snapshot(make_snapshot([written]), tmp_path / "a.snap.ndrec")
+    [record] = store.read_snapshot(tmp_path / "a.snap.ndrec").records.values()
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    assert copy.copy(record) == record
+    assert replace(record) == record
+    assert replace(record, last_seen=record.last_seen + 1) != record
+    assert repr(record) == repr(written)
+
+
+def test_load_series_holds_a_bounded_number_of_bytes_per_record(tmp_path):
+    # 12 half-hourly crawls of 250 peers that agree on services, pver and height,
+    # each record seen once: first_seen == last_seen
+    for slot in range(12):
+        start = BASE_TS + 1800 * slot
+        records = [
+            make_record(
+                f"10.0.0.{i}", services=1037, protocol_version=70016,
+                start_height=800_000 + slot, min_rtt_ms=20.0 + i / 8, ts=start,
+            )
+            for i in range(250)
+        ]
+        store.write_snapshot(make_snapshot(records, started_at=start), tmp_path / f"{start}{store.SNAPSHOT_SUFFIX}")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        series = store.load_series(tmp_path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    per_record = held / sum(len(snapshot.records) for snapshot in series)
+    # a slotted PeerRecord with one int per integer text per file holds 235-250 B here on
+    # Python 3.10-3.13; either one alone holds >= 290 B, and neither >= 420 B
+    assert per_record < 280, f"{per_record:.0f} bytes per record"
 
 
 def test_load_series_sorted_by_start_time(tmp_path):
@@ -825,13 +890,15 @@ def _general(line):
     return store._parse_record(store._parse_line(line, 2), 2, {})
 
 
-# one table for every line, as a series read keeps one across its files
+# one table for every line, as a series read keeps one across its files, and
+# one integer table, as a file's read keeps one across its lines
 _SHARED_TABLE = store._SeriesTable()
+_SHARED_INTS = store._Memo(int)
 
 
 def _as_read(line):
     """What the snapshot reader does with a record line: the fast path, else the general one."""
-    record = store._parse_written_record(line, 2, _SHARED_TABLE)
+    record = store._parse_written_record(line, 2, _SHARED_TABLE, _SHARED_INTS)
     return _general(line) if record is None else record
 
 
@@ -912,7 +979,7 @@ def test_fast_path_matches_the_general_tokenizer_on_every_substitution(tail):
     fields.update(tail)
     pairs = [(key, store._escape(value)) for key, value in fields.items()]
     lines = [" ".join(f"{key}:{value}" for key, value in pairs)]
-    assert store._parse_written_record(lines[0], 2, store._SeriesTable()) == _FULL_RECORD
+    assert store._parse_written_record(lines[0], 2, store._SeriesTable(), store._Memo(int)) == _FULL_RECORD
     for at, (key, _) in enumerate(pairs):
         for value in _ODD_VALUES:
             lines.append(" ".join(f"{k}:{value if i == at else v}" for i, (k, v) in enumerate(pairs)))
