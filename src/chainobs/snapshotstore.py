@@ -26,8 +26,12 @@ behind.
 The writer builds the header and each record line as one f-string: only
 the text values (``seeds`` and ``config`` in the header; ``addr``,
 ``status`` and ``ua`` in a record) can need escaping, and each distinct
-user agent is escaped once per file.  Extra fields replace a
-key of the line in place or are appended after it.
+status word and user agent is escaped once per file.  The writer keeps,
+for the endpoints of the last snapshot it wrote, each one's sort text and
+its ``addr port net`` text; the next write takes those and renders only
+the endpoints new to it, so a series written by one process (``crawl
+--repeat``) renders an address once, not once per file.  Extra fields
+replace a key of the line in place or are appended after it.
 
 A record line in the shape :func:`write_snapshot` emits (its keys in the
 order below, integers in ASCII digits, no escape in ``addr`` or
@@ -47,8 +51,10 @@ file, the reader also takes each integer of a record in the written shape
 from a table of that file's integer texts, so a ``last_seen`` written equal
 to its ``first_seen``, or a ``services``, ``pver`` or ``height`` that many
 peers share, is one ``int`` object; that table lives only as long as the
-file's read.  With :class:`~chainobs.crawler.PeerRecord` slotted, a series
-read holds 270-280 bytes per record on the bench's census series.
+file's read.  Every record read holds the crawler's ``STATUS_ACTIVE`` or
+``STATUS_INACTIVE`` string itself, not a copy.  With
+:class:`~chainobs.crawler.PeerRecord` slotted, a series read holds about
+220 bytes per record on the bench's census series.
 
 Record keys::
 
@@ -137,25 +143,17 @@ def _parse_line(line: str, lineno: int) -> dict[str, str]:
     return fields
 
 
-def _record_line(record: PeerRecord, user_agents: dict[str, str]) -> str:
-    """The record's line, keys in the order of the module docstring.  Only the text
-    values go through _escape; ``user_agents`` maps each raw user agent the file
-    has written so far to its escaped text."""
-    address = record.address
-    line = (
-        f"addr:{_escape(address.ip)} port:{address.port} net:{classify_network(address)}"
-        f" status:{_escape(record.status)}"
-    )
+def _record_line(record: PeerRecord, address_text: str, escaped: _Memo) -> str:
+    """The record's line, keys in the order of the module docstring, after ``address_text``
+    (the ``addr port net`` keys).  ``escaped`` is the file's ``_Memo(_escape)``: a crawl's
+    records share two status words and a few dozen user agents."""
+    line = f"{address_text} status:{escaped[record.status]}"
     if record.services is not None:
         line += f" services:{record.services}"
     if record.protocol_version is not None:
         line += f" pver:{record.protocol_version}"
-    ua = record.user_agent
-    if ua is not None:
-        text = user_agents.get(ua)
-        if text is None:
-            text = user_agents[ua] = _escape(ua)
-        line += f" ua:{text}"
+    if record.user_agent is not None:
+        line += f" ua:{escaped[record.user_agent]}"
     if record.start_height is not None:
         line += f" height:{record.start_height}"
     if record.min_rtt_ms is not None:
@@ -172,6 +170,16 @@ def _with_extra(line: str, extra: Mapping[str, str]) -> str:
     return " ".join(f"{key}:{value}" for key, value in fields.items())
 
 
+# For the endpoints of the last snapshot written: each one's sort text (str) and its
+# ``addr port net`` text.  Successive crawls of a series hold almost the same
+# endpoints, so a write takes most texts from here and builds only the new ones;
+# then its own tables replace these, so they never hold more than one snapshot's
+# endpoints.  Every entry is a pure function of its key (str, _escape, and
+# classify_network without Tor exits), so a write that reads another thread's
+# tables still writes the same bytes.
+_last_written: tuple[dict[Endpoint, str], dict[Endpoint, str]] = ({}, {})
+
+
 def write_snapshot(
     snapshot: Snapshot,
     path: str | Path,
@@ -179,6 +187,7 @@ def write_snapshot(
 ) -> None:
     """Write a snapshot atomically; ``extra_fields`` adds or replaces record keys.  A key
     outside 0x21-0x7E or holding ``:`` raises ValueError before any file is touched."""
+    global _last_written
     for key in dict.fromkeys(key for extra in (extra_fields or {}).values() for key in extra):
         if not _is_key(key):
             raise ValueError(f"extra field key {key!r} is not printable ASCII without space or ':'")
@@ -188,14 +197,23 @@ def write_snapshot(
         f" seed_count:{len(snapshot.seeds)} seeds:{_escape(seeds)} config:{_escape(snapshot.crawler_config_digest)}"
         f" partial:{1 if snapshot.partial else 0}"
     ]
-    # each user agent is escaped once per file: a crawl sees a few dozen distinct ones
-    user_agents: dict[str, str] = {}
+    last_sort_texts, last_address_texts = _last_written
     records = snapshot.records
-    for endpoint in sorted(records, key=str):
-        line = _record_line(records[endpoint], user_agents)
+    # str keys, not (text, endpoint) tuples: the same order as sorting by str, on sort's str fast path
+    sort_texts = {endpoint: last_sort_texts.get(endpoint) or str(endpoint) for endpoint in records}
+    address_texts: dict[Endpoint, str] = {}
+    escaped = _Memo(_escape)
+    for endpoint in sorted(records, key=sort_texts.__getitem__):
+        record = records[endpoint]
+        address = record.address
+        text = address_texts[address] = last_address_texts.get(address) or (
+            f"addr:{_escape(address.ip)} port:{address.port} net:{classify_network(address)}"
+        )
+        line = _record_line(record, text, escaped)
         if extra_fields and endpoint in extra_fields:
             line = _with_extra(line, extra_fields[endpoint])
         lines.append(line)
+    _last_written = sort_texts, address_texts
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -242,17 +260,21 @@ def _endpoint(addr: str, port: str, endpoints: dict[tuple[str, str], Endpoint]) 
     return endpoint
 
 
+# each status text read -> the crawler's constant, which every read record then shares
+_STATUSES = {status: status for status in (STATUS_ACTIVE, STATUS_INACTIVE)}
+
+
 def _parse_record(
     fields: Mapping[str, str], lineno: int, endpoints: dict[tuple[str, str], Endpoint]
 ) -> PeerRecord:
     try:
         endpoint = _endpoint(_require(fields, "addr", lineno), _require(fields, "port", lineno), endpoints)
         status = _require(fields, "status", lineno)
-        if status not in (STATUS_ACTIVE, STATUS_INACTIVE):
+        if status not in _STATUSES:
             raise CorruptRecordError(lineno, f"unknown status {status!r}")
         return PeerRecord(
             address=endpoint,
-            status=status,
+            status=_STATUSES[status],
             first_seen=_int(_require(fields, "first_seen", lineno), "first_seen"),
             last_seen=_int(_require(fields, "last_seen", lineno), "last_seen"),
             services=_int(fields["services"], "services") if "services" in fields else None,
@@ -305,7 +327,7 @@ def _parse_written_record(line: str, lineno: int, table: _SeriesTable, ints: _Me
         # positional, in field order: the arguments are evaluated in _parse_record's order
         return PeerRecord(
             _endpoint(addr, port, table.endpoints),
-            status,
+            _STATUSES[status],
             ints[first_seen],
             ints[last_seen],
             ints[services] if services is not None else None,

@@ -485,6 +485,9 @@ def test_write_is_byte_identical_to_quoting_every_value(tmp_path, monkeypatch):
     fast = tmp_path / f"fast{store.SNAPSHOT_SUFFIX}"
     store.write_snapshot(snapshot, fast, extra_fields=extra)
     monkeypatch.setattr(store, "_escape", _quote_every_value)
+    # an empty table of address texts, so the reference write escapes every addr itself
+    # instead of taking the first write's texts
+    monkeypatch.setattr(store, "_last_written", ({}, {}))
     reference = tmp_path / f"reference{store.SNAPSHOT_SUFFIX}"
     store.write_snapshot(snapshot, reference, extra_fields=extra)
     assert fast.read_bytes() == reference.read_bytes()
@@ -547,6 +550,25 @@ def test_a_read_record_is_slotted_and_copies_equal(tmp_path):
     assert replace(record) == record
     assert replace(record, last_seen=record.last_seen + 1) != record
     assert repr(record) == repr(written)
+
+
+def test_every_read_record_holds_a_status_constant(tmp_path):
+    records = [make_record("10.0.0.1"), make_record("2001:db8::7", status=STATUS_INACTIVE)]
+    written = tmp_path / f"written{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot(records), written)
+    # the same records with their keys in reverse order, which only the general tokenizer reads
+    lines = written.read_text().splitlines()
+    general = tmp_path / f"general{store.SNAPSHOT_SUFFIX}"
+    general.write_text("\n".join(lines[:1] + [" ".join(reversed(line.split(" "))) for line in lines[1:]]) + "\n")
+    for path in (written, general):
+        read = list(store.read_snapshot(path).records.values())
+        assert read == records
+        assert read[0].status is STATUS_ACTIVE and read[1].status is STATUS_INACTIVE
+    assert all(
+        record.status is STATUS_ACTIVE or record.status is STATUS_INACTIVE
+        for snapshot in store.load_series(tmp_path)
+        for record in snapshot.records.values()
+    )
 
 
 def test_load_series_holds_a_bounded_number_of_bytes_per_record(tmp_path):
@@ -962,6 +984,70 @@ def test_write_matches_the_reference_writer(property_path, records, data):
     extra_fields = {endpoint: data.draw(_extra_fields) for endpoint in snapshot.records if data.draw(st.booleans())}
     store.write_snapshot(snapshot, property_path, extra_fields=extra_fields)
     assert property_path.read_bytes() == _reference_file(snapshot, extra_fields)
+
+
+# endpoints every file of a written series shares: one IPv4 address on two ports, IPv6, OnionCat
+_SERIES_SHARED = (
+    Endpoint.make("10.0.0.1"),
+    Endpoint.make("10.0.0.1", 18333),
+    Endpoint.make("2001:db8::7"),
+    Endpoint.make("fd87:d87e:eb43:1:2:3:4:5", 9000),
+)
+
+
+@settings(max_examples=100)
+@given(files=st.integers(2, 4), data=st.data())
+def test_a_series_of_writes_matches_the_reference_writer(property_path, files, data):
+    # endpoints some files share, beside the ones all share and the ones a single file holds
+    others = data.draw(st.lists(_written_records.map(lambda r: r.address), max_size=6))
+    for index in range(files):
+        # each shared endpoint flips its status from one file to the next
+        statuses = [(STATUS_ACTIVE, STATUS_INACTIVE)[(index + at) % 2] for at in range(len(_SERIES_SHARED))]
+        shared = [
+            replace(data.draw(_written_records), address=endpoint, status=status)
+            for endpoint, status in zip(_SERIES_SHARED, statuses)
+        ]
+        some = [replace(data.draw(_written_records), address=e) for e in others if data.draw(st.booleans())]
+        records = shared + some + data.draw(st.lists(_written_records, max_size=3))
+        snapshot = make_snapshot(list({r.address: r for r in records}.values()), started_at=BASE_TS + 600 * index)
+        extra_fields = {endpoint: data.draw(_extra_fields) for endpoint in snapshot.records if data.draw(st.booleans())}
+        # a shared endpoint's net replaced, in a different one each file
+        extra_fields.setdefault(_SERIES_SHARED[index], {})["net"] = data.draw(st.sampled_from(["tor", "ipv4", "a b"]))
+        store.write_snapshot(snapshot, property_path, extra_fields=extra_fields)
+        assert property_path.read_bytes() == _reference_file(snapshot, extra_fields), f"file {index}"
+
+
+def test_a_second_write_of_the_same_endpoints_classifies_no_address(tmp_path, monkeypatch):
+    records = [
+        make_record("10.0.0.1"), make_record("2001:db8::7", status=STATUS_INACTIVE), make_record("10.0.0.1", 18333)
+    ]
+    first = tmp_path / f"first{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot(records), first)
+    classified, classify = [], store.classify_network
+
+    def counting(address):
+        classified.append(address)
+        return classify(address)
+
+    monkeypatch.setattr(store, "classify_network", counting)
+    second = tmp_path / f"second{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot(records), second)
+    assert classified == []
+    assert second.read_bytes() == first.read_bytes()
+    flipped = [replace(records[0], status=STATUS_INACTIVE), records[1], make_record("10.0.0.9")]
+    store.write_snapshot(make_snapshot(flipped), tmp_path / f"third{store.SNAPSHOT_SUFFIX}")
+    assert classified == [Endpoint.make("10.0.0.9")]  # only the endpoint the last write did not hold
+
+
+def test_the_writer_keeps_the_address_texts_of_the_last_snapshot_only(tmp_path):
+    a, b, c, d = (make_record(f"10.0.0.{i}") for i in range(1, 5))
+    path = tmp_path / f"a{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([a, b, c]), path)
+    store.write_snapshot(make_snapshot([c, d]), path)
+    sort_texts, address_texts = store._last_written
+    assert set(sort_texts) == set(address_texts) == {c.address, d.address}
+    assert sort_texts[d.address] == "10.0.0.4:8333"
+    assert address_texts[d.address] == "addr:10.0.0.4 port:8333 net:ipv4"
 
 
 _FULL_RECORD = make_record("2001:db8::7", user_agent="/a b:1%/", min_rtt_ms=12.5, addr_count=3)
