@@ -337,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("--repeat", type=_at_least(0, float), help="re-crawl every N minutes, one timestamped file each")
     p.add_argument("--repeat-count", type=_at_least(1, int), help="stop after this many crawls (with --repeat)")
     _add_crawl_options(p)
-    p.set_defaults(func=_cmd_crawl)
+    p.set_defaults(func=_cmd_crawl, parser=p)
 
     p = commands.add_parser("enrich", help="annotate a snapshot with network type, country, AS")
     p.add_argument("--snapshot", required=True)
@@ -345,14 +345,14 @@ def build_parser() -> _Parser:
     p.add_argument("--tor-exits", help="file of Tor exit IPs, one per line")
     p.add_argument("--out", required=True)
     p.add_argument("--shares-out", help="write country/org share CSV here")
-    p.set_defaults(func=_cmd_enrich)
+    p.set_defaults(func=_cmd_enrich, parser=p)
 
     p = commands.add_parser("timeline", help="churn report over a directory of snapshots")
     p.add_argument("--snapshots", required=True, help="directory of *.snap.ndrec files")
     p.add_argument("--out", required=True, help="churn CSV")
     p.add_argument("--interval-seconds", type=_at_least(1, int), help="grid spacing (default: inferred)")
     p.add_argument("--size-series-out", help="write per-snapshot size CSV here")
-    p.set_defaults(func=_cmd_timeline)
+    p.set_defaults(func=_cmd_timeline, parser=p)
 
     p = commands.add_parser("bni", help="node index report for the latest snapshot of a series")
     p.add_argument("--snapshots", required=True)
@@ -365,13 +365,13 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=_fraction, default=metrics.DEFAULT_EWMA_ALPHA,
                    help="moving average weight for the newest sample, in (0, 1]")
     p.add_argument("--height-tolerance", type=_at_least(1, int), default=metrics.DEFAULT_HEIGHT_TOLERANCE)
-    p.set_defaults(func=_cmd_bni)
+    p.set_defaults(func=_cmd_bni, parser=p)
 
     p = commands.add_parser("cluster", help="cluster ledger addresses into entities with balances")
     p.add_argument("--ledger", required=True)
     p.add_argument("--out", required=True)
     _add_coinjoin_options(p)
-    p.set_defaults(func=_cmd_cluster)
+    p.set_defaults(func=_cmd_cluster, parser=p)
 
     p = commands.add_parser("report", help="top holders, Lorenz curve, Gini, and pool shares")
     p.add_argument("--ledger", required=True)
@@ -381,14 +381,14 @@ def build_parser() -> _Parser:
     p.add_argument("--pool-shares-out")
     p.add_argument("--bucket", choices=["day", "month", "year"], default="month")
     _add_coinjoin_options(p)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_report, parser=p)
 
     p = commands.add_parser("sim", help="crawl a simulated topology and self-test against its oracle")
     p.add_argument("--topology", required=True)
     p.add_argument("--seeds", help="seed file (defaults to the topology's @seeds)")
     p.add_argument("--out", help="also write the snapshot here")
     _add_crawl_options(p)
-    p.set_defaults(func=_cmd_sim)
+    p.set_defaults(func=_cmd_sim, parser=p)
 
     return parser
 
@@ -412,13 +412,11 @@ def main(argv: list[str] | None = None) -> int:
         level=os.environ.get("CHAINOBS_LOG", "WARNING").upper(),
         format="[%(asctime)s] %(name)s %(levelname)s %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_settings(args)
     except ValueError as exc:  # reported under the usage line of the command
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        subparsers.choices[args.command].error(str(exc))
+        args.parser.error(str(exc))
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:

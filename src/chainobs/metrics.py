@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 from .crawler import Snapshot
 from .enrich import NET_IPV4, NET_IPV6, NET_TOR, classify_network
-from .transport import Endpoint
+from .transport import Endpoint, _Memo
 from .wirecodec import DEFAULT_PORT
 
 log = logging.getLogger(__name__)
@@ -168,16 +168,14 @@ def build_timelines(snapshots: Sequence[Snapshot], interval_seconds: int | None 
         log.warning("%d of %d grid slots have no snapshot; imputed as inactive", len(imputed), slot_count)
 
     # one pass over the records, in slot order: activity row and active-slot RTTs per endpoint
-    rows: dict[Endpoint, tuple[list[bool], list[float | None]]] = {}
+    rows = _Memo(lambda address: ([False] * slot_count, []))
     for index, (snapshot, slot) in enumerate(zip(ordered, slots)):
         on_grid = kept[slot] == index
         for address, record in snapshot.records.items():
-            row = rows.get(address)
-            if row is None:
-                row = rows[address] = ([False] * slot_count, [])
+            activity, rtts = rows[address]
             if on_grid and record.is_active:
-                row[0][slot] = True
-                row[1].append(record.min_rtt_ms)
+                activity[slot] = True
+                rtts.append(record.min_rtt_ms)
 
     timelines = {
         address: ActivityTimeline(address, interval_seconds, tuple(activity))
@@ -186,13 +184,7 @@ def build_timelines(snapshots: Sequence[Snapshot], interval_seconds: int | None 
     rtt_series = {address: tuple(rtts) for address, (_, rtts) in rows.items()}
 
     slot_times = tuple(t0 + i * interval_seconds for i in range(slot_count))
-    return TimelineSeries(
-        interval_seconds=interval_seconds,
-        slot_times=slot_times,
-        timelines=timelines,
-        rtt_series=rtt_series,
-        imputed_slots=imputed,
-    )
+    return TimelineSeries(interval_seconds, slot_times, timelines, rtt_series, imputed)
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,12 @@ import hashlib
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from . import wirecodec
 from .transport import (
-    ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, _content_lines, _int, _write_text
+    ConnectError, ConnectionClosedError, Endpoint, RecvTimeoutError, _Memo, _content_lines, _decimal, _int, _write_text
 )
 from .wirecodec import AddrEntry, NetAddress, VersionPayload
 
@@ -126,6 +126,12 @@ class SimTopology:
 def _peer_rng(rng_seed: int, address: Endpoint) -> random.Random:
     digest = hashlib.sha256(f"{rng_seed}|{address}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def _addr_record(topology: SimTopology, endpoint: Endpoint) -> bytes:
+    """The 30-byte ``addr`` record every peer of ``topology`` gossips for ``endpoint``."""
+    known = topology.profile(endpoint)
+    return AddrEntry(BASE_TIME, known.services if known is not None else 0, endpoint.ip, endpoint.port).encode()
 
 
 class _SimConnection:
@@ -240,7 +246,7 @@ class SimNetwork:
         self.connects_attempted = 0
         self._elapsed_s = 0.0  # virtual seconds of closed connections and sleeps
         self._rngs = {p.address: _peer_rng(topology.rng_seed, p.address) for p in topology.peers}
-        self._records: dict[Endpoint, bytes] = {}  # addr record per gossiped endpoint, filled on first use
+        self._records = _Memo(partial(_addr_record, topology))  # built on first gossip, from the topology alone
 
     def connect(self, endpoint: Endpoint, timeout: float) -> _SimConnection:
         profile = self.topology.profile(endpoint)
@@ -259,17 +265,7 @@ class SimNetwork:
 
     def _gossip_records(self, profile: SimPeerProfile) -> list[bytes]:
         """Each known peer's ``addr`` record, in ``known_peers`` order."""
-        encoded = self._records
-        records = []
-        for endpoint in profile.known_peers:
-            record = encoded.get(endpoint)
-            if record is None:
-                known = self.topology.profile(endpoint)
-                services = known.services if known is not None else 0
-                record = AddrEntry(BASE_TIME, services, endpoint.ip, endpoint.port).encode()
-                encoded[endpoint] = record
-            records.append(record)
-        return records
+        return [self._records[endpoint] for endpoint in profile.known_peers]
 
 
 def build_network(topology: SimTopology) -> SimNetwork:
@@ -322,7 +318,7 @@ def _parse_behavior(token: str) -> tuple[str, float]:
         raise ValueError(f"unknown behavior {token!r}")
     if delay and name != "slow":
         raise ValueError(f"only slow takes a delay parameter: {token!r}")
-    return name, float(delay) if delay else DEFAULT_SLOW_DELAY_MS
+    return name, _decimal(delay, "slow delay") if delay else DEFAULT_SLOW_DELAY_MS
 
 
 def load_topology(path: str | Path) -> SimTopology:
@@ -356,7 +352,7 @@ def load_topology(path: str | Path) -> SimTopology:
                     behavior=behavior,
                     services=_int(fields[2], "services"),
                     start_height=_int(fields[3], "start height"),
-                    rtt_ms=float(fields[4]),
+                    rtt_ms=_decimal(fields[4], "rtt_ms"),
                     known_peers=known,
                     slow_delay_ms=slow_delay,
                 )

@@ -19,9 +19,10 @@ and names the line of the first.  In the header, ``partial`` is ``0`` or
 ``1`` and ``seed_count`` equals the number of seeds; either key may be
 missing.  Every integer, in a record or the header, is written ``-?[0-9]+``
 in ASCII and a port in ASCII digits; ``+5``, ``1_0`` or ``٣``, which ``int``
-would take, make the line corrupt.  Writes go to a temporary file that is
-renamed over the target, so a crash never leaves a half-written snapshot
-behind.
+would take, make the line corrupt, as does a ``minrtt`` that is not a finite
+decimal > 0 as ``repr`` writes one (``nan``, ``-5``, ``0``).  Writes go to a
+temporary file renamed over the target, so a crash never leaves a
+half-written snapshot behind.
 
 The writer builds the header and each record line as one f-string: only
 the text values (``seeds`` and ``config`` in the header; ``addr``,
@@ -34,8 +35,8 @@ the endpoints new to it, so a series written by one process (``crawl
 replace a key of the line in place or are appended after it.
 
 A record line in the shape :func:`write_snapshot` emits (its keys in the
-order below, integers in ASCII digits, no escape in ``addr`` or
-``minrtt``), optionally followed by the ``country asn org`` keys that
+order below, integers in ASCII digits, no escape in ``addr``, ``minrtt``
+in decimal form), optionally followed by the ``country asn org`` keys that
 ``chainobs enrich`` appends, is read by one precompiled pattern.  Keys after
 the match are tokenized on their own and ignored, unless one of them is a
 key the pattern reads.  Such a line, and any other, such as a hand-edited
@@ -46,15 +47,16 @@ A series read by :func:`load_series` parses each shared value once: the
 ``addr`` and ``port`` text of a record becomes one :class:`Endpoint`, each
 ``ua`` text one unescaped string and each header seed token one
 :class:`Endpoint`, and every later record or header with the same text holds
-the same object.  That table lives only as long as the call.  Within one
-file, the reader also takes each integer of a record in the written shape
-from a table of that file's integer texts, so a ``last_seen`` written equal
-to its ``first_seen``, or a ``services``, ``pver`` or ``height`` that many
-peers share, is one ``int`` object; that table lives only as long as the
-file's read.  Every record read holds the crawler's ``STATUS_ACTIVE`` or
-``STATUS_INACTIVE`` string itself, not a copy.  With
-:class:`~chainobs.crawler.PeerRecord` slotted, a series read holds about
-220 bytes per record on the bench's census series.
+the same object.  Each table is a :class:`~chainobs.transport._Memo`, whose
+builder holds no reference to the table's owner, and lives only as long as
+the call.  Within one file, the reader also takes each integer of a record
+in the written shape from a table of that file's integer texts, so a
+``last_seen`` written equal to its ``first_seen``, or a ``services``,
+``pver`` or ``height`` that many peers share, is one ``int`` object; that
+table lives only as long as the file's read.  Every record read holds the
+crawler's ``STATUS_ACTIVE`` or ``STATUS_INACTIVE`` string itself, not a
+copy.  With :class:`~chainobs.crawler.PeerRecord` slotted, a series read
+holds about 220 bytes per record on the bench's census series.
 
 Record keys::
 
@@ -66,17 +68,18 @@ on read.
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 from urllib.parse import quote, unquote
 
 from .crawler import PeerRecord, Snapshot, STATUS_ACTIVE, STATUS_INACTIVE
 from .enrich import classify_network
-from .transport import Endpoint, _int, _lines, _naming_file, _port, _write_text
+from .transport import _DECIMAL, Endpoint, _Memo, _decimal, _int, _lines, _naming_file, _port, _write_text
 
 SCHEMA_VERSION = 1
 SNAPSHOT_SUFFIX = ".snap.ndrec"
@@ -223,21 +226,6 @@ def _require(fields: Mapping[str, str], key: str, lineno: int) -> str:
     return fields[key]
 
 
-class _Memo(dict):
-    """Text -> ``parse(text)``, parsed on the first lookup of that text only, so equal texts
-    give one object.  A text ``parse`` raises on is not stored."""
-
-    __slots__ = ("parse",)
-
-    def __init__(self, parse: Callable[[str], object]):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text: str) -> object:
-        value = self[text] = self.parse(text)
-        return value
-
-
 @dataclass
 class _SeriesTable:
     """Values a series shares across its files, each parsed once per series.
@@ -247,28 +235,18 @@ class _SeriesTable:
     Endpoint.  A value that fails to parse raises before it is stored.
     """
 
-    endpoints: dict[tuple[str, str], Endpoint] = field(default_factory=dict)
+    endpoints: _Memo = field(default_factory=lambda: _Memo(lambda key: Endpoint.make(key[0], _port(key[1]))))
     user_agents: _Memo = field(default_factory=lambda: _Memo(_unescape))
     seeds: _Memo = field(default_factory=lambda: _Memo(Endpoint.parse))
-
-
-def _endpoint(addr: str, port: str, endpoints: dict[tuple[str, str], Endpoint]) -> Endpoint:
-    endpoint = endpoints.get((addr, port))
-    if endpoint is None:
-        # a bad address or port raises here, so the table holds only valid endpoints
-        endpoint = endpoints[addr, port] = Endpoint.make(addr, _port(port))
-    return endpoint
 
 
 # each status text read -> the crawler's constant, which every read record then shares
 _STATUSES = {status: status for status in (STATUS_ACTIVE, STATUS_INACTIVE)}
 
 
-def _parse_record(
-    fields: Mapping[str, str], lineno: int, endpoints: dict[tuple[str, str], Endpoint]
-) -> PeerRecord:
+def _parse_record(fields: Mapping[str, str], lineno: int, endpoints: _Memo) -> PeerRecord:
     try:
-        endpoint = _endpoint(_require(fields, "addr", lineno), _require(fields, "port", lineno), endpoints)
+        endpoint = endpoints[_require(fields, "addr", lineno), _require(fields, "port", lineno)]
         status = _require(fields, "status", lineno)
         if status not in _STATUSES:
             raise CorruptRecordError(lineno, f"unknown status {status!r}")
@@ -281,7 +259,7 @@ def _parse_record(
             protocol_version=_int(fields["pver"], "pver") if "pver" in fields else None,
             user_agent=fields.get("ua"),
             start_height=_int(fields["height"], "height") if "height" in fields else None,
-            min_rtt_ms=float(fields["minrtt"]) if "minrtt" in fields else None,
+            min_rtt_ms=_decimal(fields["minrtt"], "minrtt", positive=True) if "minrtt" in fields else None,
             addr_count_returned=_int(fields.get("addrs", "0"), "addrs"),
         )
     except ValueError as exc:
@@ -289,15 +267,15 @@ def _parse_record(
 
 
 # A record line exactly as _record_line writes it: keys in that order, a
-# known status, integers in ASCII digits, no escape in addr, port or minrtt,
-# and optionally the country/asn/org keys that `chainobs enrich` appends
-# (unknown keys, which the reader ignores).  On such a line _parse_line would
-# keep every value but ua verbatim, so the line skips it and _parse_record;
-# any other line goes through both.
+# known status, integers in ASCII digits, no escape in addr, a minrtt in the
+# decimal form repr writes, and optionally the country/asn/org keys that
+# `chainobs enrich` appends (unknown keys, which the reader ignores).  On such
+# a line _parse_line would keep every value but ua verbatim, so the line skips
+# it and _parse_record; any other line goes through both.
 _INT = "(-?[0-9]+)"
 _WRITTEN_RECORD = re.compile(
     rf"addr:([^ %]*) port:([0-9]+) net:[^ ]* status:({STATUS_ACTIVE}|{STATUS_INACTIVE})"
-    rf"(?: services:{_INT})?(?: pver:{_INT})?(?: ua:([^ ]*))?(?: height:{_INT})?(?: minrtt:([^ %]*))?"
+    rf"(?: services:{_INT})?(?: pver:{_INT})?(?: ua:([^ ]*))?(?: height:{_INT})?(?: minrtt:({_DECIMAL}))?"
     rf" first_seen:{_INT} last_seen:{_INT} addrs:{_INT}(?: country:[^ ]* asn:[^ ]* org:[^ ]*)?"
 )
 
@@ -323,10 +301,13 @@ def _parse_written_record(line: str, lineno: int, table: _SeriesTable, ints: _Me
         if line[end] != " " or not _PATTERN_KEYS.isdisjoint(_parse_line(line[end + 1 :], lineno)):
             return None
     addr, port, status, services, pver, ua, height, minrtt, first_seen, last_seen, addrs = match.groups()
+    rtt = float(minrtt) if minrtt is not None else None
+    if rtt is not None and not 0 < rtt < math.inf:
+        return None  # 0, or past the float range: the general path reports it
     try:
         # positional, in field order: the arguments are evaluated in _parse_record's order
         return PeerRecord(
-            _endpoint(addr, port, table.endpoints),
+            table.endpoints[addr, port],
             _STATUSES[status],
             ints[first_seen],
             ints[last_seen],
@@ -334,7 +315,7 @@ def _parse_written_record(line: str, lineno: int, table: _SeriesTable, ints: _Me
             ints[pver] if pver is not None else None,
             table.user_agents[ua] if ua is not None else None,
             ints[height] if height is not None else None,
-            float(minrtt) if minrtt is not None else None,
+            rtt,
             ints[addrs],
         )
     except ValueError as exc:

@@ -17,17 +17,21 @@ reader of an input file streams it from here as numbered lines, so a line
 ends only at a newline byte, as in ``grep -n``, and the first bad line is
 reported with the file, whatever its fault, a byte that is not UTF-8 too.
 Every output file is written here, through a temporary file renamed over the
-target, so a failed write never leaves a half-written file.
+target, so a failed write never leaves a half-written file.  The readers' number
+rules live here (``_int``, ``_port``, ``_decimal``), and so does :class:`_Memo`, the
+one table that builds a value on its key's first lookup, from a builder that never
+refers to the table's owner (the series reader, the simnet's gossip, timeline rows).
 """
 
 from __future__ import annotations
 
 import os
+import re
 import socket
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Protocol
+from typing import Any, Callable, Iterator, NamedTuple, Protocol
 
 from .wirecodec import DEFAULT_PORT, canonical_ip
 
@@ -114,6 +118,34 @@ def _int(text: str, name: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{name} {text!r} is not an integer in ASCII digits")
     return int(text)
+
+
+_DECIMAL = r"[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"  # as repr writes a float >= 0
+_is_decimal = re.compile(_DECIMAL).fullmatch
+
+
+def _decimal(text: str, name: str, positive: bool = False) -> float:
+    """The ``name`` value as a finite float, > 0 if ``positive``, written in ASCII as ``repr`` writes
+    one: ``float`` alone would also take ``nan``, ``-5``, ``+2``, ``1_0`` or ``٣.5``."""
+    if not _is_decimal(text) or (value := float(text)) == float("inf") or (positive and not value):
+        raise ValueError(f"{name} {text!r} is not a finite decimal{' > 0' if positive else ''} in ASCII digits")
+    return value
+
+
+class _Memo(dict):
+    """Key -> ``build(key)``, built on the first lookup of that key only, so equal keys give one
+    object; a key ``build`` raises on is not stored.  ``build`` never refers to the table's owner:
+    the two would make a reference cycle, which only the garbage collector frees."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[Any], object]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: Any) -> object:
+        value = self[key] = self.build(key)
+        return value
 
 
 def _lines(path: str | Path, error: _LineError | None = None) -> Iterator[tuple[int, str]]:

@@ -1,6 +1,5 @@
 """End-to-end subcommand tests against simulated inputs."""
 
-import argparse
 import csv
 import dataclasses
 import os
@@ -210,10 +209,8 @@ def test_unknown_flag_before_the_subcommand_is_reported_under_the_top_level_usag
 
 def _parsed(argv):
     """The parsed namespace of ``argv`` and the type of each option of its subcommand."""
-    parser = cli.build_parser()
-    args = parser.parse_args(argv)
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return args, {action.dest: action.type for action in subparsers.choices[argv[0]]._actions}
+    args = cli.build_parser().parse_args(argv)
+    return args, {action.dest: action.type for action in args.parser._actions}
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,10 @@ The same tokens go to the ledger reader, both snapshot paths, the topology
 reader and ``Endpoint.parse`` ports.  ``int`` alone would also take ``+5``,
 ``1_0`` or non-ASCII digits such as ``٣``; none of the readers may.  Tokens
 hold no whitespace, since whitespace separates the columns themselves.
+
+One decimal rule likewise: a snapshot's ``minrtt`` and a topology's ``rtt_ms``
+and ``slow:<ms>`` delay take a finite decimal in the form ``repr`` writes,
+where ``float`` alone would also take ``nan``, ``-5``, ``1_0`` or ``٣.5``.
 """
 
 import re
@@ -24,6 +28,11 @@ SIGNED = re.compile(r"-?[0-9]+", re.ASCII)  # snapshot and topology integers
 _tokens = st.one_of(
     st.integers(-(10**6), 10**6).map(str),
     st.text(alphabet="0123456789-+_.xe٣²١５", max_size=6),
+)
+DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?", re.ASCII)  # minrtt and topology floats
+_decimal_tokens = st.one_of(
+    st.floats(allow_nan=True).map(repr),
+    st.text(alphabet="0123456789-+_.eEinfa٣５", max_size=8),
 )
 
 
@@ -95,6 +104,25 @@ def _topology_start_height(token):
     return _topology(f"10.0.0.1:8333 normal 9 {token} 20 -\n").peers[0].start_height
 
 
+def _record_rtt(general):
+    """Read ``minrtt:token`` in an otherwise written record line, on the fast or the general path."""
+
+    def read(token):
+        line = _RECORD.replace("minrtt:20.0", f"minrtt:{token}")
+        [record] = _snapshot(f"{_HEADER}\n{line}{' note:x' if general else ''}\n").records.values()
+        return record.min_rtt_ms
+
+    return read
+
+
+def _topology_rtt(token):
+    return _topology(f"10.0.0.1:8333 normal 9 600000 {token} -\n").peers[0].rtt_ms
+
+
+def _topology_slow_delay(token):
+    return _topology(f"10.0.0.1:8333 slow:{token} 9 600000 20 -\n").peers[0].slow_delay_ms
+
+
 def _endpoint_port(token):
     return Endpoint.parse(f"10.0.0.1:{token}").port
 
@@ -134,3 +162,55 @@ def test_each_reader_takes_exactly_the_ascii_form_of_its_column(reader, token):
     if form.fullmatch(token) and (kept is None or int(token) in kept):
         expected = int(token)
     assert _value(read, token) == expected
+
+
+# reader, whether it keeps 0, and what it reads for an empty token; each keeps only
+# finite values, none negative
+_DECIMAL_READERS = {
+    "snapshot minrtt fast": (_record_rtt(False), False, None),
+    "snapshot minrtt general": (_record_rtt(True), False, None),
+    "topology rtt_ms": (_topology_rtt, True, None),
+    "topology slow delay": (_topology_slow_delay, True, simnet.DEFAULT_SLOW_DELAY_MS),  # "slow:" is "slow"
+}
+
+
+@pytest.mark.parametrize("reader", list(_DECIMAL_READERS))
+@settings(max_examples=150, deadline=None)
+@given(token=_decimal_tokens)
+@example(token="nan")
+@example(token="-5")
+@example(token="inf")
+@example(token="1_0")
+@example(token="٣.5")
+@example(token="٣٠٠")
+@example(token="+2")
+@example(token="0")
+@example(token="1e999")
+@example(token="1e-06")
+@example(token="1e+16")
+@example(token="")
+def test_each_reader_takes_exactly_the_ascii_decimal_form(reader, token):
+    read, keeps_zero, empty = _DECIMAL_READERS[reader]
+    expected = empty if token == "" else None
+    if DECIMAL.fullmatch(token) and float(token) < float("inf") and (keeps_zero or float(token) > 0):
+        expected = float(token)
+    assert _value(read, token) == expected
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("10.0.0.1:8333 normal 9 0 1_0 -", "rtt_ms '1_0' is not a finite decimal in ASCII digits"),
+        ("10.0.0.1:8333 normal 9 0 ٣ -", "rtt_ms '٣' is not a finite decimal in ASCII digits"),
+        ("10.0.0.1:8333 normal 9 0 1e999 -", "rtt_ms '1e999' is not a finite decimal in ASCII digits"),
+        ("10.0.0.1:8333 slow:٣٠٠ 9 0 20 -", "slow delay '٣٠٠' is not a finite decimal in ASCII digits"),
+        ("10.0.0.1:8333 slow:+300 9 0 20 -", "slow delay '+300' is not a finite decimal in ASCII digits"),
+    ],
+    ids=["rtt-underscore", "rtt-arabic-indic", "rtt-overflow", "delay-arabic-indic", "delay-plus"],
+)
+def test_topology_decimal_errors_name_the_file_and_the_line(tmp_path, line, reason):
+    path = tmp_path / "bad.topo"
+    path.write_text(f"@rng_seed 1\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        simnet.load_topology(path)
+    assert str(err.value) == f"{path}: line 2: {reason}"

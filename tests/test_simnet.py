@@ -615,9 +615,9 @@ def test_topology_file_rejects_unknown_behavior(tmp_path):
         (b"10.0.0.1:8333 normal 9 3000000000 0 -\n", 1, "start height 3000000000 not in -2^31..2^31-1"),
         (b"10.0.0.1:8333 normal 9 2147483648 0 -\n", 1, "start height 2147483648 not in -2^31..2^31-1"),
         (b"10.0.0.1:8333 normal 9 -2147483649 0 -\n", 1, "start height -2147483649 not in -2^31..2^31-1"),
-        (b"10.0.0.1:8333 normal 9 0 nan -\n", 1, "rtt_ms nan and slow_delay_ms 150.0 must be finite and >= 0"),
-        (b"10.0.0.1:8333 normal 9 0 -50 -\n", 1, "rtt_ms -50.0 and slow_delay_ms 150.0 must be finite and >= 0"),
-        (b"10.0.0.1:8333 slow:inf 9 0 20 -\n", 1, "rtt_ms 20.0 and slow_delay_ms inf must be finite and >= 0"),
+        (b"10.0.0.1:8333 normal 9 0 nan -\n", 1, "rtt_ms 'nan' is not a finite decimal in ASCII digits"),
+        (b"10.0.0.1:8333 normal 9 0 -50 -\n", 1, "rtt_ms '-50' is not a finite decimal in ASCII digits"),
+        (b"10.0.0.1:8333 slow:inf 9 0 20 -\n", 1, "slow delay 'inf' is not a finite decimal in ASCII digits"),
         (
             b"@rng_seed 1\n@seeds 10.0.0.1:8333,10.0.0.9:8333,[::1]:18333\n10.0.0.1:8333 normal 9 0 0 -\n",
             2,

@@ -217,6 +217,32 @@ def test_general_path_reads_record_integers_in_ascii_digits_only(tmp_path, key, 
     assert str(err.value) == f"{path}: line 2: {key} {value!r} is not {form}"
 
 
+_BAD_RTTS = ["nan", "-5", "inf", "1_0", "\u0663.5", "+2", "0", "0.0", "1e999", ".5", "5.", "1E5", "1e5", "0x5", ""]
+
+
+@pytest.mark.parametrize("order", ["written", "reordered"])
+@pytest.mark.parametrize("value", _BAD_RTTS)
+def test_minrtt_is_a_finite_positive_ascii_decimal_on_both_paths(tmp_path, order, value):
+    path = tmp_path / f"rtt{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1", min_rtt_ms=12.5)]), path)
+    header, line, _ = path.read_text().split("\n")
+    tokens = [f"minrtt:{value}" if token.startswith("minrtt:") else token for token in line.split(" ")]
+    # the written order takes the fast path; the same keys reversed take the general tokenizer
+    path.write_text(f"{header}\n{' '.join(tokens if order == 'written' else tokens[::-1])}\n")
+    with pytest.raises(store.CorruptRecordError) as err:
+        store.read_snapshot(path)
+    assert str(err.value) == f"{path}: line 2: minrtt {value!r} is not a finite decimal > 0 in ASCII digits"
+
+
+@pytest.mark.parametrize("value", ["12.5", "1e-06", "1e+16", "7", "007.50", "1.7976931348623157e+308"])
+def test_minrtt_reads_each_decimal_repr_writes(tmp_path, value):
+    path = tmp_path / f"rtt{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1", min_rtt_ms=12.5)]), path)
+    path.write_text(path.read_text().replace("minrtt:12.5", f"minrtt:{value}"))
+    [record] = store.read_snapshot(path).records.values()
+    assert record.min_rtt_ms == float(value)
+
+
 @pytest.mark.parametrize("key", ["started_at", "finished_at"])
 @pytest.mark.parametrize("value", ["+5", "1_0", "\u0663", "5.0", ""])
 def test_header_times_are_integers_in_ascii_digits(tmp_path, key, value):
@@ -849,7 +875,7 @@ _written_records = st.builds(
     protocol_version=_optional(st.integers(-(2**31), 2**31 - 1)),
     user_agent=_optional(_user_agents),
     start_height=_optional(st.integers(-10, 2**31 - 1)),
-    min_rtt_ms=_optional(st.floats(allow_nan=False)),
+    min_rtt_ms=_optional(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),  # as a crawl measures
     addr_count_returned=st.integers(0, 5000),
 )
 _enrichments = st.one_of(
@@ -909,7 +935,7 @@ def _record_lines(draw):
 
 
 def _general(line):
-    return store._parse_record(store._parse_line(line, 2), 2, {})
+    return store._parse_record(store._parse_line(line, 2), 2, store._SeriesTable().endpoints)
 
 
 # one table for every line, as a series read keeps one across its files, and
