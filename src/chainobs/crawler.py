@@ -18,11 +18,10 @@ its command can carry (this pump alone enforces
 any other command may announce up to the 4 MiB frame limit, and the payload
 read is checked against the header's checksum by ``wirecodec.check_payload``.
 
-Every crawl hands all its probes one table from each ``addr`` entry's 18 wire
-bytes of IP and port to its :class:`Endpoint`, so an endpoint gossiped by many
-peers is built once; a new one is stored only below ``max_frontier`` entries.
-The thread pool shares it without a lock, as CPython's dict ``get``, ``len`` and
-item assignment are atomic: racing probes pass the cap by < ``max_inflight``.
+Every crawl keeps one set of the 18 wire bytes of IP and port of each endpoint
+it has queued, seeds included.  Only the crawl's own thread adds to it, below
+``max_frontier`` keys; its probes only read it, and decode only the gossiped
+keys not yet in it.
 
 A peer counts as *active* only when the full handshake completes; a peer
 that answers version but never verack stays inactive.  From ``connect`` on, a
@@ -41,7 +40,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from . import wirecodec
 from .transport import Connection, Endpoint, TcpTransport, Transport, TransportError, _content_lines
@@ -277,11 +276,9 @@ def measure_min_rtt(conn: Connection, magic: bytes, count: int, timeout: float) 
     return max(min(samples), 1e-6) if samples else None
 
 
-def _harvest(
-    conn: Connection, config: CrawlConfig, endpoints: dict[bytes, Endpoint]
-) -> tuple[list[Endpoint], int]:
-    # endpoints maps an entry's wire key (IP and port bytes) to its Endpoint, built
-    # once; decode_addr_key renders canonical IP text, so no trip through canonical_ip
+def _harvest(conn: Connection, config: CrawlConfig, seen: AbstractSet[bytes]) -> tuple[list[Endpoint], int]:
+    # an Endpoint for each distinct entry whose wire key (IP and port bytes) is not in seen;
+    # decode_addr_key renders canonical IP text, so no trip through canonical_ip
     deadline = conn.clock() + config.handshake_timeout_ms / 1000.0
     try:
         conn.send(wirecodec.encode_message("getaddr", b"", config.magic))
@@ -292,24 +289,17 @@ def _harvest(
     except (TransportError, wirecodec.CodecError) as exc:
         log.debug("getaddr failed: %s", exc)
         return [], 0
-    harvested: dict[Endpoint, None] = {}
-    for key in keys:
-        endpoint = endpoints.get(key)
-        if endpoint is None:
-            endpoint = Endpoint(*wirecodec.decode_addr_key(key))
-            if len(endpoints) < config.max_frontier:
-                endpoints[key] = endpoint
-        harvested[endpoint] = None
-    return list(harvested), len(keys)
+    fresh = [Endpoint(*wirecodec.decode_addr_key(key)) for key in dict.fromkeys(keys) if key not in seen]
+    return fresh, len(keys)
 
 
 def probe_peer(
-    endpoint: Endpoint, config: CrawlConfig, transport: Transport, *, _endpoints: dict[bytes, Endpoint] | None = None
+    endpoint: Endpoint, config: CrawlConfig, transport: Transport, *, _seen: AbstractSet[bytes] = frozenset()
 ) -> tuple[PeerRecord, list[Endpoint]]:
     """Probe one endpoint; a failure from ``connect`` on gives an inactive record, never a raise.
 
-    ``_endpoints`` is the crawl's table of gossiped endpoints (see :func:`crawl`);
-    without it the probe keeps its own.
+    The harvest leaves out each gossiped endpoint whose wire key is in ``_seen``, the
+    crawl's set of queued endpoints (see :func:`crawl`), and never writes to it.
     """
     now = int(transport.now())
     conn = None
@@ -317,7 +307,7 @@ def probe_peer(
         conn = transport.connect(endpoint, config.connect_timeout_ms / 1000.0)
         version = _handshake(conn, endpoint, config, now)
         min_rtt = measure_min_rtt(conn, config.magic, config.ping_count, config.handshake_timeout_ms / 1000.0)
-        harvested, entries_received = _harvest(conn, config, {} if _endpoints is None else _endpoints)
+        harvested, entries_received = _harvest(conn, config, _seen)
         record = PeerRecord(
             address=endpoint,
             status=STATUS_ACTIVE,
@@ -352,7 +342,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
     """
     started_at = int(transport.now())
     seeds = tuple(dict.fromkeys(config.seeds))
-    visited: set[Endpoint] = set(seeds)
+    seen = {wirecodec.encode_addr_key(*seed) for seed in seeds}  # wire key of every endpoint queued
     frontier: deque[Endpoint] = deque(seeds)
     records: dict[Endpoint, PeerRecord] = {}
     partial = False
@@ -361,26 +351,26 @@ def crawl(config: CrawlConfig, transport: Transport) -> Snapshot:
         nonlocal partial
         records[record.address] = record
         for endpoint in harvested:
-            if endpoint in visited:
+            key = wirecodec.encode_addr_key(*endpoint)
+            if key in seen:
                 continue
-            if len(visited) >= config.max_frontier:
+            if len(seen) >= config.max_frontier:
                 if not partial:
                     log.warning("frontier cap %d hit; snapshot will be partial", config.max_frontier)
                 partial = True
                 continue
-            visited.add(endpoint)
+            seen.add(key)
             frontier.append(endpoint)
 
-    endpoints: dict[bytes, Endpoint] = {}  # wire key -> Endpoint, shared by every probe
     if config.max_inflight == 1 or not isinstance(transport, TcpTransport):
         while frontier:
-            absorb(*probe_peer(frontier.popleft(), config, transport, _endpoints=endpoints))
+            absorb(*probe_peer(frontier.popleft(), config, transport, _seen=seen))
     else:
         with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
             pending: set[Future] = set()
             while frontier or pending:
                 while frontier and len(pending) < config.max_inflight:
-                    pending.add(pool.submit(probe_peer, frontier.popleft(), config, transport, _endpoints=endpoints))
+                    pending.add(pool.submit(probe_peer, frontier.popleft(), config, transport, _seen=seen))
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     absorb(*future.result())

@@ -116,7 +116,9 @@ class IpMetadataTable:
                         if not row or row[0].lstrip().startswith("#"):
                             continue
                         try:
-                            prefix, country, asn, org = (field.strip() for field in row[:4])
+                            prefix, country, asn, org = map(str.strip, row[:4])
+                            if not (asn.isascii() and asn.isdigit()):
+                                raise ValueError(f"asn {asn!r} is not ASCII digits")
                             table.add(prefix, country, int(asn), org)
                         except ValueError as exc:
                             raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc

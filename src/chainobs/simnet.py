@@ -313,12 +313,12 @@ def reachable_set(topology: SimTopology) -> set[Endpoint]:
 
 
 def _parse_behavior(token: str) -> tuple[str, float]:
-    name, _, delay = token.partition(":")
+    name, colon, delay = token.partition(":")
     if name not in BEHAVIORS:
         raise ValueError(f"unknown behavior {token!r}")
-    if delay and name != "slow":
+    if colon and name != "slow":
         raise ValueError(f"only slow takes a delay parameter: {token!r}")
-    return name, _decimal(delay, "slow delay") if delay else DEFAULT_SLOW_DELAY_MS
+    return name, _decimal(delay, "slow delay") if colon else DEFAULT_SLOW_DELAY_MS
 
 
 def load_topology(path: str | Path) -> SimTopology:

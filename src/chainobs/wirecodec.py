@@ -28,8 +28,10 @@ entries that are already encoded (the simulated peer keeps its gossip that
 way), and :func:`encode_addr` encodes each entry and ends in it, so the
 count cap and the CompactSize prefix are written once.  :func:`decode_addr`
 and the crawl's :func:`addr_keys` check an ``addr`` payload in one place;
-``addr_keys`` returns each entry's 18 wire bytes of IP and port, the key of
-the crawl's table of endpoints, and :func:`decode_addr_key` decodes one.
+``addr_keys`` returns each entry's 18 wire bytes of IP and port, the key by
+which a crawl knows the endpoints it has queued.  :func:`encode_addr_key`
+packs one and :func:`decode_addr_key` unpacks one; every entry is packed
+through ``encode_addr_key``, so the key layout has one encoder and one decoder.
 
 Everything here is a pure function over byte sequences: no sockets, no
 clocks, safe from any number of threads.  The one shared state is the
@@ -330,10 +332,9 @@ def decode_message(data: bytes, magic: bytes) -> tuple[str, bytes]:
 # little-endian; one struct format cannot mix byte orders, so the records
 # carry the port as two raw bytes packed by _PORT.
 _NET_ADDRESS = struct.Struct("<Q16s2s")
-_ADDR_ENTRY = struct.Struct("<IQ16s2s")
+_ADDR_ENTRY = struct.Struct("<IQ18s")  # last_seen, services, key: IP and port bytes
 _PORT = struct.Struct(">H")
-_ADDR_KEY = struct.Struct("<12x18s")  # an _ADDR_ENTRY's IP and port bytes
-_KEYED_ADDR_ENTRY = struct.Struct("<IQ18s")  # last_seen, services, IP and port bytes
+_ADDR_KEY = struct.Struct("<12x18s")  # an _ADDR_ENTRY's key
 # version payload: _VERSION_HEAD, CompactSize-prefixed user agent, _VERSION_TAIL
 _VERSION_HEAD = struct.Struct("<iQq26s26sQ")  # version, services, time, receiver, sender, nonce
 _VERSION_TAIL = struct.Struct("<iB")  # start height, relay flag
@@ -382,9 +383,7 @@ class AddrEntry(NamedTuple):
     port: int
 
     def encode(self) -> bytes:
-        return _ADDR_ENTRY.pack(
-            self.last_seen, self.services, ip_to_bytes16(self.ip), _PORT.pack(self.port)
-        )
+        return _ADDR_ENTRY.pack(self.last_seen, self.services, encode_addr_key(self.ip, self.port))
 
 
 @dataclass(frozen=True)
@@ -479,13 +478,18 @@ def decode_addr(data: bytes) -> list[AddrEntry]:
     """The entries of an ``addr`` payload."""
     return [
         AddrEntry(last_seen, services, *decode_addr_key(key))
-        for last_seen, services, key in _KEYED_ADDR_ENTRY.iter_unpack(_addr_records(data))
+        for last_seen, services, key in _ADDR_ENTRY.iter_unpack(_addr_records(data))
     ]
 
 
 def addr_keys(data: bytes) -> list[bytes]:
     """Each entry's 16-byte IP followed by its 2-byte port, with the checks of :func:`decode_addr`."""
     return [key for key, in _ADDR_KEY.iter_unpack(_addr_records(data))]
+
+
+def encode_addr_key(ip: str, port: int) -> bytes:
+    """An entry's 18-byte key: the 16-byte IP, then the port big-endian."""
+    return ip_to_bytes16(ip) + _PORT.pack(port)
 
 
 def decode_addr_key(key: bytes) -> tuple[str, int]:

@@ -309,7 +309,7 @@ def addr_payload(records) -> bytes:
     """The ``addr`` payload of ``(last_seen, services, 16-byte ip, port)`` records."""
     return wirecodec.encode_addr_records(
         [
-            wirecodec._ADDR_ENTRY.pack(last_seen, services, ip, port.to_bytes(2, "big"))
+            wirecodec._ADDR_ENTRY.pack(last_seen, services, ip + port.to_bytes(2, "big"))
             for last_seen, services, ip, port in records
         ]
     )

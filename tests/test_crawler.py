@@ -7,10 +7,12 @@ import struct
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainobs import crawler, simnet, snapshotstore, wirecodec
 from chainobs.crawler import CrawlConfig, STATUS_ACTIVE, STATUS_INACTIVE
@@ -796,22 +798,24 @@ def test_crawl_frontier_cap_flags_partial_snapshot():
     assert snapshot.total_count <= 10
 
 
-def _recording_ip_tables(monkeypatch):
-    """Patch ``crawler.probe_peer`` to keep the table each probe is handed, and its size after."""
-    tables, sizes = [], []
+def _recording_key_sets(monkeypatch):
+    """Patch ``crawler.probe_peer`` to keep the key set each probe is handed."""
+    key_sets = []
     probe = crawler.probe_peer
 
-    def recording_probe(endpoint, config, transport, *, _endpoints=None):
-        result = probe(endpoint, config, transport, _endpoints=_endpoints)
-        tables.append(_endpoints)
-        sizes.append(len(_endpoints))
-        return result
+    def recording_probe(endpoint, config, transport, *, _seen=frozenset()):
+        key_sets.append(_seen)
+        return probe(endpoint, config, transport, _seen=_seen)
 
     monkeypatch.setattr(crawler, "probe_peer", recording_probe)
-    return tables, sizes
+    return key_sets
 
 
-def test_crawl_ip_table_stays_within_the_frontier_cap(monkeypatch):
+def _key(endpoint):
+    return wirecodec.encode_addr_key(*endpoint)
+
+
+def test_crawl_key_set_ends_at_exactly_the_frontier_cap(monkeypatch):
     # two gossiping peers, each with one full reply: the seed gossips the second
     first = tuple(ep(f"10.1.{i // 256}.{i % 256}") for i in range(wirecodec.MAX_ADDR_ENTRIES - 1))
     second = tuple(ep(f"10.2.{i // 256}.{i % 256}") for i in range(wirecodec.MAX_ADDR_ENTRIES))
@@ -819,16 +823,16 @@ def test_crawl_ip_table_stays_within_the_frontier_cap(monkeypatch):
         SimPeerProfile(ep("10.0.0.1"), known_peers=(ep("10.0.0.2"), *first)),
         SimPeerProfile(ep("10.0.0.2"), known_peers=second),
     ])
-    tables, sizes = _recording_ip_tables(monkeypatch)
+    key_sets = _recording_key_sets(monkeypatch)
     snapshot = crawler.crawl(config(topo.seed_ids, max_frontier=1500), simnet.build_network(topo))
     assert snapshot.partial and snapshot.total_count == 1500
     assert snapshot.records[ep("10.0.0.2")].addr_count_returned == wirecodec.MAX_ADDR_ENTRIES
-    assert len({id(table) for table in tables}) == 1  # one table for the crawl
-    assert sizes[0] == wirecodec.MAX_ADDR_ENTRIES  # the first reply used it; the second would overfill it
-    assert max(sizes) <= 1500
+    assert len({id(seen) for seen in key_sets}) == 1  # one set for the crawl
+    assert key_sets[0] == {_key(address) for address in snapshot.records}  # each queued endpoint, seed included
+    assert len(key_sets[0]) == 1500
 
 
-def test_crawl_with_the_ip_table_equals_the_crawl_without_it(monkeypatch):
+def test_crawl_with_the_key_set_equals_the_crawl_without_it(monkeypatch):
     topo = simnet.random_topology(200, rng_seed=21, unreachable_fraction=0.2, silent_fraction=0.05, max_known=60)
 
     def run():
@@ -839,22 +843,22 @@ def test_crawl_with_the_ip_table_equals_the_crawl_without_it(monkeypatch):
         ]
         return snapshot.partial, fields  # in probe order
 
-    sizes = _recording_ip_tables(monkeypatch)[1]
-    with_table = run()
-    assert sizes[-1] > 0
+    key_sets = _recording_key_sets(monkeypatch)
+    with_set = run()
+    assert len(key_sets[-1]) > len(topo.seed_ids)
     monkeypatch.undo()
     probe = crawler.probe_peer
 
-    def without_table(endpoint, cfg, transport, *, _endpoints=None):
+    def without_set(endpoint, cfg, transport, *, _seen=frozenset()):
         return probe(endpoint, cfg, transport)
 
-    monkeypatch.setattr(crawler, "probe_peer", without_table)
-    assert run() == with_table
+    monkeypatch.setattr(crawler, "probe_peer", without_set)
+    assert run() == with_set
 
 
-def test_crawl_renders_each_gossiped_wire_key_once(monkeypatch):
+def test_crawl_decodes_each_gossiped_wire_key_but_the_seeds_once(monkeypatch):
     topo = simnet.random_topology(200, rng_seed=23, unreachable_fraction=0.2, max_known=60)
-    keys, rendered = [], []
+    keys, decoded = [], []
     addr_keys, decode_addr_key = wirecodec.addr_keys, wirecodec.decode_addr_key
 
     def recording_addr_keys(data):
@@ -863,11 +867,13 @@ def test_crawl_renders_each_gossiped_wire_key_once(monkeypatch):
         return result
 
     monkeypatch.setattr(wirecodec, "addr_keys", recording_addr_keys)
-    monkeypatch.setattr(wirecodec, "decode_addr_key", lambda key: rendered.append(key) or decode_addr_key(key))
+    monkeypatch.setattr(wirecodec, "decode_addr_key", lambda key: decoded.append(key) or decode_addr_key(key))
     snapshot = crawler.crawl(config(topo.seed_ids), simnet.build_network(topo))
     assert snapshot.active_addresses() == simnet.reachable_set(topo)
     assert len(keys) > 2 * len(set(keys))  # endpoints are gossiped again and again
-    assert sorted(rendered) == sorted(set(keys))
+    seed_keys = {_key(seed) for seed in topo.seed_ids}
+    assert seed_keys & set(keys)  # a seed is gossiped too, and never decoded
+    assert sorted(decoded) == sorted(set(keys) - seed_keys)
 
 
 class _AddrPeer(_ScriptedConnection):
@@ -882,44 +888,46 @@ class _AddrPeer(_ScriptedConnection):
             self._pending += wirecodec.encode_message("addr", self._payload, MAGIC)
 
 
-# a table kept across examples, as a crawl keeps one across probes
-_CRAWL_TABLE: dict[bytes, Endpoint] = {}
+def _not_in(payload, seen):
+    """Each distinct entry of ``payload`` whose key is not in ``seen``, in first-occurrence order."""
+    entries = dict.fromkeys(Endpoint(e.ip, e.port) for e in wirecodec.decode_addr(payload))
+    return [endpoint for endpoint in entries if _key(endpoint) not in seen]
 
 
 @settings(max_examples=300)
-@given(addr_records)
-def test_harvest_with_a_cold_or_warm_table_equals_decoding_each_entry(records):
+@given(addr_records, st.data())
+def test_harvest_returns_exactly_the_entries_not_in_seen(records, data):
     payload = addr_payload(records)
-    expected = list(dict.fromkeys(Endpoint(e.ip, e.port) for e in wirecodec.decode_addr(payload)))
-    cfg = config([ep("10.0.0.1")])
-    for table in ({}, _CRAWL_TABLE, _CRAWL_TABLE):  # cold; cold or warm from earlier examples; warm
-        harvested, received = crawler._harvest(_AddrPeer(payload), cfg, table)
-        assert harvested == expected
-        assert [type(endpoint) for endpoint in harvested] == [Endpoint] * len(expected)
+    keys = [ip + port.to_bytes(2, "big") for _, _, ip, port in records]
+    seen = frozenset(data.draw(st.lists(st.sampled_from(keys))) if keys else ()) | {bytes(18)}
+    cfg = config([ep("10.0.0.1")], max_frontier=1)  # the harvest does not read the cap
+    for given_seen in (frozenset(), seen, set(seen)):
+        harvested, received = crawler._harvest(_AddrPeer(payload), cfg, given_seen)
+        assert harvested == _not_in(payload, given_seen)
+        assert [type(endpoint) for endpoint in harvested] == [Endpoint] * len(harvested)
         assert received == len(records)
-    for _, _, ip, port in records:
-        assert _CRAWL_TABLE[ip + port.to_bytes(2, "big")] == (wirecodec.bytes16_to_ip(ip), port)
+    assert given_seen == seen  # the harvest never writes to the set
 
 
-def test_harvest_on_threads_sharing_one_table_stays_correct_and_near_its_cap():
-    # more threads than cores over overlapping keys, switching often: a torn or lost entry would show
-    workers, cap = 8, 500
+def test_harvest_on_threads_sharing_one_frozen_set_stays_correct():
+    # more threads than cores over overlapping keys, switching often: a torn result would show
+    workers = 8
     payloads = [
         addr_payload([(0, 1, bytes(10) + b"\xff\xff" + (100 * w + i).to_bytes(4, "big"), 8333) for i in range(1000)])
         for w in range(workers)
     ]
-    cfg, table = config([ep("10.0.0.1")], max_frontier=cap), {}
+    seen = frozenset(key for key in wirecodec.addr_keys(payloads[0])[::2])
+    cfg = config([ep("10.0.0.1")])
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(lambda payload: crawler._harvest(_AddrPeer(payload), cfg, table), payloads, timeout=60))
+            results = list(pool.map(lambda payload: crawler._harvest(_AddrPeer(payload), cfg, seen), payloads, timeout=60))
     finally:
         sys.setswitchinterval(switch)
     for payload, (harvested, received) in zip(payloads, results):
-        assert harvested == [Endpoint(e.ip, e.port) for e in wirecodec.decode_addr(payload)] and received == 1000
-    assert cap <= len(table) < cap + workers
-    assert all(endpoint == Endpoint(*wirecodec.decode_addr_key(key)) for key, endpoint in table.items())
+        assert harvested == _not_in(payload, seen) and received == 1000
+    assert len(results[0][0]) == 500  # the set held every other key of the first payload
 
 
 def test_crawl_config_validation():
@@ -1153,15 +1161,17 @@ def test_crawl_inflight_bound_is_respected():
     assert 1 < parallel_peak <= 3 and sequential_peak == 1
 
 
-def test_crawl_pool_hands_every_probe_the_one_ip_table(monkeypatch):
-    tables, _ = _recording_ip_tables(monkeypatch)
+def test_crawl_pool_hands_every_probe_the_one_key_set(monkeypatch):
+    key_sets = _recording_key_sets(monkeypatch)
     decoded = []
     decode_addr_key = wirecodec.decode_addr_key
     monkeypatch.setattr(wirecodec, "decode_addr_key", lambda key: decoded.append(key) or decode_addr_key(key))
     with loopback_network(8, probes=1) as endpoints:
         peak, records = _tcp_crawl(endpoints, max_inflight=4)
     assert peak > 1 and set(records) == set(endpoints)  # the pool ran
-    assert len(tables) == len(endpoints) and len({id(table) for table in tables}) == 1
-    assert len(tables[0]) == len(endpoints)
-    entries_received = len(endpoints) * (len(endpoints) - 1)  # each peer gossips the others
-    assert len(decoded) < entries_received
+    assert len(key_sets) == len(endpoints) and len({id(seen) for seen in key_sets}) == 1
+    assert key_sets[0] == {_key(endpoint) for endpoint in endpoints}
+    # each peer gossips the others; the seed's key is never decoded, any other key at
+    # most once per probe in flight before the crawl adds it to the set
+    assert set(decoded) == {_key(endpoint) for endpoint in endpoints[1:]}
+    assert max(Counter(decoded).values()) <= 4

@@ -126,13 +126,20 @@ def test_csv_loading_and_first_listed_priority(tmp_path):
     "content, line, reason",
     [
         (b"# prefix,country,asn,org\n10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE\n", 3, "not enough values"),
-        (b'10.0.0.0/8,US,64500,"Alpha\nBeta"\n10.1.0.0/16,DE,AS1,Gamma\n', 3, "invalid literal"),
+        (b'10.0.0.0/8,US,64500,"Alpha\nBeta"\n10.1.0.0/16,DE,AS1,Gamma\n', 3, "asn 'AS1' is not ASCII digits"),
         (b"10.0.0.0/8,US,64500,Alpha\n10.1.0.0/16,DE,64501,Caf\xe9\n", 2, "not UTF-8"),
         # a line ends at \n only, as in grep -n
         (b"10.0.0.0/8,US,1,A\r20.0.0.0/8,DE,x,B\n", 1, "carriage return inside a row"),
         (b'# crlf\r\n10.0.0.0/8,US,1,"A"\rB\r\n', 2, "carriage return inside a row"),
+        *(
+            (f"10.0.0.0/8,US,1,A\n20.0.0.0/8,DE,{asn},B\n".encode(), 2, f"asn {asn!r} is not ASCII digits")
+            for asn in ("+7", "-5", "1_0", "٣")
+        ),
     ],
-    ids=["short-row", "bad-asn-after-quoted-newline", "not-utf8", "lone-cr", "lone-cr-after-quote-in-crlf-file"],
+    ids=[
+        "short-row", "bad-asn-after-quoted-newline", "not-utf8", "lone-cr", "lone-cr-after-quote-in-crlf-file",
+        "asn-plus", "asn-minus", "asn-underscore", "asn-arabic-indic",
+    ],
 )
 def test_prefix_csv_errors_name_the_file_and_the_line(tmp_path, content, line, reason):
     path = tmp_path / "prefixes.csv"

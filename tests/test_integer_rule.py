@@ -1,9 +1,10 @@
 """One integer rule at every reader: each column takes exactly its ASCII form.
 
 The same tokens go to the ledger reader, both snapshot paths, the topology
-reader and ``Endpoint.parse`` ports.  ``int`` alone would also take ``+5``,
-``1_0`` or non-ASCII digits such as ``٣``; none of the readers may.  Tokens
-hold no whitespace, since whitespace separates the columns themselves.
+reader, ``Endpoint.parse`` ports and the prefix table's ASNs.  ``int`` alone
+would also take ``+5``, ``1_0`` or non-ASCII digits such as ``٣``; none of the
+readers may.  Tokens hold no whitespace, since whitespace separates the
+columns themselves.
 
 One decimal rule likewise: a snapshot's ``minrtt`` and a topology's ``rtt_ms``
 and ``slow:<ms>`` delay take a finite decimal in the form ``repr`` writes,
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainobs import ledger, simnet, snapshotstore
+from chainobs import enrich, ledger, simnet, snapshotstore
 from chainobs.transport import Endpoint
 from helpers import numbered_lines
 
@@ -127,6 +128,13 @@ def _endpoint_port(token):
     return Endpoint.parse(f"10.0.0.1:{token}").port
 
 
+def _prefix_table_asn(token):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "prefixes.csv")
+        path.write_text(f"10.0.0.0/8,US,{token},Org\n", encoding="utf-8")
+        return enrich.IpMetadataTable.from_csv(path).lookup("10.0.0.1").asn
+
+
 # reader, the form its column takes, and the range of values it keeps
 _READERS = {
     "ledger height": (_ledger_height, UNSIGNED, None),
@@ -144,6 +152,7 @@ _READERS = {
     "topology @rng_seed": (_topology_rng_seed, SIGNED, None),
     "topology start height": (_topology_start_height, SIGNED, range(-(2**31), 2**31)),
     "Endpoint.parse port": (_endpoint_port, UNSIGNED, range(0, 65536)),
+    "prefix table asn": (_prefix_table_asn, UNSIGNED, None),
 }
 
 
@@ -164,13 +173,12 @@ def test_each_reader_takes_exactly_the_ascii_form_of_its_column(reader, token):
     assert _value(read, token) == expected
 
 
-# reader, whether it keeps 0, and what it reads for an empty token; each keeps only
-# finite values, none negative
+# reader and whether it keeps 0; each keeps only finite values, none negative
 _DECIMAL_READERS = {
-    "snapshot minrtt fast": (_record_rtt(False), False, None),
-    "snapshot minrtt general": (_record_rtt(True), False, None),
-    "topology rtt_ms": (_topology_rtt, True, None),
-    "topology slow delay": (_topology_slow_delay, True, simnet.DEFAULT_SLOW_DELAY_MS),  # "slow:" is "slow"
+    "snapshot minrtt fast": (_record_rtt(False), False),
+    "snapshot minrtt general": (_record_rtt(True), False),
+    "topology rtt_ms": (_topology_rtt, True),
+    "topology slow delay": (_topology_slow_delay, True),  # "slow:" is rejected, not "slow"
 }
 
 
@@ -190,8 +198,8 @@ _DECIMAL_READERS = {
 @example(token="1e+16")
 @example(token="")
 def test_each_reader_takes_exactly_the_ascii_decimal_form(reader, token):
-    read, keeps_zero, empty = _DECIMAL_READERS[reader]
-    expected = empty if token == "" else None
+    read, keeps_zero = _DECIMAL_READERS[reader]
+    expected = None
     if DECIMAL.fullmatch(token) and float(token) < float("inf") and (keeps_zero or float(token) > 0):
         expected = float(token)
     assert _value(read, token) == expected
@@ -205,8 +213,13 @@ def test_each_reader_takes_exactly_the_ascii_decimal_form(reader, token):
         ("10.0.0.1:8333 normal 9 0 1e999 -", "rtt_ms '1e999' is not a finite decimal in ASCII digits"),
         ("10.0.0.1:8333 slow:٣٠٠ 9 0 20 -", "slow delay '٣٠٠' is not a finite decimal in ASCII digits"),
         ("10.0.0.1:8333 slow:+300 9 0 20 -", "slow delay '+300' is not a finite decimal in ASCII digits"),
+        ("10.0.0.1:8333 slow: 9 0 20 -", "slow delay '' is not a finite decimal in ASCII digits"),
+        ("10.0.0.1:8333 normal: 9 0 20 -", "only slow takes a delay parameter: 'normal:'"),
     ],
-    ids=["rtt-underscore", "rtt-arabic-indic", "rtt-overflow", "delay-arabic-indic", "delay-plus"],
+    ids=[
+        "rtt-underscore", "rtt-arabic-indic", "rtt-overflow", "delay-arabic-indic", "delay-plus", "delay-empty",
+        "normal-colon",
+    ],
 )
 def test_topology_decimal_errors_name_the_file_and_the_line(tmp_path, line, reason):
     path = tmp_path / "bad.topo"

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainobs import wirecodec as wc
-from helpers import addr_payload, addr_records, four_bytes, packed_ips
+from helpers import addr_payload, addr_records, four_bytes, gossiped_ips, packed_ips
 
 MAGIC = wc.MAINNET_MAGIC
 
@@ -550,6 +550,36 @@ def test_decode_addr_equals_rendering_each_entry(records):
 @given(addr_records)
 def test_addr_keys_are_the_ip_and_port_bytes_of_each_entry(records):
     assert wc.addr_keys(addr_payload(records)) == [ip + port.to_bytes(2, "big") for _, _, ip, port in records]
+
+
+@settings(max_examples=300)
+@given(addr_records)
+def test_addr_entry_encodes_the_reference_layout(records):
+    for last_seen, services, ip, port in records:
+        entry = wc.AddrEntry(last_seen, services, wc.bytes16_to_ip(ip), port)
+        assert entry.encode() == struct.pack("<IQ", last_seen, services) + ip + struct.pack(">H", port)
+
+
+@settings(max_examples=500)
+@given(st.binary(min_size=18, max_size=18))
+@example(bytes(10) + b"\xff\xff" + bytes([10, 0, 0, 1]) + b"\x20\x8d")
+@example(bytes(12) + bytes([1, 2, 3, 4]) + bytes(2))
+def test_encode_addr_key_inverts_decode_addr_key(key):
+    assert wc.encode_addr_key(*wc.decode_addr_key(key)) == key
+
+
+@settings(max_examples=500)
+@given(gossiped_ips.map(wc.bytes16_to_ip), st.integers(min_value=0, max_value=65535))
+@example("10.0.0.1", 8333)  # IPv4
+@example("2001:db8::1", 65535)  # IPv6
+@example("fd87:d87e:eb43:1:2:3:4:5", 0)  # OnionCat
+@example("::102:304", 1)  # ::/96
+@example("::", 8333)
+def test_decode_addr_key_inverts_encode_addr_key_on_canonical_endpoints(ip, port):
+    assert wc.canonical_ip(ip) == ip
+    key = wc.encode_addr_key(ip, port)
+    assert len(key) == 18
+    assert wc.decode_addr_key(key) == (ip, port)
 
 
 _ENTRY = wc.AddrEntry(0, 0, "2001:db8::1", 8333).encode()
