@@ -2,7 +2,8 @@
 
 Network classes are ``ipv4``, ``ipv6``, and ``tor``; onion peers gossip as
 OnionCat-encoded IPv6 inside ``fd87:d87e:eb43::/48``, and membership in a
-Tor exit list upgrades any address to ``tor``.
+Tor exit list upgrades any address to ``tor``.  The network class and the
+prefix lookup both read an endpoint's canonical IP text as it is.
 
 Country/ASN metadata comes from plain CSV mapping files with rows of
 ``prefix,country,asn,org`` (``#`` comments allowed, no header required).
@@ -17,13 +18,14 @@ from __future__ import annotations
 import csv
 import ipaddress
 import logging
+import socket
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Iterable
 
 from .transport import _content_lines, _lines
-from .wirecodec import V4_MAPPED_PREFIX, bytes16_to_ip, canonical_ip, ip_to_bytes16
+from .wirecodec import canonical_ip
 
 if TYPE_CHECKING:
     from .crawler import Snapshot
@@ -35,26 +37,22 @@ NET_IPV4 = "ipv4"
 NET_IPV6 = "ipv6"
 NET_TOR = "tor"
 
-ONIONCAT_PREFIX = bytes.fromhex("fd87d87eeb43")  # fd87:d87e:eb43::/48, packed
-
 UNKNOWN_BUCKET = "unknown"
 TOR_BUCKET = "tor"
 
 
 def classify_network(address: "str | Endpoint", tor_exits: AbstractSet[str] = frozenset()) -> str:
-    """Classify a canonical address as ipv4, ipv6, or tor.
+    """Classify an address as ipv4, ipv6, or tor.
 
-    Raises ValueError for strings that are not IP addresses; canonical
-    endpoints never trip that.
+    An Endpoint's ``ip`` is trusted to be canonical; a ``str`` is
+    canonicalised first and raises ValueError if it is not an IP address.
     """
-    packed = ip_to_bytes16(address if isinstance(address, str) else address.ip)
-    if tor_exits and bytes16_to_ip(packed) in tor_exits:
+    ip = canonical_ip(address) if isinstance(address, str) else address.ip
+    # RFC 5952 never compresses the OnionCat /48's three nonzero leading groups
+    if ip in tor_exits or ip.startswith("fd87:d87e:eb43:"):
         return NET_TOR
-    if packed.startswith(V4_MAPPED_PREFIX):
-        return NET_IPV4
-    if packed.startswith(ONIONCAT_PREFIX):
-        return NET_TOR
-    return NET_IPV6
+    # canonical text writes a v4-mapped address as a dotted quad
+    return NET_IPV6 if ":" in ip else NET_IPV4
 
 
 def load_tor_exits(path: str | Path) -> frozenset[str]:
@@ -133,11 +131,9 @@ class IpMetadataTable:
         return self._size
 
     def lookup(self, address: "str | Endpoint") -> IpMetadata | None:
-        packed = ip_to_bytes16(address if isinstance(address, str) else address.ip)
-        if packed.startswith(V4_MAPPED_PREFIX):
-            version, bits, ip_int = 4, 32, int.from_bytes(packed[12:], "big")
-        else:
-            version, bits, ip_int = 6, 128, int.from_bytes(packed, "big")
+        ip = canonical_ip(address) if isinstance(address, str) else address.ip
+        version, bits, family = (6, 128, socket.AF_INET6) if ":" in ip else (4, 32, socket.AF_INET)
+        ip_int = int.from_bytes(socket.inet_pton(family, ip), "big")
         for prefixlen in self._lengths[version]:
             masked = ip_int >> (bits - prefixlen) << (bits - prefixlen) if prefixlen else 0
             found = self._buckets[(version, prefixlen)].get(masked)

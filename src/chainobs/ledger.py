@@ -497,14 +497,12 @@ def _format_entries(entries: tuple[tuple[str, int], ...]) -> str:
     return ";".join(f"{address}:{value}" for address, value in entries) or "-"
 
 
-def _parse_entries(
-    column: str, lineno: int, names: dict[str, str] | None = None
-) -> tuple[tuple[str, int], ...]:
+def _parse_entries(column: str, lineno: int, names: dict[str, str]) -> tuple[tuple[str, int], ...]:
     """The ``addr:value`` entries of a column; ``names`` maps address text to the
     one ``str`` that every entry of a read holds."""
     if column == "-":
         return ()
-    shared = (names if names is not None else {}).setdefault
+    shared = names.setdefault
     entries = []
     for token in column.split(";"):
         address, sep, value = token.rpartition(":")

@@ -29,6 +29,22 @@ def numbered_lines(text: str) -> list[tuple[int, str]]:
     return list(enumerate(pieces, start=1))
 
 
+def mutate(data: bytes, edits) -> bytes:
+    """``data`` after each ``(where, action, chunk)`` edit in turn: ``put`` overwrites
+    bytes from ``where`` with ``chunk``, ``insert`` inserts it there, ``delete``
+    removes ``1 + len(chunk)`` bytes there; ``where`` past the end means the end."""
+    out = bytearray(data)
+    for where, action, chunk in edits:
+        where = min(where, len(out))
+        if action == "insert":
+            out[where:where] = chunk
+        elif action == "delete":
+            del out[where : where + 1 + len(chunk)]
+        else:
+            out[where : where + len(chunk)] = chunk
+    return bytes(out)
+
+
 def make_record(
     ip: str,
     port: int = 8333,

@@ -4,11 +4,13 @@ import ipaddress
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainobs import enrich
 from chainobs.enrich import IpMetadataTable
 from chainobs.transport import Endpoint
-from chainobs.wirecodec import canonical_ip
+from chainobs.wirecodec import V4_MAPPED_PREFIX, bytes16_to_ip, canonical_ip
 from helpers import make_record, make_snapshot
 
 
@@ -212,7 +214,7 @@ def test_lookup_matches_linear_scan_oracle_ipv6():
         assert table.lookup(ip) == _linear_oracle(entries, ip)
 
 
-# --- differential: packed-bytes classify/lookup against the ipaddress versions --------
+# --- differential: text classify/lookup against the ipaddress versions ----------------
 
 
 _REFERENCE_ONIONCAT = ipaddress.ip_network("fd87:d87e:eb43::/48")
@@ -312,6 +314,36 @@ def test_classify_and_lookup_match_ipaddress_reference_on_random_inputs():
                 reference_classify_network, text, exits
             )
             assert _outcome(table.lookup, text) == _outcome(reference_lookup, table, text)
+
+
+def _packed_with_head(head):
+    return st.binary(min_size=16 - len(head), max_size=16 - len(head)).map(lambda tail: head + tail)
+
+
+_packed_addresses = st.one_of(
+    _packed_with_head(V4_MAPPED_PREFIX),
+    _packed_with_head(bytes(12)),  # ::/96
+    *(_packed_with_head(bytes.fromhex(head)) for head in ("fd87d87eeb42", "fd87d87eeb43", "fd87d87eeb44")),
+    st.binary(min_size=16, max_size=16),
+)
+
+
+@settings(max_examples=300)
+@given(
+    packed=st.lists(_packed_addresses, min_size=1, max_size=12),
+    port=st.integers(0, 65535),
+    exit_flags=st.lists(st.booleans(), min_size=12, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classify_and_lookup_on_endpoints_match_ipaddress_reference(packed, port, exit_flags, seed):
+    """An Endpoint's canonical text is read as it is, and agrees with the reference on its text."""
+    endpoints = [Endpoint(bytes16_to_ip(data), port) for data in packed]
+    exits = frozenset(endpoint.ip for endpoint, flag in zip(endpoints, exit_flags) if flag)
+    table = _random_table(random.Random(seed))
+    for endpoint in endpoints:
+        assert enrich.classify_network(endpoint) == reference_classify_network(endpoint.ip)
+        assert enrich.classify_network(endpoint, exits) == reference_classify_network(endpoint.ip, exits)
+        assert table.lookup(endpoint) == reference_lookup(table, endpoint.ip)
 
 
 # --- share aggregation ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chainobs import crawler, enrich, ledger, simnet, snapshotstore
 from chainobs.transport import _content_lines, _lines
+from helpers import mutate
 
 
 class _LineFault(Exception):
@@ -195,3 +196,32 @@ def test_a_reader_stopped_by_an_error_has_closed_its_file(tmp_path, name, fault)
         assert _open_files() == before
     else:
         pytest.fail("the reader took a bad line")
+
+
+# --- fuzz: each reader raises only its declared error ---------------------------------
+
+
+_DECLARED = {"snapshot": snapshotstore.SnapshotStoreError, "ledger": ledger.LedgerError, "tagmap": ledger.LedgerError}
+_edits = st.lists(
+    st.tuples(st.integers(0, 200), st.sampled_from(["put", "insert", "delete"]), st.binary(max_size=4)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader-fuzz")
+
+
+@settings(max_examples=60)
+@pytest.mark.parametrize("name", READERS)
+@given(edits=_edits)
+def test_each_reader_raises_only_its_declared_error_on_a_mutated_good_file(fuzz_dir, name, edits):
+    read, first, good, _ = READERS[name]
+    path = fuzz_dir / name
+    path.write_bytes(mutate(first + b"\n" + good + b"\n", edits))
+    try:
+        read(path)
+    except _DECLARED.get(name, ValueError):
+        pass

@@ -19,7 +19,7 @@ from chainobs import cli, ledger, simnet, transport
 from chainobs import snapshotstore as store
 from chainobs.crawler import PeerRecord, STATUS_ACTIVE, STATUS_INACTIVE
 from chainobs.transport import Endpoint
-from helpers import BASE_TS, make_record, make_snapshot
+from helpers import BASE_TS, make_record, make_snapshot, mutate
 
 
 def test_round_trip_identity_small_snapshot(tmp_path):
@@ -740,19 +740,6 @@ _edits = st.lists(
 )
 
 
-def _mutate(data, edits):
-    out = bytearray(data)
-    for where, action, chunk in edits:
-        where = min(where, len(out))
-        if action == "insert":
-            out[where:where] = chunk
-        elif action == "delete":
-            del out[where : where + 1 + len(chunk)]
-        else:
-            out[where : where + len(chunk)] = chunk
-    return bytes(out)
-
-
 def _read_declared_errors_only(directory, data):
     path = directory / f"f{store.SNAPSHOT_SUFFIX}"
     path.write_bytes(data)
@@ -771,7 +758,7 @@ def test_reader_raises_only_declared_errors_on_arbitrary_bytes(fuzz_dir, data):
 @settings(max_examples=300)
 @given(edits=_edits)
 def test_reader_raises_only_declared_errors_on_mutated_files(fuzz_dir, edits):
-    _read_declared_errors_only(fuzz_dir, _mutate(_VALID_SNAPSHOT, edits))
+    _read_declared_errors_only(fuzz_dir, mutate(_VALID_SNAPSHOT, edits))
 
 
 @pytest.fixture(scope="module")
@@ -785,7 +772,7 @@ def series_fuzz_dir(tmp_path_factory):
 @given(edits=_edits)
 def test_series_reader_raises_only_declared_errors_on_a_mutated_copy(series_fuzz_dir, edits):
     # the good file fills load_series' endpoint table before the mutated copy is read
-    (series_fuzz_dir / f"m{store.SNAPSHOT_SUFFIX}").write_bytes(_mutate(_VALID_SNAPSHOT, edits))
+    (series_fuzz_dir / f"m{store.SNAPSHOT_SUFFIX}").write_bytes(mutate(_VALID_SNAPSHOT, edits))
     try:
         series = store.load_series(series_fuzz_dir)
     except store.SnapshotStoreError:
