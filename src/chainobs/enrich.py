@@ -81,7 +81,6 @@ class IpMetadataTable:
         self._buckets: dict[tuple[int, int], dict[int, IpMetadata]] = {}
         self._lengths: dict[int, list[int]] = {4: [], 6: []}
         self.disagreements = 0
-        self._size = 0
         for prefix, country, asn, org in entries:
             self.add(prefix, country, asn, org)
 
@@ -100,7 +99,6 @@ class IpMetadataTable:
                 self.disagreements += 1
             return  # first loaded entry wins
         bucket[net_int] = new
-        self._size += 1
 
     @classmethod
     def from_csv(cls, *paths: str | Path) -> "IpMetadataTable":
@@ -128,7 +126,7 @@ class IpMetadataTable:
         return table
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self._buckets.values()))
 
     def lookup(self, address: "str | Endpoint") -> IpMetadata | None:
         ip = canonical_ip(address) if isinstance(address, str) else address.ip

@@ -13,16 +13,17 @@ Unknown keys are ignored on read, which is the forward-compatibility hook
 the enrichment step uses to append country/AS columns without breaking older
 readers.  A record holds each key at most once; a repeated key makes the
 record corrupt, as do bytes that are not UTF-8 and a port outside 0-65535,
-and the error names the file and its first bad line.  A snapshot holds each endpoint
-once: a second record for it, in any spelling of the address, is corrupt
-and names the line of the first.  In the header, ``partial`` is ``0`` or
-``1`` and ``seed_count`` equals the number of seeds; either key may be
-missing.  Every integer, in a record or the header, is written ``-?[0-9]+``
-in ASCII and a port in ASCII digits; ``+5``, ``1_0`` or ``٣``, which ``int``
-would take, make the line corrupt, as does a ``minrtt`` that is not a finite
-decimal > 0 as ``repr`` writes one (``nan``, ``-5``, ``0``).  Writes go to a
-temporary file renamed over the target, so a crash never leaves a
-half-written snapshot behind.
+and the error names the file and its first bad line.  A snapshot holds each
+endpoint once: a second record for it, in any spelling of the address, is
+corrupt and names the line of the first.  In the header, ``partial`` is
+``0`` or ``1`` and ``seed_count`` equals the number of seeds; either key may
+be missing.  The header is judged whole when it is read, so a fault in it
+is reported on its line before any record is read.  Every integer, in a
+record or the header, is written ``-?[0-9]+`` in ASCII and a port in ASCII
+digits; ``+5``, ``1_0`` or ``٣``, which ``int`` would take, make the line
+corrupt, as does a ``minrtt`` that is not a finite decimal > 0 as ``repr``
+writes one (``nan``, ``-5``, ``0``).  Writes go to a temporary file renamed
+over the target, so a crash never leaves a half-written snapshot behind.
 
 The writer builds the header and each record line as one f-string: only
 the text values (``seeds`` and ``config`` in the header; ``addr``,
@@ -74,7 +75,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 from urllib.parse import quote, unquote
 
 from .crawler import PeerRecord, Snapshot, STATUS_ACTIVE, STATUS_INACTIVE
@@ -329,38 +330,18 @@ def read_snapshot(path: str | Path, *, _table: _SeriesTable | None = None) -> Sn
         return _parse_snapshot(lines, _SeriesTable() if _table is None else _table)
 
 
-def _parse_snapshot(lines: Iterable[tuple[int, str]], table: _SeriesTable) -> Snapshot:
-    header: dict[str, str] | None = None
-    records: dict[Endpoint, PeerRecord] = {}
-    record_lines: list[int] = []  # the line of each record, in the order of records
-    ints = _Memo(int)  # one file's integer texts: bounded by its distinct values
-    for lineno, line in lines:
-        record = None if header is None else _parse_written_record(line, lineno, table, ints)
-        if record is None:
-            if not line.strip():
-                continue
-            fields = _parse_line(line, lineno)
-            if header is None:
-                if fields.get("kind") != "header":
-                    raise CorruptRecordError(lineno, "first record must be the header")
-                schema = fields.get("schema")
-                if schema != str(SCHEMA_VERSION):
-                    raise SchemaVersionUnsupportedError(f"schema {schema!r}")
-                header, header_line = fields, lineno
-                continue
-            record = _parse_record(fields, lineno, table.endpoints)
-        if records.setdefault(record.address, record) is not record:
-            first = record_lines[list(records).index(record.address)]
-            raise CorruptRecordError(lineno, f"{record.address} repeats line {first}")
-        record_lines.append(lineno)
-    if header is None:
+def _parse_header(lines: Iterator[tuple[int, str]], seed_table: _Memo) -> Snapshot:
+    """The snapshot the first non-blank line of ``lines`` describes, with no records yet; a fault
+    in that header raises on its line before any later line is read."""
+    lineno, line = next(((n, text) for n, text in lines if text.strip()), (1, ""))
+    if not line:
         raise CorruptRecordError(1, "empty snapshot file")
-    return _snapshot(header, header_line, records, table.seeds)
-
-
-def _snapshot(
-    header: Mapping[str, str], lineno: int, records: dict[Endpoint, PeerRecord], seed_table: _Memo
-) -> Snapshot:
+    header = _parse_line(line, lineno)
+    if header.get("kind") != "header":
+        raise CorruptRecordError(lineno, "first record must be the header")
+    schema = header.get("schema")
+    if schema != str(SCHEMA_VERSION):
+        raise SchemaVersionUnsupportedError(f"schema {schema!r}")
     try:
         seeds = tuple(seed_table[token] for token in header.get("seeds", "").split(",") if token.strip())
         if "seed_count" in header and _int(header["seed_count"], "seed_count") != len(seeds):
@@ -369,15 +350,34 @@ def _snapshot(
         if partial not in ("0", "1"):
             raise ValueError(f"partial {partial!r} is not 0 or 1")
         return Snapshot(
-            started_at=_int(header["started_at"], "started_at"),
-            finished_at=_int(header["finished_at"], "finished_at"),
+            started_at=_int(_require(header, "started_at", lineno), "started_at"),
+            finished_at=_int(_require(header, "finished_at", lineno), "finished_at"),
             seeds=seeds,
-            records=records,
+            records={},
             crawler_config_digest=header.get("config", ""),
             partial=partial == "1",
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CorruptRecordError(lineno, f"bad header: {exc}") from exc
+
+
+def _parse_snapshot(lines: Iterable[tuple[int, str]], table: _SeriesTable) -> Snapshot:
+    lines = iter(lines)
+    snapshot = _parse_header(lines, table.seeds)
+    records = snapshot.records
+    record_lines: list[int] = []  # the line of each record, in the order of records
+    ints = _Memo(int)  # one file's integer texts: bounded by its distinct values
+    for lineno, line in lines:
+        record = _parse_written_record(line, lineno, table, ints)
+        if record is None:
+            if not line.strip():
+                continue
+            record = _parse_record(_parse_line(line, lineno), lineno, table.endpoints)
+        if records.setdefault(record.address, record) is not record:
+            first = record_lines[list(records).index(record.address)]
+            raise CorruptRecordError(lineno, f"{record.address} repeats line {first}")
+        record_lines.append(lineno)
+    return snapshot
 
 
 def series_path(directory: Path, started_at: int) -> Path:

@@ -176,6 +176,19 @@ def test_repeated_endpoint_is_corrupt(tmp_path, written_shape, second):
     assert str(err.value) == f"{path}: line 6: 10.0.0.1:8333 repeats line 3"
 
 
+def _assert_header_fault_named(path, message):
+    """Corrupt record and non-UTF-8 lines after the bad header in ``path``: the error still names
+    the header's line, line 1, or line 2 behind a leading blank line."""
+    header_and_records = path.read_bytes()
+    bad_port = header_and_records.split(b"\n")[1].replace(b"port:8333", b"port:x")
+    for blank, lineno in ((b"", 1), (b"\n", 2)):
+        path.write_bytes(blank + header_and_records + bad_port + b"\n\xff\n")
+        with pytest.raises(store.CorruptRecordError) as err:
+            store.read_snapshot(path)
+        assert err.value.line_number == lineno
+        assert str(err.value) == f"{path}: line {lineno}: {message}"
+
+
 @pytest.mark.parametrize(
     "edit, reason",
     [
@@ -187,19 +200,23 @@ def test_repeated_endpoint_is_corrupt(tmp_path, written_shape, second):
         (("seed_count:1", "seed_count:one"), "seed_count 'one' is not an integer in ASCII digits"),
         (("seed_count:1", "seed_count:+1"), "seed_count '+1' is not an integer in ASCII digits"),
         (("seed_count:1", "seed_count:\u0661"), "seed_count '\u0661' is not an integer in ASCII digits"),
+        (("seeds:10.0.0.1:8333", "seeds:1.2.3.x"), "'1.2.3.x' does not appear to be an IPv4 or IPv6 address"),
     ],
 )
 def test_bad_partial_or_seed_count_is_corrupt(tmp_path, edit, reason):
     path = tmp_path / f"hdr{store.SNAPSHOT_SUFFIX}"
     store.write_snapshot(make_snapshot([make_record("10.0.0.1")], seeds=[Endpoint.make("10.0.0.1")]), path)
     path.write_text(path.read_text().replace(*edit, 1))
-    with pytest.raises(store.CorruptRecordError) as err:
-        store.read_snapshot(path)
-    assert str(err.value) == f"{path}: line 1: bad header: {reason}"
-    path.write_text("\n" + path.read_text())  # the header is read from the first non-blank line
-    with pytest.raises(store.CorruptRecordError) as err:
-        store.read_snapshot(path)
-    assert str(err.value) == f"{path}: line 2: bad header: {reason}"
+    _assert_header_fault_named(path, f"bad header: {reason}")
+
+
+@pytest.mark.parametrize("key", ["started_at", "finished_at"])
+def test_header_without_a_time_is_corrupt(tmp_path, key):
+    path = tmp_path / f"hdr{store.SNAPSHOT_SUFFIX}"
+    store.write_snapshot(make_snapshot([make_record("10.0.0.1")]), path)
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(" ".join(token for token in header.split(" ") if not token.startswith(f"{key}:")) + f"\n{rest}")
+    _assert_header_fault_named(path, f"missing required field {key!r}")
 
 
 @pytest.mark.parametrize("key", ["port", "services", "pver", "height", "first_seen", "last_seen", "addrs"])
@@ -244,16 +261,14 @@ def test_minrtt_reads_each_decimal_repr_writes(tmp_path, value):
 
 
 @pytest.mark.parametrize("key", ["started_at", "finished_at"])
-@pytest.mark.parametrize("value", ["+5", "1_0", "\u0663", "5.0", ""])
+@pytest.mark.parametrize("value", ["+5", "1_0", "\u0663", "5.0", "", "abc"])
 def test_header_times_are_integers_in_ascii_digits(tmp_path, key, value):
     path = tmp_path / f"hdr{store.SNAPSHOT_SUFFIX}"
     store.write_snapshot(make_snapshot([make_record("10.0.0.1")]), path)
     lines = path.read_text().split("\n")
     lines[0] = " ".join(f"{key}:{value}" if token.startswith(f"{key}:") else token for token in lines[0].split(" "))
     path.write_text("\n".join(lines))
-    with pytest.raises(store.CorruptRecordError) as err:
-        store.read_snapshot(path)
-    assert str(err.value) == f"{path}: line 1: bad header: {key} {value!r} is not an integer in ASCII digits"
+    _assert_header_fault_named(path, f"bad header: {key} {value!r} is not an integer in ASCII digits")
 
 
 def test_negative_and_zero_padded_integers_read_on_both_paths(tmp_path):
