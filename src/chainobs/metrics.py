@@ -391,7 +391,11 @@ def compose_bni(sub_metrics: Sequence[float]) -> float:
     """Scale the arithmetic mean of the ten sub-metrics to [0, 10]."""
     if len(sub_metrics) != len(SUB_METRIC_NAMES):
         raise ValueError(f"expected {len(SUB_METRIC_NAMES)} sub-metrics, got {len(sub_metrics)}")
-    return 10.0 * (sum(sub_metrics) / len(sub_metrics))
+    # added left to right, as sum() adds floats before Python 3.12 (whose sum compensates), so every version agrees
+    total = 0
+    for value in sub_metrics:
+        total += value
+    return 10.0 * (total / len(sub_metrics))
 
 
 def bni(

@@ -144,8 +144,9 @@ class _SimConnection:
         self._latency_s = (profile.rtt_ms + slow_ms) / 1000.0
         self._getaddr_answered = False
         self._now = 0.0
-        self._incoming = bytearray()
-        self._readable = bytearray()
+        self._incoming = b""  # the start of a frame not yet complete
+        self._readable = b""  # arrived bytes, read up to _read_at
+        self._read_at = 0
         self._arrivals: deque[tuple[float, bytes]] = deque()
         self._closed = False
         self._broken = False  # peer gave up after a protocol violation
@@ -157,33 +158,39 @@ class _SimConnection:
             raise ConnectionClosedError("connection is closed")
         if self._profile.behavior == "silent" or self._broken:
             return
-        self._incoming += data
+        buffer = self._incoming + data
+        start = 0
         try:
-            while frame := wirecodec.decode_message_prefix(self._incoming, self._network.magic):
+            # a frame that follows another in the buffer is read in place, so many frames take linear time
+            while frame := wirecodec.decode_message_prefix(
+                memoryview(buffer)[start:] if 0 < start < len(buffer) else buffer[start:], self._network.magic
+            ):
                 command, payload, consumed = frame
-                del self._incoming[:consumed]
+                start += consumed
                 self._respond(command, payload)
         except wirecodec.CodecError:
             self._broken = True  # bad frame or malformed payload: peer hangs up
+        self._incoming = buffer[start:]
 
     def recv_exact(self, n: int, deadline: float) -> bytes:
         if self._closed:
             raise ConnectionClosedError("connection is closed")
         if n and self._now >= deadline:
             raise RecvTimeoutError(f"read of {n} bytes starts at or after its deadline")
-        while len(self._readable) < n:
+        while len(self._readable) - self._read_at < n:
             if not self._arrivals or self._arrivals[0][0] > deadline:
                 # what the peer sent before hanging up arrives first, as over TCP
                 if self._broken:
                     raise ConnectionClosedError("peer dropped the connection")
                 self._now = deadline
-                raise RecvTimeoutError(f"needed {n} bytes, got {len(self._readable)}")
+                raise RecvTimeoutError(f"needed {n} bytes, got {len(self._readable) - self._read_at}")
             arrival, data = self._arrivals.popleft()
             self._now = max(self._now, arrival)
-            self._readable += data
-        out = bytes(self._readable[:n])
-        del self._readable[:n]
-        return out
+            self._readable = self._readable[self._read_at :] + data
+            self._read_at = 0
+        start = self._read_at
+        self._read_at = start + n
+        return self._readable[start : start + n]
 
     def close(self) -> None:
         if not self._closed:

@@ -15,15 +15,20 @@ encodings are rejected on decode and never emitted.
 
 Each fixed layout (frame header, the 80 bytes of ``version`` before the user
 agent, address records, ping nonce) is one ``struct.Struct`` shared by its
-encoder and decoder.  :func:`decode_header` judges a header from its 24 bytes
-alone; a frame pump checks the length it returns against
-``MAX_PAYLOAD_BY_COMMAND`` before buffering the payload, then hands the
-payload and the header's checksum to :func:`check_payload`, the one checksum
-test, which :func:`decode_message_prefix` applies too.  The frame decoders
-keep only the 4 MiB frame limit.
+encoder and decoder.  The six known commands are the keys of
+``MAX_PAYLOAD_BY_COMMAND``: :func:`encode_message` takes a known command's
+12-byte field from one table, and :func:`decode_header` maps a known field
+back to its name through another.  Any other command or field goes through
+the full check of printable ASCII and NUL padding.  :func:`decode_header`
+judges a header from its 24 bytes alone; a frame pump checks the length it
+returns against ``MAX_PAYLOAD_BY_COMMAND`` before buffering the payload, then
+hands the payload and the header's checksum to :func:`check_payload`, the one
+checksum test, which :func:`decode_message_prefix` applies too.  The frame
+decoders keep only the 4 MiB frame limit.
 
-:class:`AddrEntry` is a named tuple, iterable and equal to the plain tuple
-``(last_seen, services, ip, port)``.  :func:`encode_addr_records` frames
+:class:`AddrEntry`, :class:`NetAddress` and :class:`VersionPayload` are
+named tuples, each iterable and equal to the plain tuple of its fields, such
+as ``(last_seen, services, ip, port)``.  :func:`encode_addr_records` frames
 entries that are already encoded (the simulated peer keeps its gossip that
 way), and :func:`encode_addr` encodes each entry and ends in it, so the
 count cap and the CompactSize prefix are written once.  :func:`decode_addr`
@@ -57,7 +62,6 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import struct
-from dataclasses import dataclass
 from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
 from typing import NamedTuple, Sequence
 
@@ -66,6 +70,8 @@ SIMNET_MAGIC = b"\xfa\xce\xb0\x0c"
 
 _HEADER = struct.Struct("<4s12sI4s")  # magic, command, length, checksum
 HEADER_SIZE = _HEADER.size
+# CompactSize first byte above 0xFC -> (body width, least value that needs it)
+_COMPACT_SIZE_WIDTHS = {0xFD: (2, 0xFD), 0xFE: (4, 0x10000), 0xFF: (8, 0x100000000)}
 MAX_PAYLOAD_SIZE = 4 * 1024 * 1024
 MAX_COMMAND_SIZE = 12
 MAX_ADDR_ENTRIES = 1000
@@ -186,8 +192,7 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     first = data[offset]
     if first < 0xFD:
         return first, 1
-    widths = {0xFD: (2, 0xFD), 0xFE: (4, 0x10000), 0xFF: (8, 0x100000000)}
-    width, minimum = widths[first]
+    width, minimum = _COMPACT_SIZE_WIDTHS[first]
     end = offset + 1 + width
     if end > len(data):
         raise TruncatedError("CompactSize body cut short")
@@ -271,17 +276,18 @@ def encode_message(command: str, payload: bytes, magic: bytes) -> bytes:
     """Wrap ``payload`` in a framed message: header + payload."""
     if len(payload) > MAX_PAYLOAD_SIZE:
         raise OversizedPayloadError(f"{len(payload)} byte payload")
-    return _HEADER.pack(magic, _encode_command(command), len(payload), checksum(payload)) + payload
+    field = _COMMAND_FIELDS.get(command) or _encode_command(command)
+    return _HEADER.pack(magic, field, len(payload), checksum(payload)) + payload
 
 
 def decode_header(data: bytes, magic: bytes) -> tuple[str, int, bytes]:
     """``(command, length, checksum)`` of the header starting ``data``; checksum unchecked."""
     if len(data) < HEADER_SIZE:
         raise TruncatedError(f"{len(data)} bytes is not a whole header")
-    head, command, length, check = _HEADER.unpack_from(data)
+    head, field, length, check = _HEADER.unpack_from(data)
     if head != magic:
         raise BadMagicError(head.hex())
-    command = _decode_command(command)
+    command = _COMMAND_NAMES.get(field) or _decode_command(field)
     if length > MAX_PAYLOAD_SIZE:
         raise OversizedPayloadError(f"declared payload of {length} bytes")
     return command, length, check
@@ -295,9 +301,9 @@ def decode_message_prefix(data: bytes, magic: bytes) -> tuple[str, bytes, int] |
     (wrong magic, oversized length, bad checksum) raise immediately, which
     lets stream readers fail fast instead of buffering garbage.
     """
-    if len(data) >= 4 and data[:4] != magic:
-        raise BadMagicError(data[:4].hex())
     if len(data) < HEADER_SIZE:
+        if len(data) >= 4 and data[:4] != magic:
+            raise BadMagicError(data[:4].hex())
         return None
     command, length, check = decode_header(data, magic)
     end = HEADER_SIZE + length
@@ -346,10 +352,12 @@ MAX_PAYLOAD_BY_COMMAND = {
     "addr": 3 + _ADDR_ENTRY.size * MAX_ADDR_ENTRIES, "version": MAX_VERSION_PAYLOAD_SIZE,
     "ping": _PING.size, "pong": _PING.size, "verack": 0, "getaddr": 0,
 }
+# Each known command's 12-byte header field, and the command of each such field.
+_COMMAND_FIELDS = {name: _encode_command(name).ljust(MAX_COMMAND_SIZE, b"\0") for name in MAX_PAYLOAD_BY_COMMAND}
+_COMMAND_NAMES = {field: name for name, field in _COMMAND_FIELDS.items()}
 
 
-@dataclass(frozen=True)
-class NetAddress:
+class NetAddress(NamedTuple):
     """26-byte network-address record as used inside ``version``."""
 
     services: int
@@ -386,8 +394,7 @@ class AddrEntry(NamedTuple):
         return _ADDR_ENTRY.pack(self.last_seen, self.services, encode_addr_key(self.ip, self.port))
 
 
-@dataclass(frozen=True)
-class VersionPayload:
+class VersionPayload(NamedTuple):
     """Handshake metadata a peer advertises about itself.
 
     ``start_height`` may be negative on the wire; the decoder carries the
@@ -434,16 +441,11 @@ def decode_version(data: bytes) -> VersionPayload:
     if len(tail) < _VERSION_TAIL.size - 1:  # only the relay flag may be missing
         raise TruncatedError("version payload cut short after the user agent")
     start_height, relay = _VERSION_TAIL.unpack(tail.ljust(_VERSION_TAIL.size, b"\x00"))
+    user_agent = data[ua_start : ua_start + ua_len].decode("utf-8", errors="replace")
+    # fields by position: a named tuple binds keywords in Python, at twice the cost
     return VersionPayload(
-        protocol_version=protocol_version,
-        services=services,
-        timestamp=timestamp,
-        receiver=NetAddress.decode(receiver),
-        sender=NetAddress.decode(sender),
-        nonce=nonce,
-        user_agent=data[ua_start : ua_start + ua_len].decode("utf-8", errors="replace"),
-        start_height=start_height,
-        relay=relay != 0,
+        protocol_version, services, timestamp, NetAddress.decode(receiver), NetAddress.decode(sender),
+        nonce, user_agent, start_height, relay != 0,
     )
 
 

@@ -285,6 +285,8 @@ def test_excursion_threshold_is_configurable():
 
 def test_compose_bni_examples():
     assert metrics.compose_bni([1.0] * 10) == 10.0
+    # each 1e-16 is lost when added to 1.0 left to right; a compensated sum would keep them
+    assert metrics.compose_bni([1.0] + [1e-16] * 9) == 1.0
     assert metrics.compose_bni([0.0] * 10) == 0.0
     assert metrics.compose_bni([1.0] * 5 + [0.0] * 5) == 5.0
     with pytest.raises(ValueError):

@@ -239,6 +239,64 @@ def test_two_frames_in_one_send_are_both_answered_in_order():
     assert [(e.ip, e.port) for e in wirecodec.decode_addr(payload)] == [("10.0.0.2", 8333)]
 
 
+def test_one_send_of_500_pings_is_answered_with_500_pongs_in_order(monkeypatch):
+    conn = connected_peer()
+    handshake(conn)
+    burst = b"".join(ping_frame(nonce) for nonce in range(500))
+    copied = []  # the size of each copy the peer hands the frame decoder; a memoryview is read in place
+    decode = wirecodec.decode_message_prefix
+
+    def counted(data, magic):
+        copied.append(0 if type(data) is memoryview else len(data))
+        return decode(data, magic)
+
+    monkeypatch.setattr(wirecodec, "decode_message_prefix", counted)
+    conn.send(burst)
+    assert sum(copied) <= len(burst)  # the burst is read in linear time, not sliced once per frame
+    assert len(copied) == 501
+    assert conn._incoming == b""
+    nonces = []
+    for _ in range(500):
+        command, payload = read_frame(conn)
+        assert command == "pong"
+        nonces.append(wirecodec.decode_pong(payload))
+    assert nonces == list(range(500))
+    assert conn._readable[conn._read_at :] == b""
+    with pytest.raises(RecvTimeoutError):
+        conn.recv_exact(1, conn.clock() + 1.0)
+
+
+@pytest.mark.parametrize("cut", [1, 4, 5, wirecodec.HEADER_SIZE - 1])
+def test_frame_split_inside_its_header_is_answered_once(cut):
+    conn = connected_peer()
+    handshake(conn)
+    frame = ping_frame(0xBEEF)
+    conn.send(frame[:cut])
+    assert conn._incoming == frame[:cut]
+    with pytest.raises(RecvTimeoutError):
+        conn.recv_exact(1, conn.clock() + 1.0)
+    conn.send(frame[cut:] + ping_frame(0xCAFE)[:cut])  # the next frame starts in the same send
+    command, payload = read_frame(conn)
+    assert (command, wirecodec.decode_pong(payload)) == ("pong", 0xBEEF)
+    with pytest.raises(RecvTimeoutError):
+        conn.recv_exact(1, conn.clock() + 1.0)  # answered once
+    conn.send(ping_frame(0xCAFE)[cut:])
+    command, payload = read_frame(conn)
+    assert (command, wirecodec.decode_pong(payload)) == ("pong", 0xCAFE)
+    assert conn._incoming == b""
+
+
+def test_bad_frame_after_several_good_ones_in_one_send_delivers_their_replies():
+    conn = connected_peer()
+    handshake(conn)
+    conn.send(b"".join(ping_frame(nonce) for nonce in (1, 2, 3)) + _bad_checksum(ping_frame(4)) + ping_frame(5))
+    for nonce in (1, 2, 3):
+        command, payload = read_frame(conn)
+        assert (command, wirecodec.decode_pong(payload)) == ("pong", nonce)
+    with pytest.raises(ConnectionClosedError):
+        conn.recv_exact(1, conn.clock() + 1.0)
+
+
 def _bad_magic(frame):
     return b"\xde\xad\xbe\xef" + frame[4:]
 

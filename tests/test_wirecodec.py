@@ -302,6 +302,98 @@ def test_decode_header_rejects_short_or_foreign_headers():
         wc.decode_header(oversized, MAGIC)
 
 
+# --- known commands: one table each way, checked against the full command path ---
+
+KNOWN_COMMANDS = ("version", "verack", "getaddr", "addr", "ping", "pong")
+
+
+def _reference_decode_header(data, magic):
+    """``decode_header`` with every command field read by ``_decode_command``."""
+    if len(data) < wc.HEADER_SIZE:
+        raise wc.TruncatedError(f"{len(data)} bytes is not a whole header")
+    head, field, length, check = struct.unpack_from("<4s12sI4s", data)
+    if head != magic:
+        raise wc.BadMagicError(head.hex())
+    command = wc._decode_command(field)
+    if length > wc.MAX_PAYLOAD_SIZE:
+        raise wc.OversizedPayloadError(f"declared payload of {length} bytes")
+    return command, length, check
+
+
+def test_known_commands_are_the_payload_limit_keys():
+    assert sorted(wc.MAX_PAYLOAD_BY_COMMAND) == sorted(KNOWN_COMMANDS)
+    for name in KNOWN_COMMANDS:
+        assert wc.decode_header(wc.encode_message(name, b"", MAGIC), MAGIC)[0] == name
+
+
+def _spoiled(field: bytes, position: int, byte: int) -> bytes:
+    return field[:position] + bytes([byte]) + field[position + 1 :]
+
+
+known_fields = st.sampled_from(KNOWN_COMMANDS).map(lambda name: name.encode().ljust(wc.MAX_COMMAND_SIZE, b"\x00"))
+command_fields = st.one_of(
+    st.binary(min_size=wc.MAX_COMMAND_SIZE, max_size=wc.MAX_COMMAND_SIZE),
+    known_fields,
+    st.builds(_spoiled, known_fields, st.integers(0, wc.MAX_COMMAND_SIZE - 1), st.integers(0, 255)),
+)
+headers = st.one_of(
+    st.binary(min_size=wc.HEADER_SIZE, max_size=wc.HEADER_SIZE),
+    st.builds(
+        lambda magic, field, length, check: magic + field + struct.pack("<I", length) + check,
+        st.sampled_from([MAGIC, wc.SIMNET_MAGIC]),
+        command_fields,
+        st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 8, wc.MAX_PAYLOAD_SIZE, wc.MAX_PAYLOAD_SIZE + 1])),
+        st.binary(min_size=4, max_size=4),
+    ),
+)
+
+
+@settings(max_examples=1000)
+@given(headers)
+@example(MAGIC + b"ping\x00\x00\x00\x00\x00\x00\x00x" + bytes(8))  # a known name, then a byte after the NUL
+@example(MAGIC + b"ping\x00\x00\x00\x00\x00\x00\x00\x00" + struct.pack("<I", wc.MAX_PAYLOAD_SIZE + 1) + bytes(4))
+def test_decode_header_matches_the_full_command_path(header):
+    for magic in (MAGIC, wc.SIMNET_MAGIC):
+        expected = _command_outcome(lambda data: _reference_decode_header(data, magic), header)
+        assert _command_outcome(lambda data: wc.decode_header(data, magic), header) == expected
+
+
+@pytest.mark.parametrize("name", KNOWN_COMMANDS)
+def test_known_command_frame_matches_the_full_command_path(name):
+    for payload in (b"", b"\x01" * 8, bytes(range(200))):
+        expected = struct.pack("<4s12sI4s", MAGIC, wc._encode_command(name), len(payload), oracle_checksum(payload))
+        assert wc.encode_message(name, payload, MAGIC) == expected + payload
+
+
+def test_other_commands_keep_every_check_and_error():
+    names = ["tx", "", "Ping", "pin", "pingx", "ping ", " ping", "ping\x00", "verack\x00", "v\u00e9rack", "ver\x01"]
+    names += ["\x7f", "\x00", "thirteenchars", "getaddr" * 2, "a" * 12, "a" * 11 + "\x7f", "addr\u0300", "\ud800"]
+    for name in names:
+        expected = _command_outcome(lambda n: _reference_encode_command(n).ljust(wc.MAX_COMMAND_SIZE, b"\x00"), name)
+        assert _command_outcome(lambda n: wc.encode_message(n, b"", MAGIC)[4:16], name) == expected, repr(name)
+    for name, error in [("thirteenchars", wc.CommandTooLongError), ("v\u00e9rack", wc.BadCommandError)]:
+        with pytest.raises(error):
+            wc.encode_message(name, b"", MAGIC)
+    with pytest.raises(wc.BadCommandError, match="unprintable byte in command 'ver\\\\x01'"):
+        wc.encode_message("ver\x01", b"", MAGIC)
+
+
+def test_decode_message_prefix_checks_the_magic_of_any_prefix_once():
+    frame = wc.encode_message("ping", wc.encode_ping(7), wc.SIMNET_MAGIC)
+    for size in range(4):
+        assert wc.decode_message_prefix(frame[:size], MAGIC) is None
+    for size in range(4, len(frame) + 1):  # 4-23 bytes here, a whole header in decode_header
+        with pytest.raises(wc.BadMagicError, match=f"^{wc.SIMNET_MAGIC.hex()}$"):
+            wc.decode_message_prefix(frame[:size], MAGIC)
+
+
+def test_decode_message_prefix_reads_a_frame_in_place():
+    frames = wc.encode_message("verack", b"", MAGIC) + wc.encode_message("ping", wc.encode_ping(7), MAGIC)
+    command, payload, consumed = wc.decode_message_prefix(memoryview(frames)[wc.HEADER_SIZE :], MAGIC)
+    assert (command, payload, consumed) == ("ping", wc.encode_ping(7), len(frames) - wc.HEADER_SIZE)
+    assert type(payload) is bytes
+
+
 @settings(max_examples=300)
 @given(
     command=st.sampled_from(["version", "verack", "addr", "ping", "pong", "getaddr", "tx"]),
@@ -349,6 +441,17 @@ def test_varint_non_canonical(data):
         wc.decode_varint(bytes.fromhex(data))
 
 
+@pytest.mark.parametrize("first, width, least", [(0xFD, 2, 0xFD), (0xFE, 4, 0x10000), (0xFF, 8, 0x100000000)])
+def test_varint_least_value_of_each_width(first, width, least):
+    for value in (least, 2 ** (8 * width) - 1):
+        encoded = bytes([first]) + value.to_bytes(width, "little")
+        assert wc.decode_varint(b"\x00" + encoded, 1) == (value, 1 + width)
+    with pytest.raises(wc.NonCanonicalError, match=f"^{least - 1} encoded with {width}-byte CompactSize$"):
+        wc.decode_varint(bytes([first]) + (least - 1).to_bytes(width, "little"))
+    with pytest.raises(wc.TruncatedError):
+        wc.decode_varint(bytes([first]) + bytes(width - 1))
+
+
 def test_varint_truncated():
     with pytest.raises(wc.TruncatedError):
         wc.decode_varint(b"")
@@ -385,6 +488,29 @@ def _version(**overrides) -> wc.VersionPayload:
 def test_version_round_trip_identity():
     payload = _version(protocol_version=70015, start_height=0)
     assert wc.decode_version(wc.encode_version(payload)) == payload
+
+
+def test_version_types_are_named_tuples_equal_to_their_fields():
+    address = wc.NetAddress(9, "2001:db8::1", 18333)
+    assert address == (9, "2001:db8::1", 18333)
+    assert wc.NetAddress.decode(address.encode()) == address
+    services, ip, port = address
+    assert (services, ip, port) == (address.services, address.ip, address.port)
+    assert wc.NULL_ADDRESS == (0, "::", 0)
+    payload = _version(relay=True)
+    fields = (wc.PROTOCOL_VERSION, 9, 1_600_000_000, (1, "10.0.0.1", 8333), (0, "::", 0), 0x1122334455667788)
+    assert payload == fields + ("/census:0.1/", 0, True)
+    assert wc.VersionPayload._fields == (
+        "protocol_version", "services", "timestamp", "receiver", "sender",
+        "nonce", "user_agent", "start_height", "relay",
+    )
+    decoded = wc.decode_version(wc.encode_version(payload))
+    assert decoded == payload
+    assert (type(decoded.receiver), type(decoded.sender), decoded.relay) == (wc.NetAddress, wc.NetAddress, True)
+    unrelayed = wc.VersionPayload(*payload[:-1])
+    assert unrelayed.relay is False
+    assert wc.decode_version(wc.encode_version(unrelayed)) == payload[:-1] + (False,)
+    assert hash(payload) == hash(tuple(payload)) and len({payload, fields + ("/census:0.1/", 0, True)}) == 1
 
 
 addresses = st.one_of(
