@@ -30,24 +30,32 @@ the first bad line is reported, whatever its fault (``transport._lines``).
 A read parses each address once: every entry of one :func:`read_ledger`
 call with the same address text holds the same ``str`` object, so the dict
 lookups of clustering and balances match on identity.  The table lives only
-as long as the call, as in ``snapshotstore.load_series``.
+as long as the call, as in ``snapshotstore.load_series``.  A read checks
+each transaction's rules from the satoshi totals it summed while parsing
+the values, so no entry is summed twice.  A read, and
+:meth:`EntityPartition.entities`, build with the cyclic garbage collector
+paused and then restore its earlier state: what they build is long-lived
+and holds no reference cycle (``tests/test_no_cycles.py``), so a
+collection during the build could free nothing and would only walk the
+new containers again and again.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import logging
 import re
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate
 from operator import index, itemgetter, mul
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .transport import _content_lines, _lines, _naming_file, _write_text
 
@@ -86,6 +94,32 @@ class AllZeroDistributionError(LedgerError):
 _value = itemgetter(1)  # the satoshi of an (address, satoshi) entry
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector off, then restore its
+    earlier state, whatever the block raised."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _check_transaction(
+    txid: str, is_coinbase: bool, inputs: tuple[tuple[str, int], ...], input_total: int, output_total: int
+) -> None:
+    """A transaction's two rules: a coinbase has no inputs, and a spend's
+    outputs do not exceed its inputs (``input_total``, ``output_total``: the
+    satoshi sums of the two columns)."""
+    if is_coinbase:
+        if inputs:
+            raise ValueError(f"{txid}: coinbase with inputs")
+    elif output_total > input_total:
+        raise ValueError(f"{txid}: outputs exceed inputs")
+
+
 class _LedgerTxFields(NamedTuple):
     txid: str
     height: int
@@ -117,11 +151,7 @@ class LedgerTx(_LedgerTxFields):
         outputs: tuple[tuple[str, int], ...],
         coinbase_script: bytes = b"",
     ) -> "LedgerTx":
-        if is_coinbase:
-            if inputs:
-                raise ValueError(f"{txid}: coinbase with inputs")
-        elif sum(map(_value, outputs)) > sum(map(_value, inputs)):
-            raise ValueError(f"{txid}: outputs exceed inputs")
+        _check_transaction(txid, is_coinbase, inputs, sum(map(_value, inputs)), sum(map(_value, outputs)))
         return tuple.__new__(cls, (txid, height, timestamp, is_coinbase, inputs, outputs, coinbase_script))
 
     @classmethod
@@ -228,14 +258,15 @@ class EntityPartition:
 
     def entities(self) -> dict[str, frozenset[str]]:
         """Stable entity id -> member addresses."""
-        members: dict[str, list[str]] = {}
-        for address, entity in self._flattened().items():
-            group = members.get(entity)
-            if group is None:
-                members[entity] = [address]
-            else:
-                group.append(address)
-        return dict(zip(members, map(frozenset, members.values())))
+        with _collector_paused():
+            members: dict[str, list[str]] = {}
+            for address, entity in self._flattened().items():
+                group = members.get(entity)
+                if group is None:
+                    members[entity] = [address]
+                else:
+                    group.append(address)
+            return dict(zip(members, map(frozenset, members.values())))
 
     def stable_ids(self) -> dict[str, str]:
         """Address -> stable entity id, for every address in the partition."""
@@ -497,21 +528,24 @@ def _format_entries(entries: tuple[tuple[str, int], ...]) -> str:
     return ";".join(f"{address}:{value}" for address, value in entries) or "-"
 
 
-def _parse_entries(column: str, lineno: int, names: dict[str, str]) -> tuple[tuple[str, int], ...]:
-    """The ``addr:value`` entries of a column; ``names`` maps address text to the
-    one ``str`` that every entry of a read holds."""
+def _parse_entries(column: str, lineno: int, names: dict[str, str]) -> tuple[tuple[tuple[str, int], ...], int]:
+    """The ``addr:value`` entries of a column and their satoshi total; ``names``
+    maps address text to the one ``str`` that every entry of a read holds."""
     if column == "-":
-        return ()
+        return (), 0
     shared = names.setdefault
     entries = []
+    total = 0
     for token in column.split(";"):
         address, sep, value = token.rpartition(":")
         if not sep or not address:
             raise LedgerFormatError(lineno, f"bad addr:value pair {token!r}")
         if not (value.isascii() and value.isdigit()):
             raise LedgerFormatError(lineno, f"value is not a non-negative decimal in {token!r}")
-        entries.append((shared(address, address), int(value)))
-    return tuple(entries)
+        satoshi = int(value)
+        total += satoshi
+        entries.append((shared(address, address), satoshi))
+    return tuple(entries), total
 
 
 def write_ledger(txs: Iterable[LedgerTx], path: str | Path) -> None:
@@ -526,12 +560,17 @@ def write_ledger(txs: Iterable[LedgerTx], path: str | Path) -> None:
 
 
 def read_ledger(path: str | Path) -> list[LedgerTx]:
-    with _naming_file(path, LedgerFormatError), closing(_content_lines(path, LedgerFormatError)) as lines:
+    with (
+        _naming_file(path, LedgerFormatError),
+        closing(_content_lines(path, LedgerFormatError)) as lines,
+        _collector_paused(),
+    ):
         return _parse_ledger(lines)
 
 
 def _parse_ledger(lines: Iterable[tuple[int, str]]) -> list[LedgerTx]:
     txs = []
+    build = tuple.__new__  # not LedgerTx(): each transaction is checked below from the totals it parsed
     names: dict[str, str] = {}  # each address text is parsed once per read
     for lineno, line in lines:
         fields = line.split()
@@ -546,17 +585,11 @@ def _parse_ledger(lines: Iterable[tuple[int, str]]) -> list[LedgerTx]:
             raise LedgerFormatError(lineno, f"coinbase flag is not 0 or 1: {flag!r}")
         try:
             script = b"" if fields[4] == "-" else bytes.fromhex(fields[4])
-            txs.append(
-                LedgerTx(
-                    fields[0],
-                    int(height),
-                    int(timestamp),
-                    flag == "1",
-                    _parse_entries(fields[5], lineno, names),
-                    _parse_entries(fields[6], lineno, names),
-                    script,
-                )
-            )
+            height, timestamp, is_coinbase = int(height), int(timestamp), flag == "1"
+            inputs, input_total = _parse_entries(fields[5], lineno, names)
+            outputs, output_total = _parse_entries(fields[6], lineno, names)
+            _check_transaction(fields[0], is_coinbase, inputs, input_total, output_total)
+            txs.append(build(LedgerTx, (fields[0], height, timestamp, is_coinbase, inputs, outputs, script)))
         except ValueError as exc:  # a LedgerFormatError is not one
             raise LedgerFormatError(lineno, str(exc)) from exc
     return txs

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import random
@@ -820,7 +821,8 @@ def test_entries_need_an_address_and_a_colon(column):
 
 
 def test_entry_values_accept_plain_decimal_digits():
-    assert ledger._parse_entries("a:0;b:007;c:12;d:e:5", 1, {}) == (("a", 0), ("b", 7), ("c", 12), ("d:e", 5))
+    assert ledger._parse_entries("a:0;b:007;c:12;d:e:5", 1, {}) == ((("a", 0), ("b", 7), ("c", 12), ("d:e", 5)), 24)
+    assert ledger._parse_entries("-", 1, {}) == ((), 0)
 
 
 @pytest.mark.parametrize(
@@ -1031,8 +1033,17 @@ _valid_lines = st.one_of(
         _entries,
         st.lists(st.sampled_from(_ADDRESSES[:-1]), max_size=4),
     ),
+    # well formed, but each breaks one transaction rule, so the reader's own check of the
+    # totals it parsed meets the dataclass's __post_init__: a coinbase that lists an input,
+    # and a spend that pays one satoshi more than its inputs
+    st.builds(lambda inputs, outputs: f"cb 0 1600 1 - {_column(inputs[:1])} {_column(outputs)}", _entries, _entries),
+    st.builds(
+        lambda inputs, payee: f"t2 7 1601 0 - {_column(inputs)} {payee}:{sum(v for _, v in inputs) + 1}",
+        _entries,
+        st.sampled_from(_ADDRESSES[:-1]),
+    ),
 )
-# mostly valid lines, so that whole ledgers read and the shared addresses are compared too
+# mostly well-formed lines, so that whole ledgers read and the shared addresses are compared too
 _ledger_lines = st.one_of(_valid_lines, _valid_lines, _valid_lines, _odd_lines)
 
 
@@ -1082,11 +1093,75 @@ def test_each_distinct_address_is_one_str_across_a_read(tmp_path):
 
 def test_parse_entries_shares_addresses_through_the_table_it_is_given():
     names = {}
-    first = ledger._parse_entries("address1:5", 1, names)
-    second = ledger._parse_entries("other:1;address1:7", 2, names)
+    first, first_total = ledger._parse_entries("address1:5", 1, names)
+    second, second_total = ledger._parse_entries("other:1;address1:7", 2, names)
     assert first[0][0] is second[1][0]
+    assert (first_total, second_total) == (5, 8)
     assert names == {"address1": "address1", "other": "other"}
-    assert ledger._parse_entries("address1:5", 1, {}) == (("address1", 5),)  # a fresh table reads the same
+    assert ledger._parse_entries("address1:5", 1, {}) == ((("address1", 5),), 5)  # a fresh table reads the same
+
+
+# --- the cyclic collector around a read and an entity walk ------------------------------
+
+
+def _chain(count):
+    """A coinbase, then ``count`` spends that each pass the coin on to a new address."""
+    txs = [tx("cb", [], [("a0", 50)], coinbase=True)]
+    txs += [tx(f"t{i}", [(f"a{i - 1}", 50)], [(f"a{i}", 50)], height=i) for i in range(1, count + 1)]
+    return txs
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector switched on or off for the test, and back as it was after it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_read_and_an_entity_walk_leave_the_collector_as_they_found_it(tmp_path, collector):
+    path = tmp_path / "chain.ldg"
+    ledger.write_ledger(_chain(50), path)
+    txs = ledger.read_ledger(path)
+    assert gc.isenabled() is collector
+    assert len(ledger.build_partition(txs).entities()) == 51
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize(
+    "last_line, reason",
+    [(b"t51 51 0 0 - a50:50", "expected 7 columns, got 6"), (b"t51 51 0 0 - a50:50 \xff:50", "not UTF-8")],
+    ids=["format", "utf-8"],
+)
+def test_a_read_that_fails_on_a_late_line_leaves_the_collector_as_it_found_it(tmp_path, collector, last_line, reason):
+    path = tmp_path / "chain.ldg"
+    ledger.write_ledger(_chain(50), path)
+    path.write_bytes(path.read_bytes() + last_line + b"\n")
+    with pytest.raises(ledger.LedgerFormatError, match=reason) as err:
+        ledger.read_ledger(path)
+    assert err.value.line_number == 52
+    assert gc.isenabled() is collector
+
+
+def test_a_read_and_an_entity_walk_run_no_collection_while_they_build(tmp_path, collector):
+    path = tmp_path / "chain.ldg"
+    ledger.write_ledger(_chain(5_000), path)  # tens of thousands of containers: many collections if unpaused
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()  # no allocation count left over from earlier tests
+    gc.callbacks.append(count)
+    try:
+        entities = ledger.build_partition(ledger.read_ledger(path)).entities()
+    finally:
+        gc.callbacks.remove(count)
+    assert len(entities) == 5_001
+    # one collection is allowed after each build: the one its allocations call for once the collector is back
+    assert len(generations) <= (2 if collector else 0)
 
 
 _TX_VALUES = [

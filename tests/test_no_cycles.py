@@ -5,6 +5,10 @@ bound method of the object that keeps the table makes the two a cycle, which
 only the garbage collector frees.  Until it runs, every crawl, series or
 ledger read keeps its whole heap.  So each run below goes with the collector
 off, its results are dropped, and a collection must then find nothing.
+
+The ledger run is also the condition under which ``ledger`` may pause the
+collector: a read and an entity walk build with it paused, which is safe
+only while what they build holds no cycle for a collection to free.
 """
 
 import gc
@@ -65,6 +69,8 @@ def test_a_series_read_and_its_timelines_leave_no_cycle(series_directory):
 def test_a_ledger_read_and_its_balances_leave_no_cycle(ledger_path):
     def run():
         txs = ledger.read_ledger(ledger_path)
-        ledger.entity_balances(txs, ledger.build_partition(txs))
+        partition = ledger.build_partition(txs)
+        partition.entities()
+        ledger.top_holders(ledger.entity_balances(txs, partition), partition, 10)
 
     assert _garbage_cycles(run) == 0
